@@ -16,7 +16,7 @@ from .diagnostics import (
     radial_average,
     symmetry_report,
 )
-from .energy import EnergyBreakdown, energy, gradient, lambda_inner
+from .energy import EnergyBreakdown, gradient, lambda_inner
 from .grid import (
     Field,
     ModelParams,
@@ -69,7 +69,6 @@ __all__ = [
     "asymptotics_zero",
     "build_grid",
     "check_wirtinger",
-    "energy",
     "export_vtk",
     "field_from_polar",
     "gradient",

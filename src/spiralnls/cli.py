@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as sio
 from .diagnostics import symmetry_report
-from .energy import energy
+from .energy import energy, gradient, lambda_norm
 from .errors import ConfigError, SpiralError
 from .grid import sector_from_label
 from .minimize import solve_ground, solve_nodal
@@ -42,6 +42,9 @@ EXIT_IO = 5
 
 _COMMANDS = ("solve-ground", "solve-nodal", "solve-radial", "sweep",
              "asympt-inf", "asympt-zero", "reconstruct", "check")
+# config keys that also have a --key option
+_OPTION_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta", "seed",
+                "grad_tol", "max_iters", "lambdas", "nt", "nxy")
 
 
 def _build_parser():
@@ -56,8 +59,7 @@ def _build_parser():
                        f"(default: ${sio.ENV_OUTDIR} or ./runs)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key")
-        for key in ("p", "q", "lambda", "sector", "R", "nr", "ntheta", "seed",
-                    "grad_tol", "max_iters", "lambdas", "nt", "nxy"):
+        for key in _OPTION_KEYS:
             p.add_argument(f"--{key}", dest=f"opt_{key}", default=None)
 
     for name in _COMMANDS:
@@ -82,8 +84,7 @@ def _config_from(args) -> sio.RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    for key in ("p", "q", "lambda", "sector", "R", "nr", "ntheta", "seed",
-                "grad_tol", "max_iters", "lambdas", "nt", "nxy"):
+    for key in _OPTION_KEYS:
         val = getattr(args, f"opt_{key}", None)
         if val is not None:
             overrides[key] = val
@@ -109,7 +110,7 @@ def _run_solve(cfg: sio.RunConfig, command: str, out: str) -> int:
     outputs = [base + ".json", base + ".csv"]
     if report.trace:
         sio.write_csv(base + "_trace.csv", ["iter", "energy", "grad_norm"],
-                      sio.trace_rows(report))
+                      report.trace)
         outputs.append(base + "_trace.csv")
     sio.write_manifest(base + "_manifest.json", command, cfg, outputs)
     print(f"{command}: E={report.energy.total:.8g} converged={report.converged} "
@@ -118,7 +119,7 @@ def _run_solve(cfg: sio.RunConfig, command: str, out: str) -> int:
 
 
 def _run_radial(cfg: sio.RunConfig, nodes: int, out: str) -> int:
-    p = cfg["p"]
+    p = cfg.model_params().p
     profile = shoot_ground(p) if nodes == 0 else shoot_nodal(p, nodes)
     ident = profile_identities(profile)
     base = os.path.join(out, f"radial_p{p:g}_k{nodes}")
@@ -236,6 +237,13 @@ def _run_check(cfg: sio.RunConfig, solution_path: str) -> int:
     res = manifold_residual(field, params)
     if abs(res.single) > tol:
         failures.append(f"nehari-residual ({res.single:.2e})")
+    if field.grid.sector.is_full and not (math.isnan(res.plus) or math.isnan(res.minus)):
+        worst = max(abs(res.plus), abs(res.minus))
+        if not worst <= tol:
+            failures.append(f"nodal-nehari-residual ({worst:.2e})")
+    el = lambda_norm(gradient(field, params), params) / lambda_norm(field, params)
+    if not el <= tol:
+        failures.append(f"euler-lagrange-residual ({el:.2e})")
     sym = symmetry_report(field, params)
     if not sym.wirtinger_ok:
         failures.append("wirtinger")
@@ -250,7 +258,7 @@ def _run_check(cfg: sio.RunConfig, solution_path: str) -> int:
         print(f"check: FAIL {solution_path}: " + "; ".join(failures))
         return EXIT_CHECK
     print(f"check: OK {solution_path} (E={breakdown.total:.8g}, "
-          f"residual={res.single:.2e})")
+          f"residual={res.single:.2e}, euler-lagrange={el:.2e})")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import h1_norm_sq, lambda_norm
+from .energy import lambda_norm
 from .errors import SectorError
 from .grid import Field, ModelParams
 
@@ -59,13 +59,11 @@ def angular_l2_pieces(u: Field):
     """(|u|_2^2, |d_theta u|_2^2, |u#|_2^2) with the spectral derivative convention."""
     grid = u.grid
     U = grid.to_modes(u.values)
-    cm = grid.mode_quad_coeffs()
-    mu = grid.mode_multipliers()
-    wr = grid.radii * grid.dr
-    power = (np.abs(U) ** 2 * wr[:, None]).sum(axis=0)
-    l2 = float(cm @ power)
-    dth2 = float(cm @ (mu * power))
-    avg2 = float(cm[0] * power[0]) if grid.sector.is_full else 0.0
+    st = grid.stencil
+    power = (np.abs(U) ** 2 * st.wr[:, None]).sum(axis=0)
+    l2 = float(st.cm @ power)
+    dth2 = float(st.cm @ (st.mu * power))
+    avg2 = float(st.cm[0] * power[0]) if grid.sector.is_full else 0.0
     return l2, dth2, avg2
 
 
@@ -142,12 +140,6 @@ def moser_exponent(p: float, r_param: float, q_exponent: float) -> float:
         raise ValueError(f"need q_exponent > 4 r_param, got {q_exponent} <= {4 * r_param}")
     rho = q_exponent / (2.0 * r_param)
     return (p - 2.0) * rho / (2.0 * (rho - 1.0)) + 1.0
-
-
-def moser_ratio(u: Field) -> float:
-    """Empirical |u|_inf / ||u||_{H1}; logged with sigma for trend checks."""
-    h1 = math.sqrt(h1_norm_sq(u))
-    return u.linf() / h1 if h1 > 0 else 0.0
 
 
 def orthogonality_defect(u: Field, params: ModelParams) -> float:

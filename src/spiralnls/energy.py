@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, ModelParams, PolarGrid, check_same_grid, solve_operator
+from .grid import Field, ModelParams, check_same_grid, solve_operator
 
 
 @dataclass(frozen=True)
@@ -38,37 +38,13 @@ class EnergyBreakdown:
         return self.dirichlet + self.angular + self.mass
 
 
-def _raw_forms(grid: PolarGrid, U: np.ndarray, V: np.ndarray):
-    """Bilinear building blocks from mode arrays (nr, nmodes).
-
-    Returns (dirichlet, angular2, mass2) with angular2 = integral of
-    d_theta u d_theta v and mass2 = integral of u v, both unscaled.
-    """
-    r = grid.radii
-    dr = grid.dr
-    faces = grid.face_radii
-    mu = grid.mode_multipliers()
-    cm = grid.mode_quad_coeffs()
-    wr = r * dr
-
-    prod_faces = np.real(np.conj(U[1:] - U[:-1]) * (V[1:] - V[:-1]))  # (nr-1, nm)
-    grad_r = (faces[1:-1, None] / dr) * prod_faces
-    # Dirichlet boundary: ghost = -u_last adds 2 R u_last v_last / dr
-    bnd = 2 * faces[-1] / dr * np.real(np.conj(U[-1]) * V[-1])
-    prod_nodes = np.real(np.conj(U) * V)                              # (nr, nm)
-    centrifugal = (mu[None, :] / r[:, None]) * dr * prod_nodes
-    dirichlet = float(cm @ (grad_r.sum(axis=0) + bnd + centrifugal.sum(axis=0)))
-
-    angular2 = float(cm @ (mu[None, :] * wr[:, None] * prod_nodes).sum(axis=0))
-    mass2 = float(cm @ (wr[:, None] * prod_nodes).sum(axis=0))
-    return dirichlet, angular2, mass2
-
-
 def _pieces(u: Field, v: Field, params: ModelParams):
-    U = u.grid.to_modes(u.values)
-    V = v.grid.to_modes(v.values)
-    d, a2, m2 = _raw_forms(u.grid, U, V)
-    return d, a2 / params.lam**2, params.q * m2
+    """(dirichlet, angular, mass) terms of <u, v>; a field shared by both sides
+    is transformed once."""
+    grid = u.grid
+    U = grid.to_modes(u.values)
+    V = U if v is u else grid.to_modes(v.values)
+    return grid.operator(params).pieces(U, V)
 
 
 def lambda_inner(u: Field, v: Field, params: ModelParams) -> float:
@@ -82,15 +58,31 @@ def lambda_norm(u: Field, params: ModelParams) -> float:
     return float(np.sqrt(max(lambda_inner(u, u, params), 0.0)))
 
 
+def abs_power(values: np.ndarray, e: float) -> np.ndarray:
+    """|values|^e; a whole exponent takes repeated products instead of pow."""
+    n = int(e)
+    if n != e or n < 1:
+        return np.abs(values) ** e
+    base = np.abs(values) if n % 2 else values
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 def lp_integral(u: Field, p: float) -> float:
     """integral |u|^p by grid quadrature."""
-    return u.grid.quad(np.abs(u.values) ** p)
+    return u.grid.quad(abs_power(u.values, p))
 
 
 def h1_norm_sq(u: Field) -> float:
     """Plain H^1 norm squared (Dirichlet energy + full mass term)."""
     U = u.grid.to_modes(u.values)
-    d, _, m2 = _raw_forms(u.grid, U, U)
+    d, _, m2 = u.grid.stencil.forms(U, U)
     return d + m2
 
 
@@ -105,8 +97,8 @@ def energy(u: Field, params: ModelParams) -> EnergyBreakdown:
 
 
 def nonlinearity(values: np.ndarray, p: float) -> np.ndarray:
-    """|u|^{p-2} u, valid for non-integer p."""
-    return np.sign(values) * np.abs(values) ** (p - 1.0)
+    """|u|^{p-2} u."""
+    return abs_power(values, p - 2.0) * values
 
 
 def gradient(u: Field, params: ModelParams) -> Field:

@@ -21,10 +21,11 @@ which is what makes preconditioned solves cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import GridMismatchError
 
@@ -150,6 +151,20 @@ class PolarGrid:
         """Quadrature of point samples against the r dr dtheta measure."""
         return float(np.sum(self.weights * samples))
 
+    @cached_property
+    def stencil(self) -> "Stencil":
+        """The lambda-independent operator constants, built on first use."""
+        return Stencil(self)
+
+    def operator(self, params: ModelParams) -> "PolarOperator":
+        """The operator L for params; the grid keeps only the last one built."""
+        op = self.__dict__.get("_operator")
+        if op is None or op.params != params:
+            self.__dict__.pop("_operator", None)   # never hold two at once
+            op = PolarOperator(self.stencil, params)
+            object.__setattr__(self, "_operator", op)
+        return op
+
 
 @dataclass(frozen=True)
 class Field:
@@ -213,10 +228,6 @@ def field_from_polar(grid: PolarGrid, fn) -> Field:
     return Field(grid, np.asarray(fn(rr, tt), dtype=float))
 
 
-def zero_field(grid: PolarGrid) -> Field:
-    return Field(grid, np.zeros((grid.nr, grid.ntheta)))
-
-
 def check_same_grid(u: Field, v: Field) -> None:
     if u.grid is v.grid:
         return
@@ -225,60 +236,120 @@ def check_same_grid(u: Field, v: Field) -> None:
         raise GridMismatchError("fields live on different grids")
 
 
-def operator_bands(grid: PolarGrid, params: ModelParams) -> np.ndarray:
-    """Tridiagonal radial operator per angular mode, stacked mode-major.
+def _re_prod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re(conj(A) B) elementwise, for real (sector) or complex (disk) modes."""
+    if np.iscomplexobj(A):
+        return A.real * B.real + A.imag * B.imag
+    return A * B
 
-    Returns a (3, nmodes * nr) array in solve_banded layout for the operator
-    -d2/dr2 - (1/r) d/dr + (1/lam^2 + 1/r^2) mu + q with Dirichlet closure at
-    r = R (ghost value -u_last, i.e. the midpoint boundary condition).
+
+class Stencil:
+    """Lambda-independent constants of the discrete operator on one grid.
+
+    Mode arrays are (nr, nmodes), radial index first, as to_modes returns
+    them.  Every angular mode shares the radial finite-volume stencil; the
+    quadratic-form weights turn mode products into the Dirichlet, angular and
+    mass integrals.  PolarGrid.stencil builds this once per grid.
     """
-    r = grid.radii
-    dr = grid.dr
-    faces = grid.face_radii
-    mu = grid.mode_multipliers()
-    nm, nr = mu.size, grid.nr
 
-    lower = -faces[1:-1] / (r[1:] * dr * dr)            # coupling to j-1
-    upper = -faces[1:-1] / (r[:-1] * dr * dr)           # coupling to j+1
-    diag_r = (faces[:-1] + faces[1:]) / (r * dr * dr)
-    diag_r = diag_r.copy()
-    # Dirichlet at r = R: ghost = -u_last turns the outer face flux R(u_ghost - u)
-    # into -2R u, one extra R beyond the regular face already in the base diagonal
-    diag_r[-1] += faces[-1] / (r[-1] * dr * dr)
+    def __init__(self, grid: "PolarGrid"):
+        r, dr, faces = grid.radii, grid.dr, grid.face_radii
+        self.mu = mu = grid.mode_multipliers()          # (nm,)
+        self.cm = grid.mode_quad_coeffs()               # (nm,) Parseval coefficients
+        self.wr = wr = r * dr                           # (nr,) radial quadrature weights
+        self.inv_r2 = 1.0 / r**2
+        # banded rows A[j-1, j], A[j, j], A[j+1, j] at column j
+        self.radial = np.zeros((3, grid.nr))
+        self.radial[0, 1:] = -faces[1:-1] / (r[:-1] * dr * dr)
+        self.radial[1] = (faces[:-1] + faces[1:]) / (r * dr * dr)
+        # Dirichlet at r = R: ghost = -u_last turns the outer face flux R(u_ghost - u)
+        # into -2R u, one extra R beyond the regular face already in the diagonal
+        self.radial[1, -1] += faces[-1] / (r[-1] * dr * dr)
+        self.radial[2, :-1] = -faces[1:-1] / (r[1:] * dr * dr)
+        # quadratic-form weights: faces R_f / dr, closure 2 R / dr, nodes
+        # mu dr / r (centrifugal) and mu r dr (angular)
+        self.face_w = faces[1:-1, None] / dr
+        self.bnd_w = 2 * faces[-1] / dr
+        self.cent_w = (mu[None, :] / r[:, None]) * dr
+        self.ang_w = mu[None, :] * wr[:, None]
 
-    coef = 1.0 / params.lam**2 + 1.0 / r**2             # (nr,)
-    diag = diag_r[None, :] + mu[:, None] * coef[None, :] + params.q
+    def forms(self, U: np.ndarray, V: np.ndarray):
+        """Bilinear building blocks (dirichlet, angular2, mass2) from mode arrays.
 
-    ab = np.zeros((3, nm * nr))
-    ab[1] = diag.ravel()
-    up = np.zeros((nm, nr))
-    up[:, 1:] = upper
-    lo = np.zeros((nm, nr))
-    lo[:, :-1] = lower
-    # solve_banded layout: ab[0, j] = A[j-1, j], ab[2, j] = A[j+1, j]
-    ab[0] = up.ravel()
-    ab[2] = lo.ravel()
-    return ab
+        angular2 is the integral of d_theta u d_theta v and mass2 that of u v,
+        both unscaled.  Each is summed over r per mode, then against c_m.
+        """
+        dU = U[1:] - U[:-1]
+        dV = dU if V is U else V[1:] - V[:-1]
+        prod_faces = _re_prod(dU, dV)                             # (nr-1, nm)
+        prod_nodes = _re_prod(U, V)                               # (nr, nm)
+        # Dirichlet boundary: ghost = -u_last adds 2 R u_last v_last / dr
+        bnd = self.bnd_w * prod_nodes[-1]
+        dirichlet = float(self.cm @ ((self.face_w * prod_faces).sum(axis=0) + bnd
+                                     + (self.cent_w * prod_nodes).sum(axis=0)))
+        angular2 = float(self.cm @ (self.ang_w * prod_nodes).sum(axis=0))
+        mass2 = float(self.cm @ (self.wr[:, None] * prod_nodes).sum(axis=0))
+        return dirichlet, angular2, mass2
+
+
+class PolarOperator:
+    """L = -Laplacian - (1/lam^2) d_theta^2 + q on one grid, acting on modes.
+
+    Per angular mode L is the tridiagonal radial operator
+    -d2/dr2 - (1/r) d/dr + (1/lam^2 + 1/r^2) mu + q with Dirichlet closure at
+    r = R (ghost value -u_last, i.e. the midpoint boundary condition).  The
+    modes stack mode-major into one tridiagonal system; its off-diagonals are
+    the stencil's, and the diagonal is the only part that depends on
+    (lam, q).  PolarGrid.operator builds one per parameters.
+    """
+
+    def __init__(self, stencil: Stencil, params: ModelParams):
+        self.stencil = stencil
+        self.params = params
+        radial, mu = stencil.radial, stencil.mu
+        coef = 1.0 / params.lam**2 + stencil.inv_r2                # (nr,)
+        self.diag = radial[1] + mu[:, None] * coef + params.q       # (nm, nr)
+        self.upper = np.tile(radial[0], mu.size)[1:]
+        self.lower = np.tile(radial[2], mu.size)[:-1]
+
+    def apply(self, modes: np.ndarray) -> np.ndarray:
+        """L times a mode array (nr, nmodes)."""
+        up, _, low = self.stencil.radial[:, :, None]
+        out = self.diag.T * modes
+        out[:-1] += up[1:] * modes[1:]
+        out[1:] += low[:-1] * modes[:-1]
+        return out
+
+    def solve(self, modes: np.ndarray) -> np.ndarray:
+        """L^{-1} of a mode array (nr, nmodes) by per-mode tridiagonal solves.
+
+        Real and imaginary parts of disk modes are two right-hand sides.
+        """
+        nr, nm = modes.shape
+        parts = (modes.real, modes.imag) if np.iscomplexobj(modes) else (modes,)
+        rhs = np.stack([part.T for part in parts])    # (parts, nm, nr), mode-major
+        *_, x, info = dgtsv(self.lower, self.diag.ravel(), self.upper,
+                            rhs.reshape(len(parts), -1).T, overwrite_b=True)
+        if info != 0:
+            raise FloatingPointError(f"singular per-mode operator (gtsv info={info})")
+        x = x.T.reshape(len(parts), nm, nr).transpose(0, 2, 1)
+        return x[0] if len(parts) == 1 else x[0] + 1j * x[1]
+
+    def pieces(self, U: np.ndarray, V: np.ndarray):
+        """(dirichlet, angular, mass) terms of <u, v>_{lam,q} from mode arrays."""
+        d, a2, m2 = self.stencil.forms(U, V)
+        return d, a2 / self.params.lam**2, self.params.q * m2
+
+    def inner(self, U: np.ndarray, V: np.ndarray) -> float:
+        """<u, v>_{lam,q} from mode arrays."""
+        d, a, m = self.pieces(U, V)
+        return d + a + m
 
 
 def apply_operator(u: Field, params: ModelParams) -> Field:
     """Apply the linear part L = -Laplacian - (1/lam^2) d_theta^2 + q per mode."""
     grid = u.grid
-    modes = grid.to_modes(u.values)               # (nr, nmodes)
-    r = grid.radii
-    dr = grid.dr
-    faces = grid.face_radii
-    mu = grid.mode_multipliers()
-
-    # radial part, same stencil for every mode
-    flux = np.zeros((grid.nr + 1, modes.shape[1]), dtype=modes.dtype)
-    flux[1:-1] = faces[1:-1, None] * (modes[1:] - modes[:-1]) / dr
-    flux[-1] = faces[-1] * (-2.0 * modes[-1]) / dr          # ghost = -u_last
-    out = -(flux[1:] - flux[:-1]) / (r[:, None] * dr)
-    coef = 1.0 / params.lam**2 + 1.0 / r**2
-    out += (coef[:, None] * mu[None, :]) * modes
-    out += params.q * modes
-    result = grid.from_modes(out)
+    result = grid.from_modes(grid.operator(params).apply(grid.to_modes(u.values)))
     if not np.all(np.isfinite(result)):
         raise FloatingPointError("operator application produced non-finite values")
     return Field(grid, result)
@@ -286,17 +357,7 @@ def apply_operator(u: Field, params: ModelParams) -> Field:
 
 def solve_operator(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray) -> np.ndarray:
     """Solve L u = rhs (physical-space samples) via per-mode tridiagonal solves."""
-    modes = grid.to_modes(rhs_values)             # (nr, nmodes)
-    ab = operator_bands(grid, params)
-    nm = modes.shape[1]
-    stacked = np.ascontiguousarray(modes.T).reshape(nm * grid.nr)
-    if np.iscomplexobj(stacked):
-        b = np.column_stack([stacked.real, stacked.imag])
-        x = solve_banded((1, 1), ab, b)
-        sol = (x[:, 0] + 1j * x[:, 1]).reshape(nm, grid.nr).T
-    else:
-        sol = solve_banded((1, 1), ab, stacked).reshape(nm, grid.nr).T
-    out = grid.from_modes(sol)
+    out = grid.from_modes(grid.operator(params).solve(grid.to_modes(rhs_values)))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("per-mode tridiagonal solve produced non-finite values")
     return out
@@ -311,14 +372,14 @@ def apply_angular_derivative(u: Field) -> Field:
     """
     grid = u.grid
     if grid.sector.is_full:
-        modes = np.fft.rfft(u.values, axis=1)
+        modes = grid.to_modes(u.values)
         m = np.arange(modes.shape[1])
         modes *= 1j * m
         modes[:, -1] = 0.0
-        return Field(grid, np.fft.irfft(modes, n=grid.ntheta, axis=1))
+        return Field(grid, grid.from_modes(modes))
     n = grid.ntheta
     theta0 = grid.sector.half_angle
-    coeff = dst(u.values, type=1, axis=1) / (n + 1)   # sine coefficients b_n
+    coeff = grid.to_modes(u.values) / (n + 1)         # sine coefficients b_n
     omega = np.arange(1, n + 1) * np.pi / (2 * theta0)
     shifted = grid.angles + theta0                    # in (0, 2 theta0)
     cosmat = np.cos(np.outer(omega, shifted))         # (modes, nodes)

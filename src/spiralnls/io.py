@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .minimize import SolveConfig, SolveReport
 ENV_OUTDIR = "SPIRALNLS_OUTDIR"
 ARTIFACT_VERSION = "spiralnls 0.1.0"
 SOLUTION_MAGIC = "# spiralnls-solution v1"
+_HEADER_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta")
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -64,6 +67,15 @@ _SCHEMA = {
 }
 
 
+@contextmanager
+def _as_config_error(where: str = ""):
+    """Turn the validation errors of a value or a constructor into ConfigError."""
+    try:
+        yield
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}{exc}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     entries: dict
@@ -72,18 +84,21 @@ class RunConfig:
         return self.entries[key]
 
     def model_params(self) -> ModelParams:
-        return ModelParams(p=self["p"], q=self["q"], lam=self["lambda"])
+        with _as_config_error():
+            return ModelParams(p=self["p"], q=self["q"], lam=self["lambda"])
 
     def grid(self) -> PolarGrid:
-        return build_grid(self["R"], self["nr"], self["ntheta"],
-                          sector_from_label(self["sector"]))
+        with _as_config_error():
+            return build_grid(self["R"], self["nr"], self["ntheta"],
+                              sector_from_label(self["sector"]))
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            max_iters=self["max_iters"], grad_tol=self["grad_tol"],
-            step=self["step"], seed_kind=self["seed"],
-            newton_refine=self["newton"], keep_trace=self["keep_trace"],
-        )
+        with _as_config_error():
+            return SolveConfig(
+                max_iters=self["max_iters"], grad_tol=self["grad_tol"],
+                step=self["step"], seed_kind=self["seed"],
+                newton_refine=self["newton"], keep_trace=self["keep_trace"],
+            )
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -98,15 +113,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser = _SCHEMA[key][0]
-        try:
-            entries[key] = parser(value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+        with _as_config_error(f"line {lineno}: bad value for {key}: "):
+            entries[key] = _SCHEMA[key][0](value)
     for key, value in (overrides or {}).items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown override key {key!r}")
-        entries[key] = _SCHEMA[key][0](value) if isinstance(value, str) else value
+        if isinstance(value, str):
+            with _as_config_error(f"bad value for {key}: "):
+                value = _SCHEMA[key][0](value)
+        entries[key] = value
     return RunConfig(entries)
 
 
@@ -155,31 +170,56 @@ def save_solution(path, field: Field, params: ModelParams) -> None:
 
 
 def load_solution(path):
-    """Read a solution file back into (Field, ModelParams); bit-exact."""
+    """Read a solution file back into (Field, ModelParams); bit-exact.
+
+    A header key that is missing or invalid, a malformed row, and a node
+    (j, k) that is out of range, repeated or absent are all ConfigErrors.
+    """
     meta = {}
-    values = None
     with open(path, encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != SOLUTION_MAGIC:
+        if fh.readline().rstrip("\n") != SOLUTION_MAGIC:
             raise ConfigError(f"{path}: not a solution file")
-        for raw in fh:
+        for raw in iter(fh.readline, ""):
             line = raw.strip()
+            if line == "j,k,value":
+                break
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 meta[key.strip()] = val.strip()
-                continue
-            if line == "j,k,value":
-                grid = build_grid(float(meta["R"]), int(meta["nr"]),
-                                  int(meta["ntheta"]),
-                                  sector_from_label(meta["sector"]))
-                values = np.empty((grid.nr, grid.ntheta))
-                continue
-            j_s, k_s, v_s = line.split(",")
-            values[int(j_s), int(k_s)] = float(v_s)
-    if values is None or not np.all(np.isfinite(values)):
-        raise ConfigError(f"{path}: missing or non-finite value block")
-    params = ModelParams(p=float(meta["p"]), q=int(meta["q"]),
-                         lam=float(meta["lambda"]))
+            elif line:
+                raise ConfigError(f"{path}: unexpected header line {line!r}")
+        else:
+            raise ConfigError(f"{path}: missing value block")
+        missing = [key for key in _HEADER_KEYS if key not in meta]
+        if missing:
+            raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
+        with _as_config_error(f"{path}: "):
+            grid = build_grid(float(meta["R"]), int(meta["nr"]), int(meta["ntheta"]),
+                              sector_from_label(meta["sector"]))
+            params = ModelParams(p=float(meta["p"]), q=int(meta["q"]),
+                                 lam=float(meta["lambda"]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # empty value block
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(0, 1, 2))
+    j, k = rows[:, 0], rows[:, 1]
+    outside = (j != np.floor(j)) | (j < 0) | (j >= grid.nr) | (k != np.floor(k)) \
+        | (k < 0) | (k >= grid.ntheta)
+    if np.any(outside):
+        bad = int(np.argmax(outside))
+        raise ConfigError(f"{path}: node ({j[bad]:g}, {k[bad]:g}) is not a node "
+                          f"of the {grid.nr}x{grid.ntheta} grid")
+    flat = (j * grid.ntheta + k).astype(np.int64)
+    counts = np.bincount(flat, minlength=grid.nr * grid.ntheta)
+    for what, mask in (("repeated", counts > 1), ("missing", counts == 0)):
+        if np.any(mask):
+            j0, k0 = divmod(int(np.argmax(mask)), grid.ntheta)
+            raise ConfigError(f"{path}: {int(mask.sum())} node(s) {what}, "
+                              f"first ({j0}, {k0})")
+    values = np.full(grid.nr * grid.ntheta, np.nan)
+    values[flat] = rows[:, 2]
+    values = values.reshape(grid.nr, grid.ntheta)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: non-finite values")
     return Field(grid, values), params
 
 
@@ -256,7 +296,3 @@ def write_csv(path, header: list, rows: list) -> None:
             fh.write(",".join(
                 repr(float(x)) if isinstance(x, float) else str(x)
                 for x in row) + "\n")
-
-
-def trace_rows(report: SolveReport):
-    return [(it, e, gn) for (it, e, gn) in (report.trace or [])]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .diagnostics import nonradiality_index
 from .energy import (
     EnergyBreakdown,
+    abs_power,
     energy,
     gradient,
     h1_norm_sq,
@@ -231,7 +232,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 
     while solves < max_solves:
         if gn <= tol:
             return u, gn, True, solves
-        weight = (params.p - 1.0) * np.abs(u.values) ** (params.p - 2.0)
+        weight = (params.p - 1.0) * abs_power(u.values, params.p - 2.0)
         shift = 1.0 + mu
 
         def matvec(x):
@@ -335,9 +336,7 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project) -> SolveRe
         # the energy line search makes the polish robust from moderate range
         switch_tol = max(cfg.grad_tol, 1e-4 * (1.0 + lambda_norm(u, params)))
         if cfg.max_iters > 300:
-            pre_cfg = SolveConfig(max_iters=300, grad_tol=cfg.grad_tol,
-                                  step=cfg.step, seed_kind=cfg.seed_kind,
-                                  newton_refine=True, keep_trace=cfg.keep_trace)
+            pre_cfg = replace(cfg, max_iters=300)
     u, eng, gn, iters, converged = _descend(u, params, pre_cfg, project, switch_tol,
                                             trace, constrain)
     if cfg.newton_refine and gn > cfg.grad_tol:
@@ -348,9 +347,8 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project) -> SolveRe
         converged = gn <= cfg.grad_tol
         if not ok and iters < cfg.max_iters:
             # stall: fall back to first-order steps for the remaining budget
-            rem = SolveConfig(max_iters=cfg.max_iters - iters, grad_tol=cfg.grad_tol,
-                              step=min(0.1, cfg.step), seed_kind=cfg.seed_kind,
-                              newton_refine=False, keep_trace=False)
+            rem = replace(cfg, max_iters=cfg.max_iters - iters, step=min(0.1, cfg.step),
+                          newton_refine=False, keep_trace=False)
             u, eng, gn, extra, converged = _descend(u, params, rem, project,
                                                     cfg.grad_tol, trace, constrain)
             iters += extra

@@ -50,33 +50,41 @@ def nehari_scale(u: Field, params: ModelParams) -> float:
     return float((n2 / pp) ** (1.0 / (params.p - 2.0)))
 
 
+def _parts_with_modes(u: Field):
+    """u^+, u^- and the angular modes of each, one transform per part."""
+    plus, minus = split_parts(u)
+    return plus, minus, u.grid.to_modes(plus.values), u.grid.to_modes(minus.values)
+
+
 def manifold_residual(u: Field, params: ModelParams) -> NehariResidual:
     """Normalized residuals measuring membership in N_lam and M_lam."""
-    n2 = lambda_inner(u, u, params)
+    op = u.grid.operator(params)
+    U = u.grid.to_modes(u.values)
+    n2 = op.inner(U, U)
     if n2 == 0.0:
         raise ZeroFieldError("manifold_residual of the zero field")
     pp = lp_integral(u, params.p)
     single = (n2 - pp) / n2
 
-    plus, minus = split_parts(u)
+    plus, minus, P, M = _parts_with_modes(u)
     out = []
-    for part in (plus, minus):
+    for part, modes in ((plus, P), (minus, M)):
         qp = lp_integral(part, params.p)
         if qp == 0.0:
             out.append(math.nan)
             continue
-        part_form = lambda_inner(u, part, params)
+        part_form = op.inner(U, modes)
         out.append((part_form - qp) / part_form)
     return NehariResidual(float(single), out[0], out[1])
 
 
 def interface_commitment(u: Field, params: ModelParams) -> float:
     """Discrete cross energy <u^+, u^-> relative to ||u||^2 (O(dr) at interfaces)."""
-    plus, minus = split_parts(u)
     n2 = lambda_inner(u, u, params)
     if n2 == 0.0:
         raise ZeroFieldError("interface_commitment of the zero field")
-    return lambda_inner(plus, minus, params) / n2
+    _, _, P, M = _parts_with_modes(u)
+    return u.grid.operator(params).inner(P, M) / n2
 
 
 def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: int = 60) -> Field:
@@ -87,15 +95,16 @@ def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: i
     indicator-convention residuals to round-off.  Raises OnePhaseMissing when
     either part vanishes.
     """
-    plus, minus = split_parts(u)
+    plus, minus, P, M = _parts_with_modes(u)
     pp = lp_integral(plus, params.p)
     pm = lp_integral(minus, params.p)
     if pp == 0.0 or pm == 0.0:
         raise OnePhaseMissing("field does not change sign")
 
-    a_pp = lambda_inner(plus, plus, params)
-    a_mm = lambda_inner(minus, minus, params)
-    cross = lambda_inner(plus, minus, params)
+    op = u.grid.operator(params)
+    a_pp = op.inner(P, P)
+    a_mm = op.inner(M, M)
+    cross = op.inner(P, M)
     ex = 1.0 / (params.p - 2.0)
 
     # independent scalings with the indicator-convention part norms

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spiralnls.cli import (
@@ -9,8 +10,10 @@ from spiralnls.cli import (
     EXIT_USAGE,
     run_cli,
 )
-from spiralnls.grid import ModelParams, SectorKind, build_grid
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
+from spiralnls.io import save_solution
 from spiralnls.minimize import SolveConfig, solve_ground
+from spiralnls.nehari import nehari_scale
 
 ARGS_SMALL = ["--R", "12", "--nr", "96", "--ntheta", "16", "--grad_tol", "1e-7"]
 
@@ -149,3 +152,35 @@ def test_cli_reports_numerical_failure(tmp_path, capsys):
                     "--set", "grad_tol=1e-12"] + ARGS_SMALL[:-2])
     assert code == EXIT_NUMERICAL
     capsys.readouterr()
+
+
+def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
+    # on the Nehari set, yet far from solving the equation
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    vals = np.abs(np.random.default_rng(20200909).standard_normal((48, 16)))
+    field = Field(grid, vals)
+    field = Field(grid, nehari_scale(field, params) * vals)
+    path = tmp_path / "random.csv"
+    save_solution(path, field, params)
+    assert run_cli(["check", str(path)]) == EXIT_CHECK
+    message = capsys.readouterr().out
+    assert "euler-lagrange-residual" in message
+    assert "nehari-residual" not in message
+
+
+@pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"]])
+def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
+    code = run_cli(["solve-ground", "--out-dir", str(tmp_path)] + bad)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_malformed_solution_is_usage_error(tmp_path, capsys):
+    grid = build_grid(4.0, 6, 4, SectorKind.full_disk())
+    path = tmp_path / "sol.csv"
+    save_solution(path, Field(grid, np.ones((6, 4))), ModelParams(p=4.0, q=1, lam=1.0))
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-3]))
+    assert run_cli(["check", str(path)]) == EXIT_USAGE
+    assert "missing" in capsys.readouterr().err

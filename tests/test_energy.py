@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spiralnls.energy import (
+    abs_power,
     directional_derivative,
     energy,
     gradient,
@@ -153,3 +154,18 @@ def test_lp_integral_constant(small_disk):
     u = Field(small_disk, np.full((small_disk.nr, small_disk.ntheta), 2.0))
     area = np.pi * small_disk.R**2
     assert abs(lp_integral(u, 4.0) - 16.0 * area) < 1e-10 * 16 * area
+
+
+def test_energy_submodule_is_importable():
+    # the package must not shadow its energy submodule with a function
+    import spiralnls.energy as energy_module
+    assert energy_module.gradient is gradient
+    assert energy_module.energy is energy
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0, 3.0, 4.0, 6.0, 2.5])
+def test_abs_power_matches_pow(rng, e):
+    # whole exponents take repeated products: equal to pow up to a few ulps
+    x = rng.standard_normal(1000) * 10.0 ** rng.integers(-40, 40, 1000)
+    ref = np.abs(x) ** e
+    assert np.all(np.abs(abs_power(x, e) - ref) <= 8 * np.finfo(float).eps * ref)

@@ -117,3 +117,51 @@ def test_manifest_contents(tmp_path):
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_json(tmp_path / "bad.json", {"x": float("nan")})
+
+
+def _saved_lines(tmp_path, rng):
+    grid = build_grid(4.0, 6, 4, SectorKind.full_disk())
+    path = tmp_path / "sol.csv"
+    save_solution(path, Field(grid, rng.standard_normal((6, 4))),
+                  ModelParams(p=4.0, q=1, lam=1.0))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _rejects(path, lines, match):
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=match):
+        load_solution(path)
+
+
+def test_solution_rejects_truncated_block(tmp_path, rng):
+    path, lines = _saved_lines(tmp_path, rng)
+    _rejects(path, lines[:-5], "missing")
+
+
+def test_solution_rejects_duplicate_node(tmp_path, rng):
+    path, lines = _saved_lines(tmp_path, rng)
+    _rejects(path, lines[:-1] + [lines[-2]], "repeated")
+
+
+def test_solution_rejects_out_of_range_node(tmp_path, rng):
+    path, lines = _saved_lines(tmp_path, rng)
+    _rejects(path, lines[:-1] + ["6,0,1.0\n"], "not a node")
+
+
+def test_solution_rejects_missing_header_key(tmp_path, rng):
+    path, lines = _saved_lines(tmp_path, rng)
+    _rejects(path, [ln for ln in lines if not ln.startswith("# R =")], "lacks R")
+
+
+def test_solution_rejects_malformed_row(tmp_path, rng):
+    path, lines = _saved_lines(tmp_path, rng)
+    _rejects(path, lines[:-1] + ["5,3\n"], "column")
+
+
+def test_config_override_values_are_config_errors():
+    with pytest.raises(ConfigError):
+        parse_config("", overrides={"nr": "abc"})
+    with pytest.raises(ConfigError):
+        parse_config("", overrides={"p": "1.5"}).model_params()
+    with pytest.raises(ConfigError):
+        parse_config("", overrides={"ntheta": "7"}).grid()
