@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, ModelParams, check_same_grid, solve_operator
+from .grid import Field, ModelParams, check_same_grid, solve_operator_modes
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,17 @@ def gradient(u: Field, params: ModelParams) -> Field:
     Solves <g, v> = E'(u) v for all v, i.e. g = u - L^{-1}(|u|^{p-2} u),
     via per-mode tridiagonal solves.
     """
-    rhs = nonlinearity(u.values, params.p)
-    sol = solve_operator(u.grid, params, rhs)
-    return Field(u.grid, u.values - sol)
+    return gradient_parts(u, params)[0]
+
+
+def gradient_parts(u: Field, params: ModelParams):
+    """(gradient(u), S) with S the modes of L^{-1}(|u|^{p-2} u).
+
+    Given the modes U of u, the gradient's modes are U - S, equal to
+    transforming it up to round-off.
+    """
+    sol, S = solve_operator_modes(u.grid, params, nonlinearity(u.values, params.p))
+    return Field(u.grid, u.values - sol), S
 
 
 def directional_derivative(u: Field, v: Field, params: ModelParams) -> float:

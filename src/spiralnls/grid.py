@@ -20,7 +20,7 @@ which is what makes preconditioned solves cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -95,15 +95,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Staggered polar grid with quadrature weights for integral r dr dtheta."""
+    """Staggered polar grid with quadrature weights for integral r dr dtheta.
+
+    Grids compare and hash by (R, nr, ntheta, sector); the node arrays follow
+    from those.
+    """
 
     R: float
     nr: int
     ntheta: int
     sector: SectorKind
-    radii: np.ndarray      # (nr,) staggered nodes (j + 1/2) dr
-    angles: np.ndarray     # (ntheta,) angular nodes, open at Dirichlet rays
-    weights: np.ndarray    # (nr, ntheta) quadrature weights r dr dtheta
+    radii: np.ndarray = field(compare=False)     # (nr,) staggered nodes (j + 1/2) dr
+    angles: np.ndarray = field(compare=False)    # (ntheta,) angular nodes, open at Dirichlet rays
+    weights: np.ndarray = field(compare=False)   # (nr, ntheta) quadrature weights r dr dtheta
 
     @property
     def dr(self) -> float:
@@ -229,10 +233,7 @@ def field_from_polar(grid: PolarGrid, fn) -> Field:
 
 
 def check_same_grid(u: Field, v: Field) -> None:
-    if u.grid is v.grid:
-        return
-    a, b = u.grid, v.grid
-    if (a.R, a.nr, a.ntheta, a.sector) != (b.R, b.nr, b.ntheta, b.sector):
+    if u.grid != v.grid:
         raise GridMismatchError("fields live on different grids")
 
 
@@ -357,10 +358,16 @@ def apply_operator(u: Field, params: ModelParams) -> Field:
 
 def solve_operator(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray) -> np.ndarray:
     """Solve L u = rhs (physical-space samples) via per-mode tridiagonal solves."""
-    out = grid.from_modes(grid.operator(params).solve(grid.to_modes(rhs_values)))
+    return solve_operator_modes(grid, params, rhs_values)[0]
+
+
+def solve_operator_modes(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray):
+    """solve_operator's values together with the modes the per-mode solve returned."""
+    modes = grid.operator(params).solve(grid.to_modes(rhs_values))
+    out = grid.from_modes(modes)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("per-mode tridiagonal solve produced non-finite values")
-    return out
+    return out, modes
 
 
 def apply_angular_derivative(u: Field) -> Field:

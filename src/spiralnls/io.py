@@ -4,7 +4,10 @@ Config files are flat key-value text (``key = value``, ``#`` comments);
 unknown keys are rejected so typos cannot silently fall back to defaults.
 Solutions persist as CSV with a typed header block carrying the grid and
 model parameters; values print with full round-trip precision, so save/load
-is bit-exact.  Reports and manifests are plain JSON.
+is bit-exact.  Reports and manifests are plain JSON; a manifest also records
+the Python, numpy and scipy versions and the BLAS thread settings.  Every
+artifact is written to a temporary file beside its target and renamed over
+it, so a failed write leaves the previous file in place.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .diagnostics import SymmetryReport, symmetry_report
 from .errors import ConfigError
@@ -27,6 +32,8 @@ ENV_OUTDIR = "SPIRALNLS_OUTDIR"
 ARTIFACT_VERSION = "spiralnls 0.1.0"
 SOLUTION_MAGIC = "# spiralnls-solution v1"
 _HEADER_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta")
+# BLAS thread settings recorded in manifests: results depend on the thread count
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -150,10 +157,28 @@ def resolve_out_dir(cfg: RunConfig) -> str:
 
 # ---------------------------------------------------------------- solutions
 
+@contextmanager
+def _replacing(path):
+    """Text handle on a temporary file beside path that replaces path on success.
+
+    A writer that fails leaves the previous file intact and no temporary
+    file behind.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_solution(path, field: Field, params: ModelParams) -> None:
     grid = field.grid
     sector = grid.sector
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(SOLUTION_MAGIC + "\n")
         fh.write(f"# p = {params.p!r}\n")
         fh.write(f"# q = {int(params.q)}\n")
@@ -275,9 +300,19 @@ def report_dict(report: SolveReport, params: ModelParams) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _environment() -> dict:
+    """Versions and BLAS thread settings that results depend on (null when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{var: os.environ.get(var) for var in _THREAD_VARS},
+    }
 
 
 def write_manifest(path, command: str, cfg: RunConfig, outputs: list) -> None:
@@ -285,12 +320,13 @@ def write_manifest(path, command: str, cfg: RunConfig, outputs: list) -> None:
         "artifact": ARTIFACT_VERSION,
         "command": command,
         "config": {k: _format_value(v) for k, v in sorted(cfg.entries.items())},
+        "environment": _environment(),
         "outputs": sorted(outputs),
     })
 
 
 def write_csv(path, header: list, rows: list) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(

@@ -35,13 +35,20 @@ from .energy import (
     abs_power,
     energy,
     gradient,
+    gradient_parts,
     h1_norm_sq,
     lambda_norm,
     lp_integral,
 )
 from .errors import OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
-from .nehari import NehariResidual, manifold_residual, nehari_scale, project_nodal
+from .nehari import (
+    NehariResidual,
+    Projected,
+    manifold_residual,
+    project_nodal_state,
+    project_ray,
+)
 from .radial import shoot_nodal
 
 log = logging.getLogger(__name__)
@@ -165,43 +172,61 @@ def _constraint_for(seed: Field):
     return None
 
 
-def _descend(u: Field, params: ModelParams, cfg: SolveConfig, project, tol: float,
+def _gradient_of(state: Projected, params: ModelParams):
+    """The gradient of a carried state and its pitch-weighted norm.
+
+    The norm comes from the gradient's modes, the state's modes minus those
+    of the per-mode solve, so it costs no transform.
+    """
+    g, S = gradient_parts(state.field, params)
+    G = state.modes - S
+    return g, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
+
+
+def _descend(cur: Projected, params: ModelParams, cfg: SolveConfig, project, tol: float,
              trace: Optional[list], constrain):
-    """Projected gradient descent with the spec'd backtracking policy."""
-    eng = energy(u, params)
+    """Projected gradient descent with the spec'd backtracking policy.
+
+    The iterate and each projected trial carry their modes and energy, so a
+    step transforms only the nonlinearity and the trial.
+    """
+    grid = cur.field.grid
     step = cfg.step
     accepts_in_row = 0
     iterations = 0
     gn = math.inf
     for iterations in range(1, cfg.max_iters + 1):
-        g = gradient(u, params)
-        gn = lambda_norm(g, params)
+        g, gn = _gradient_of(cur, params)
         if trace is not None:
-            trace.append((iterations, eng.total, gn))
+            trace.append((iterations, cur.energy, gn))
         if gn <= tol:
-            return u, eng, gn, iterations, True
+            return cur, gn, iterations, True
         while True:
-            trial_vals = u.values - step * g.values
+            trial_vals = cur.field.values - step * g.values
             if constrain is not None:
                 trial_vals = constrain(trial_vals)
-            trial = Field(u.grid, trial_vals)
+            trial = Field(grid, trial_vals)
             if lp_integral(trial, params.p) == 0.0:
                 raise SeedCollapsed("descent iterate vanished")
             trial = project(trial)
-            trial_eng = energy(trial, params)
-            if trial_eng.total <= eng.total + 1e-12 * (1.0 + abs(eng.total)):
+            if trial.energy <= cur.energy + 1e-12 * (1.0 + abs(cur.energy)):
                 break
             if step <= STEP_MIN:
                 # flat to round-off; nothing left for first-order steps
-                return u, eng, gn, iterations, gn <= tol
+                return cur, gn, iterations, gn <= tol
             step = max(step / 2.0, STEP_MIN)
             accepts_in_row = 0
-        u, eng = trial, trial_eng
+        cur = trial
         accepts_in_row += 1
         if accepts_in_row >= 5:
             step = min(step * 2.0, STEP_MAX)
             accepts_in_row = 0
-    return u, eng, gn, iterations, gn <= tol
+    return cur, gn, iterations, gn <= tol
+
+
+def _unprojected(u: Field, params: ModelParams) -> Projected:
+    """u itself as a carried state, for polishing without a projection."""
+    return Projected(u, u.grid.to_modes(u.values), energy(u, params).total)
 
 
 def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 40,
@@ -215,24 +240,24 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 
     along a productive step while the constrained energy keeps falling.  Once
     energy differences sink below round-off the residual itself decides, which
     is where quadratic convergence takes over.  mu grows only when a step
-    fails both tests.  Returns (field, residual_norm, succeeded, solves).
+    fails both tests.  project maps a field to its Projected state.  A failed
+    linear solve (GMRES breakdown or a non-finite step) ends the polish.
+    Returns (state, residual_norm, succeeded, solves).
     """
     grid = u.grid
     n = grid.nr * grid.ntheta
     if project is None:
         def project(v):
-            return v
-    u = project(u)
-    g = gradient(u, params)
-    gn = lambda_norm(g, params)
-    e_now = energy(u, params).total
+            return _unprojected(v, params)
+    cur = project(u)
+    g, gn = _gradient_of(cur, params)
     mu = 0.0
     fails_here = 0
     solves = 0
     while solves < max_solves:
         if gn <= tol:
-            return u, gn, True, solves
-        weight = (params.p - 1.0) * abs_power(u.values, params.p - 2.0)
+            return cur, gn, True, solves
+        weight = (params.p - 1.0) * abs_power(cur.field.values, params.p - 2.0)
         shift = 1.0 + mu
 
         def matvec(x):
@@ -240,44 +265,47 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 
             out = shift * vals - solve_operator(grid, params, weight * vals)
             return out.ravel()
 
-        op = LinearOperator((n, n), matvec=matvec)
+        lin = LinearOperator((n, n), matvec=matvec)
         rhs = -g.values.ravel()
         rtol = min(0.1, max(1e-10, 0.01 * gn))
-        delta, info = gmres(op, rhs, rtol=rtol, atol=0.0, restart=80, maxiter=600)
+        delta, info = gmres(lin, rhs, rtol=rtol, atol=0.0, restart=80, maxiter=600)
         solves += 1
-        if not np.all(np.isfinite(delta)):
-            log.warning("newton linear solve produced non-finite step")
-            return u, gn, False, solves
+        if info < 0 or not np.all(np.isfinite(delta)):
+            log.warning("newton linear solve failed (gmres info=%d)", info)
+            return cur, gn, False, solves
+        if info > 0:
+            log.debug("gmres stopped at its iteration cap (info=%d), relative residual %.3e",
+                      info, np.linalg.norm(rhs - lin.matvec(delta)) / np.linalg.norm(rhs))
         dvals = delta.reshape(grid.nr, grid.ntheta)
 
-        candidates = []
+        # keep the modes of the lowest-energy candidate only: seven mode
+        # arrays held at once would raise the solve's memory peak
+        by_energy, candidates = None, []
         for t in (2.0, 1.5, 1.0, 0.75, 0.5, 0.25, 0.1):
-            cand_vals = u.values + t * dvals
+            cand_vals = cur.field.values + t * dvals
             if constrain is not None:
                 cand_vals = constrain(cand_vals)
             try:
                 cand = project(Field(grid, cand_vals))
             except (OnePhaseMissing, ZeroFieldError):
                 continue
-            candidates.append((energy(cand, params).total, cand))
-        noise = 1e-13 * (1.0 + abs(e_now))
-        by_energy = min(candidates, key=lambda c: c[0]) if candidates else None
+            candidates.append((cand.field, cand.energy))
+            if by_energy is None or cand.energy < by_energy.energy:
+                by_energy = cand
+        noise = 1e-13 * (1.0 + abs(cur.energy))
         accepted = None
-        if by_energy is not None and by_energy[0] < e_now - noise:
+        if by_energy is not None and by_energy.energy < cur.energy - noise:
             accepted = by_energy
+            g, gn = _gradient_of(accepted, params)
         else:
             # energy flat to round-off: fall back to residual decrease
-            best_gn, best = gn, None
-            for e_c, cand in candidates:
-                gn_c = lambda_norm(gradient(cand, params), params)
-                if gn_c < best_gn:
-                    best_gn, best = gn_c, (e_c, cand)
-            if best is not None:
-                accepted = best
+            for cand_field, cand_energy in candidates:
+                cand = Projected(cand_field, grid.to_modes(cand_field.values), cand_energy)
+                g_c, gn_c = _gradient_of(cand, params)
+                if gn_c < gn:
+                    accepted, g, gn = cand, g_c, gn_c
         if accepted is not None:
-            e_now, u = accepted
-            g = gradient(u, params)
-            gn = lambda_norm(g, params)
+            cur = accepted
             mu = 0.0 if mu < 1e-8 else mu * 0.25
             fails_here = 0
         else:
@@ -285,8 +313,8 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 
             fails_here += 1
             if fails_here > 8:
                 log.warning("newton stalled at residual %.3e (gmres info=%s)", gn, info)
-                return u, gn, False, solves
-    return u, gn, gn <= tol, solves
+                return cur, gn, False, solves
+    return cur, gn, gn <= tol, solves
 
 
 def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
@@ -305,10 +333,11 @@ def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
     refined, _, ok, _ = _newton_polish(u, params, tol)
     if not ok:
         log.warning("newton_refine returned the best iterate without reaching %.1e", tol)
-    return refined
+    return refined.field
 
 
-def _finalize(u, eng, gn, iterations, converged, params, trace) -> SolveReport:
+def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
+    eng = energy(u, params)
     return SolveReport(
         field=u,
         energy=eng,
@@ -327,34 +356,31 @@ def _finalize(u, eng, gn, iterations, converged, params, trace) -> SolveReport:
 def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project) -> SolveReport:
     trace = [] if cfg.keep_trace else None
     constrain = _constraint_for(seed)
-    u = project(seed)
+    cur = project(seed)
 
     switch_tol = cfg.grad_tol
     pre_cfg = cfg
     if cfg.newton_refine:
         # hand over to Newton once the iterate is merely in the neighborhood;
         # the energy line search makes the polish robust from moderate range
-        switch_tol = max(cfg.grad_tol, 1e-4 * (1.0 + lambda_norm(u, params)))
+        switch_tol = max(cfg.grad_tol, 1e-4 * (1.0 + lambda_norm(cur.field, params)))
         if cfg.max_iters > 300:
             pre_cfg = replace(cfg, max_iters=300)
-    u, eng, gn, iters, converged = _descend(u, params, pre_cfg, project, switch_tol,
-                                            trace, constrain)
+    cur, gn, iters, converged = _descend(cur, params, pre_cfg, project, switch_tol,
+                                         trace, constrain)
     if cfg.newton_refine and gn > cfg.grad_tol:
-        u, gn, ok, nsteps = _newton_polish(u, params, cfg.grad_tol,
-                                           constrain=constrain, project=project)
+        cur, gn, ok, nsteps = _newton_polish(cur.field, params, cfg.grad_tol,
+                                             constrain=constrain, project=project)
         iters += nsteps
-        eng = energy(u, params)
         converged = gn <= cfg.grad_tol
         if not ok and iters < cfg.max_iters:
             # stall: fall back to first-order steps for the remaining budget
             rem = replace(cfg, max_iters=cfg.max_iters - iters, step=min(0.1, cfg.step),
                           newton_refine=False, keep_trace=False)
-            u, eng, gn, extra, converged = _descend(u, params, rem, project,
-                                                    cfg.grad_tol, trace, constrain)
+            cur, gn, extra, converged = _descend(cur, params, rem, project,
+                                                 cfg.grad_tol, trace, constrain)
             iters += extra
-            if converged:
-                eng = energy(u, params)
-    return _finalize(u, eng, gn, iters, converged, params, trace)
+    return _finalize(cur.field, iters, converged, params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
@@ -365,8 +391,8 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
     if np.any(seed.values < 0) and cfg.seed_kind != SEED_CUSTOM:
         raise ValueError("ground solve needs a nonnegative seed")
 
-    def project(v: Field) -> Field:
-        return Field(grid, nehari_scale(v, params) * v.values)
+    def project(v: Field) -> Projected:
+        return project_ray(v, params)
 
     return _run(seed, params, cfg, project)
 
@@ -381,8 +407,8 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
     if not (np.any(seed.values > 0) and np.any(seed.values < 0)):
         raise OnePhaseMissing("nodal solve needs a sign-changing seed")
 
-    def project(v: Field) -> Field:
-        return project_nodal(v, params)
+    def project(v: Field) -> Projected:
+        return project_nodal_state(v, params)
 
     rng_shift = 0
     while True:

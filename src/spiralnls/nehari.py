@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,18 @@ class NehariResidual:
     minus: float    # E'(u) u^- / <u, u^->
 
 
+class Projected(NamedTuple):
+    """A field on the Nehari set (or M_lam) with its angular modes and its energy.
+
+    The projections compute both from forms they evaluate anyway, so the
+    solver can carry them instead of transforming and integrating again.
+    """
+
+    field: Field
+    modes: np.ndarray
+    energy: float
+
+
 def split_parts(u: Field):
     """Pointwise positive/negative parts, u = u^+ + u^- with u^- <= 0."""
     plus = Field(u.grid, np.maximum(u.values, 0.0))
@@ -41,13 +54,26 @@ def split_parts(u: Field):
     return plus, minus
 
 
-def nehari_scale(u: Field, params: ModelParams) -> float:
-    """The unique t > 0 with E'(t u)(t u) = 0."""
+def _ray(u: Field, params: ModelParams):
+    """(t, modes of u, ||u||^2, |u|_p^p): the Nehari scale t and its ingredients."""
     pp = lp_integral(u, params.p)
     if pp == 0.0:
         raise ZeroFieldError("nehari_scale of the zero field")
-    n2 = lambda_inner(u, u, params)
-    return float((n2 / pp) ** (1.0 / (params.p - 2.0)))
+    U = u.grid.to_modes(u.values)
+    n2 = u.grid.operator(params).inner(U, U)
+    return float((n2 / pp) ** (1.0 / (params.p - 2.0))), U, n2, pp
+
+
+def nehari_scale(u: Field, params: ModelParams) -> float:
+    """The unique t > 0 with E'(t u)(t u) = 0."""
+    return _ray(u, params)[0]
+
+
+def project_ray(u: Field, params: ModelParams) -> Projected:
+    """t u on the Nehari set, with modes t U and energy t^2 ||u||^2/2 - t^p |u|_p^p/p."""
+    t, U, n2, pp = _ray(u, params)
+    total = 0.5 * t * t * n2 - t ** params.p * pp / params.p
+    return Projected(Field(u.grid, t * u.values), t * U, total)
 
 
 def _parts_with_modes(u: Field):
@@ -95,6 +121,16 @@ def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: i
     indicator-convention residuals to round-off.  Raises OnePhaseMissing when
     either part vanishes.
     """
+    return project_nodal_state(u, params, tol, max_iter).field
+
+
+def project_nodal_state(u: Field, params: ModelParams, tol: float = 1e-14,
+                        max_iter: int = 60) -> Projected:
+    """project_nodal, with the modes a P + b M and the energy of a u^+ + b u^-.
+
+    The energy is (a^2 A++ + 2 a b A+- + b^2 A--)/2 - (a^p |u^+|_p^p + b^p |u^-|_p^p)/p,
+    from the part forms the scalings are computed from.
+    """
     plus, minus, P, M = _parts_with_modes(u)
     pp = lp_integral(plus, params.p)
     pm = lp_integral(minus, params.p)
@@ -121,4 +157,6 @@ def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: i
         a, b = a_new, b_new
         if shift <= tol * (a + b):
             break
-    return Field(u.grid, a * plus.values + b * minus.values)
+    total = (0.5 * (a * a * a_pp + 2.0 * a * b * cross + b * b * a_mm)
+             - (a ** params.p * pp + b ** params.p * pm) / params.p)
+    return Projected(Field(u.grid, a * plus.values + b * minus.values), a * P + b * M, total)

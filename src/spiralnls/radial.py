@@ -61,11 +61,12 @@ class RadialProfile:
 
 
 def _integrate(a: float, p: float, rtol: float, record: bool = False,
-               rmax: float = _RMAX_SHOOT):
+               rmax: float = _RMAX_SHOOT, stop_at: float = math.inf):
     """Shoot from u(0) = a.  Returns (crossings, samples or None).
 
-    Terminates once |u| exceeds 3|a| + 1 (divergence).  samples is a list of
-    accepted (r, u, u') triples when record is set.
+    Terminates once |u| exceeds 3|a| + 1 (divergence) or the crossing count
+    reaches stop_at.  samples is a list of accepted (r, u, u') triples when
+    record is set.
     """
     pm1 = p - 1.0
     atol = rtol * 1e-3
@@ -138,6 +139,8 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
         if err <= 1.0:
             if (u > 0.0) != (u5 > 0.0):
                 crossings += 1
+                if crossings >= stop_at:
+                    break
             r += h
             u, v = u5, v5
             k1u, k1v = k7u, k7v
@@ -149,17 +152,22 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
     return crossings, samples
 
 
-def _crossings(a: float, p: float, rtol: float) -> int:
-    return _integrate(a, p, rtol)[0]
+def _crossings(a: float, p: float, rtol: float, k: int) -> int:
+    """Sign changes of the shot from a, counted up to k + 1.
+
+    Crossings only accumulate along a shot, so stopping at the (k+1)-th one
+    leaves the class (at most k, or more) of the full count unchanged.
+    """
+    return _integrate(a, p, rtol, stop_at=k + 1)[0]
 
 
 def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
                  max_iter: int):
     """Narrow [lo, hi] onto the k -> k+1 crossing-count jump."""
-    if _crossings(lo, p, rtol) > k:
+    if _crossings(lo, p, rtol, k) > k:
         raise BisectionBracketFailure(f"lower amplitude {lo} already crosses > {k} times")
     attempts = 0
-    while _crossings(hi, p, rtol) <= k:
+    while _crossings(hi, p, rtol, k) <= k:
         hi *= 2.0
         attempts += 1
         if attempts > 60:
@@ -169,7 +177,7 @@ def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _crossings(mid, p, rtol) <= k:
+        if _crossings(mid, p, rtol, k) <= k:
             lo = mid
         else:
             hi = mid
@@ -182,7 +190,7 @@ def _shoot_amplitude(p: float, k: int, tol: float) -> float:
     pad = max(4.0 * (hi - lo), 1e-8 * hi)
     lo2, hi2 = max(lo - pad, 0.5 * lo), hi + pad
     rtol = min(tol, 1e-12)
-    if _crossings(lo2, p, rtol) > k:      # coarse band missed; restart tight
+    if _crossings(lo2, p, rtol, k) > k:      # coarse band missed; restart tight
         lo2, hi2 = 0.25, 1.0
     lo, hi = _bisect_band(p, k, lo2, hi2, rtol=rtol, max_iter=200)
     return lo

@@ -30,11 +30,13 @@ from .energy import energy, h1_fd_norm_sq, lambda_norm
 from .errors import PeakAtBoundary
 from .grid import Field, ModelParams, PolarGrid, SectorKind, build_grid
 from .minimize import (
+    SEED_CUSTOM,
     SEED_DIPOLE,
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
     SolveReport,
+    make_seed,
     solve_ground,
     solve_nodal,
 )
@@ -110,6 +112,9 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
     Uses the supplied disk grid for all whole-disk solves and a half-disk grid
     of the same shape for the sector level.  Requires q = 1 and an increasing
     pitch list.  Per-pitch solver failures are recorded and the sweep goes on.
+    A row with a radial seed whose converged field at the previous pitch is
+    radial starts from that field (natural-parameter continuation, exact for
+    radial states); all other rows start from their cold seeds.
     """
     if params_base.q != 1:
         raise ValueError("the sweep studies the q = 1 problem")
@@ -120,26 +125,33 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
     half = build_grid(grid.R, grid.nr, grid.ntheta, SectorKind.half_disk())
 
     records = []
+    previous = {}   # row tag -> that row's report at the previous pitch
     for lam in lambdas:
         params = replace(params_base, lam=float(lam))
         failures = []
 
-        def attempt(tag, fn, *args, **kw):
+        def attempt(tag, fn, row_grid, seed_kind):
+            # a radial seed keeps its solve among radial fields, which have no
+            # angular energy: there the previous pitch's converged field is
+            # critical at this pitch too, and seeds the row exactly
+            prev = previous.pop(tag, None)
+            if (prev is not None and prev.converged and prev.field.is_radial()
+                    and make_seed(row_grid, params, seed_kind).is_radial()):
+                row_cfg = replace(cfg, seed_kind=SEED_CUSTOM, seed_field=prev.field)
+            else:
+                row_cfg = replace(cfg, seed_kind=seed_kind)
             try:
-                return fn(*args, **kw)
+                previous[tag] = fn(row_grid, params, row_cfg)
+                return previous[tag]
             except Exception as exc:  # per-pitch failures must not kill the sweep
                 log.warning("%s failed at lam=%s: %s", tag, lam, exc)
                 failures.append(f"{tag}: {exc}")
                 return None
 
-        rep_alpha = attempt("disk-ground", solve_ground, grid, params,
-                            replace(cfg, seed_kind=SEED_RADIAL))
-        rep_c = attempt("sector-ground", solve_ground, half, params,
-                        replace(cfg, seed_kind=SEED_RADIAL))
-        rep_dip = attempt("nodal-dipole", solve_nodal, grid, params,
-                          replace(cfg, seed_kind=SEED_DIPOLE))
-        rep_rad = attempt("nodal-radial", solve_nodal, grid, params,
-                          replace(cfg, seed_kind=SEED_RADIAL_NODAL))
+        rep_alpha = attempt("disk-ground", solve_ground, grid, SEED_RADIAL)
+        rep_c = attempt("sector-ground", solve_ground, half, SEED_RADIAL)
+        rep_dip = attempt("nodal-dipole", solve_nodal, grid, SEED_DIPOLE)
+        rep_rad = attempt("nodal-radial", solve_nodal, grid, SEED_RADIAL_NODAL)
 
         beta_dip = rep_dip.energy.total if rep_dip else math.inf
         beta_rad = rep_rad.energy.total if rep_rad else math.inf

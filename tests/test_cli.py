@@ -184,3 +184,15 @@ def test_malformed_solution_is_usage_error(tmp_path, capsys):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-3]))
     assert run_cli(["check", str(path)]) == EXIT_USAGE
     assert "missing" in capsys.readouterr().err
+
+
+def test_identical_runs_write_identical_manifests(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    manifest = tmp_path / "out" / "radial_p4_k0_manifest.json"
+    texts = []
+    for _ in range(2):
+        assert run_cli(["solve-radial", "--p", "4", "--out-dir", out]) == EXIT_OK
+        texts.append(manifest.read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    assert set(json.loads(texts[0])["environment"]) >= {"python", "numpy", "scipy"}

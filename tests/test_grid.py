@@ -237,3 +237,21 @@ def test_field_is_radial_flag(small_disk):
     assert u.is_radial()
     v = field_from_polar(small_disk, lambda r, t: np.cos(r) * np.cos(t))
     assert not v.is_radial()
+
+
+def test_grids_compare_and_hash_by_shape():
+    a = build_grid(3.0, 8, 8, SectorKind.full_disk())
+    b = build_grid(3.0, 8, 8, SectorKind.full_disk())
+    assert a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    assert a != build_grid(3.0, 10, 8, SectorKind.full_disk())
+    assert a != build_grid(3.0, 8, 8, SectorKind.half_disk())
+
+
+def test_fields_on_equal_grids_combine():
+    a = build_grid(3.0, 8, 8, SectorKind.full_disk())
+    b = build_grid(3.0, 8, 8, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = field_from_polar(a, lambda r, t: np.exp(-r * r))
+    v = field_from_polar(b, lambda r, t: np.exp(-r * r))
+    assert lambda_inner(u, v, params) == lambda_inner(u, u, params)

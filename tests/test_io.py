@@ -11,6 +11,7 @@ from spiralnls.io import (
     report_dict,
     save_solution,
     serialize_config,
+    write_csv,
     write_json,
     write_manifest,
 )
@@ -165,3 +166,47 @@ def test_config_override_values_are_config_errors():
         parse_config("", overrides={"p": "1.5"}).model_params()
     with pytest.raises(ConfigError):
         parse_config("", overrides={"ntheta": "7"}).grid()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("writer failed mid-write")
+
+
+class _ParamsFailingAtLambda:
+    p, q = 4.0, 1
+
+    @property
+    def lam(self):
+        raise RuntimeError("writer failed mid-write")
+
+
+def _save_failing(path):
+    grid = build_grid(3.0, 4, 4, SectorKind.full_disk())
+    save_solution(path, Field(grid, np.ones((4, 4))), _ParamsFailingAtLambda())
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"a": 1.0, "z": float("nan")}),
+    lambda path: write_csv(path, ["x"], [(1.0,), (_Unprintable(),)]),
+    _save_failing,
+])
+def test_failed_write_keeps_previous_file(tmp_path, write):
+    path = tmp_path / "artifact"
+    path.write_text("previous\n")
+    with pytest.raises((ValueError, RuntimeError)):
+        write(path)
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, "solve-ground", parse_config(""), [])
+    env = json.loads(path.read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["numpy"] == np.__version__
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None

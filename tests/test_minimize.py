@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
 from spiralnls.errors import OnePhaseMissing, ZeroFieldError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
@@ -190,3 +193,37 @@ def test_invalid_solve_config():
         SolveConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(step=1.5)
+
+
+def _near_critical(params):
+    rough = solve_ground(GRID, params, SolveConfig(grad_tol=1e-6, newton_refine=False))
+    assert rough.converged
+    return rough.field
+
+
+def test_newton_polish_stops_on_gmres_breakdown(monkeypatch):
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = _near_critical(params)
+    monkeypatch.setattr(minimize, "gmres",
+                        lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
+    state, gn, ok, solves = minimize._newton_polish(u, params, tol=1e-12)
+    assert not ok and solves == 1
+    assert np.array_equal(state.field.values, u.values)
+    assert gn > 1e-12
+
+
+def test_newton_polish_logs_gmres_iteration_cap(monkeypatch, caplog):
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = _near_critical(params)
+    real = minimize.gmres
+
+    def capped(op, rhs, **kw):
+        delta, _ = real(op, rhs, **kw)
+        return delta, 7
+
+    monkeypatch.setattr(minimize, "gmres", capped)
+    with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
+        _, gn, ok, _ = minimize._newton_polish(u, params, tol=1e-12)
+    assert ok and gn <= 1e-12
+    assert any("iteration cap" in rec.getMessage() and rec.levelno == logging.DEBUG
+               for rec in caplog.records)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spiralnls.energy import lambda_inner
+from spiralnls.energy import energy, lambda_inner
 from spiralnls.grid import (
     Field,
     ModelParams,
@@ -17,7 +17,7 @@ from spiralnls.grid import (
     build_grid,
 )
 from spiralnls.minimize import SEED_DIPOLE, SolveConfig, solve_ground, solve_nodal
-from spiralnls.nehari import project_nodal
+from spiralnls.nehari import project_nodal, project_nodal_state, project_ray
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -53,13 +53,13 @@ def _per_step(calls, solve, grid, params, seed_kind):
 def test_ground_step_transforms(to_modes_calls):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    assert _per_step(to_modes_calls, solve_ground, grid, params, "radial") <= 4
+    assert _per_step(to_modes_calls, solve_ground, grid, params, "radial") <= 2
 
 
 def test_nodal_step_transforms(to_modes_calls):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    assert _per_step(to_modes_calls, solve_nodal, grid, params, SEED_DIPOLE) <= 5
+    assert _per_step(to_modes_calls, solve_nodal, grid, params, SEED_DIPOLE) <= 3
 
 
 def test_project_nodal_transforms(to_modes_calls, small_disk, params_q1, rng):
@@ -67,8 +67,25 @@ def test_project_nodal_transforms(to_modes_calls, small_disk, params_q1, rng):
     assert _count(to_modes_calls, lambda: project_nodal(u, params_q1)) <= 2
 
 
-@pytest.mark.parametrize("sector", [SectorKind.full_disk(), SectorKind.half_disk(),
-                                    SectorKind.cone(np.pi / 4)])
+SECTORS = [SectorKind.full_disk(), SectorKind.half_disk(), SectorKind.cone(np.pi / 4)]
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+@pytest.mark.parametrize("project", [project_ray, project_nodal_state])
+def test_projection_carries_modes_and_energy(sector, project, rng):
+    # the carried modes and energy are those of the projected field
+    grid = build_grid(3.0, 24, 16, sector)
+    params = ModelParams(p=4.0, q=1, lam=0.7)
+    for _ in range(3):
+        u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
+        state = project(u, params)
+        exact = energy(state.field, params).total
+        assert abs(state.energy - exact) <= 1e-13 * abs(exact)
+        modes = grid.to_modes(state.field.values)
+        assert np.max(np.abs(state.modes - modes)) <= 1e-13 * np.max(np.abs(modes))
+
+
+@pytest.mark.parametrize("sector", SECTORS)
 def test_inner_is_operator_quadratic_form(sector, rng):
     # <u, v>_{lam,q} is the quadrature of u L v, to round-off
     grid = build_grid(3.0, 24, 16, sector)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from spiralnls.radial import (
+    _crossings,
+    _integrate,
     count_interior_zeros,
     limit_levels,
     profile_identities,
@@ -93,3 +95,17 @@ def test_invalid_arguments():
         shoot_ground(2.0)
     with pytest.raises(ValueError):
         shoot_nodal(4.0, 0)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_early_stopped_shots_keep_their_class(k):
+    # a counting shot stops at its (k+1)-th sign change; on both sides of the
+    # k -> k+1 threshold it classifies like the full shot
+    p, rtol = 4.0, 1e-9
+    threshold = (shoot_ground(p) if k == 0 else shoot_nodal(p, k)).amplitude
+    for rel in (-0.05, -1e-3, -1e-6, 1e-6, 1e-3, 0.05):
+        a = threshold * (1.0 + rel)
+        full = _integrate(a, p, rtol)[0]
+        stopped = _crossings(a, p, rtol, k)
+        assert (stopped <= k) == (full <= k) == (rel < 0)
+        assert stopped == min(full, k + 1)

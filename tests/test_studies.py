@@ -1,8 +1,19 @@
+from dataclasses import replace
+
 import pytest
 
+from spiralnls import studies
 from spiralnls.errors import PeakAtBoundary
 from spiralnls.grid import ModelParams, SectorKind, build_grid
-from spiralnls.minimize import SolveConfig
+from spiralnls.minimize import (
+    SEED_CUSTOM,
+    SEED_DIPOLE,
+    SEED_RADIAL,
+    SEED_RADIAL_NODAL,
+    SolveConfig,
+    solve_ground,
+    solve_nodal,
+)
 from spiralnls.studies import (
     SweepRecord,
     WINNER_DIPOLE,
@@ -113,3 +124,35 @@ def test_limit_radius_study():
     grid = build_grid(14.0, 160, 24, SectorKind.half_disk())
     e1, e2, rel = limit_radius_study(ModelParams(p=4.0, q=1, lam=1.0), grid, CFG)
     assert rel < 1e-3
+
+
+def test_sweep_continues_radial_rows(monkeypatch):
+    # rows with a radial seed restart from the previous pitch's radial field:
+    # one gradient evaluation, and the cold solve's level to round-off
+    grid = build_grid(14.0, 128, 24, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    solves = []
+    for name in ("solve_ground", "solve_nodal"):
+        real = getattr(studies, name)
+
+        def recording(row_grid, pars, cfg, _real=real):
+            rep = _real(row_grid, pars, cfg)
+            solves.append((cfg.seed_kind, rep))
+            return rep
+
+        monkeypatch.setattr(studies, name, recording)
+    records = sweep_lambda(params, [0.2, 8.0], grid, CFG)
+    assert [r.winner for r in records] == [WINNER_RADIAL, WINNER_DIPOLE]
+
+    later = solves[4:]
+    assert [kind for kind, _ in later] == [SEED_CUSTOM, SEED_RADIAL, SEED_DIPOLE,
+                                           SEED_CUSTOM]
+    pars = ModelParams(p=4.0, q=1, lam=8.0)
+    colds = {0: solve_ground(grid, pars, replace(CFG, seed_kind=SEED_RADIAL)),
+             3: solve_nodal(grid, pars, replace(CFG, seed_kind=SEED_RADIAL_NODAL))}
+    for row, cold in colds.items():
+        continued = later[row][1]
+        assert continued.converged and continued.iterations == 1
+        assert continued.field.is_radial()
+        rel = abs(continued.energy.total - cold.energy.total) / cold.energy.total
+        assert rel <= 1e-12
