@@ -60,10 +60,8 @@ def angular_l2_pieces(u: Field):
     grid = u.grid
     U = grid.to_modes(u.values)
     st = grid.stencil
-    power = (np.abs(U) ** 2 * st.wr[:, None]).sum(axis=0)
-    l2 = float(st.cm @ power)
-    dth2 = float(st.cm @ (st.mu * power))
-    avg2 = float(st.cm[0] * power[0]) if grid.sector.is_full else 0.0
+    _, dth2, l2 = st.forms(U, U)
+    avg2 = float(st.cm[0] * (st.wr @ np.abs(U[:, 0]) ** 2)) if grid.sector.is_full else 0.0
     return l2, dth2, avg2
 
 

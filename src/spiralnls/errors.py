@@ -25,10 +25,6 @@ class SeedCollapsed(SpiralError):
     """Descent iterate underflowed to zero."""
 
 
-class LinearSolveError(SpiralError):
-    """A preconditioner / Newton linear solve produced non-finite values."""
-
-
 class BisectionBracketFailure(SpiralError):
     """Amplitude shooting could not bracket the target solution."""
 

@@ -123,13 +123,15 @@ class PolarGrid:
     def face_radii(self) -> np.ndarray:
         return np.arange(self.nr + 1) * self.dr
 
+    def _omega(self) -> np.ndarray:
+        """Angular frequencies per spectral mode (ascending)."""
+        if self.sector.is_full:
+            return np.arange(self.ntheta // 2 + 1, dtype=float)
+        return np.arange(1, self.ntheta + 1) * np.pi / (2 * self.sector.half_angle)
+
     def mode_multipliers(self) -> np.ndarray:
         """Squared angular frequencies mu per spectral mode (ascending)."""
-        if self.sector.is_full:
-            m = np.arange(self.ntheta // 2 + 1)
-            return (m * m).astype(float)
-        omega = np.arange(1, self.ntheta + 1) * np.pi / (2 * self.sector.half_angle)
-        return omega * omega
+        return self._omega() ** 2
 
     def mode_quad_coeffs(self) -> np.ndarray:
         """Coefficients c_m with sum_k u_k v_k dtheta = sum_m c_m Re(U_m conj(V_m))."""
@@ -151,6 +153,20 @@ class PolarGrid:
             return np.fft.irfft(modes, n=self.ntheta, axis=1)
         return idst(modes, type=1, axis=1)
 
+    def angular_series(self, values: np.ndarray):
+        """(omega, A) with values[j, k] = Re sum_m A[j, m] exp(i omega_m (angles[k] + half_angle)).
+
+        The only code that knows the transforms' normalization: on the disk A
+        is the rfft modes times c/n, c = (1, 2, ..., 2, 1); on sectors, -i
+        times the DST-I modes over n + 1 (a sine series from the lower ray).
+        """
+        omega, modes = self._omega(), self.to_modes(values)
+        if self.sector.is_full:
+            c = np.full(omega.size, 2.0)
+            c[[0, -1]] = 1.0
+            return omega, modes * (c / self.ntheta)
+        return omega, -1j * (modes / (self.ntheta + 1))
+
     def quad(self, samples: np.ndarray) -> float:
         """Quadrature of point samples against the r dr dtheta measure."""
         return float(np.sum(self.weights * samples))
@@ -170,9 +186,9 @@ class PolarGrid:
         return op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
-    """Real samples on a polar grid, indexed (radial j, angular k)."""
+    """Real samples on a polar grid (radial j, angular k); compared and hashed by identity."""
 
     grid: PolarGrid
     values: np.ndarray
@@ -371,23 +387,13 @@ def solve_operator_modes(grid: PolarGrid, params: ModelParams, rhs_values: np.nd
 
 
 def apply_angular_derivative(u: Field) -> Field:
-    """Spectral d/dtheta: Fourier multiplier i m on the disk, cosine series on sectors.
+    """Spectral d/dtheta: the angular series differentiated term by term at the nodes.
 
-    On the full disk the Nyquist mode is dropped (standard real-derivative
-    convention); quadratic forms elsewhere use the m^2 multiplier directly and
-    keep it.
+    The disk's Nyquist term vanishes at the nodes (the standard
+    real-derivative convention); quadratic forms elsewhere use the m^2
+    multiplier directly and keep it.  Dense in the angular node count.
     """
     grid = u.grid
-    if grid.sector.is_full:
-        modes = grid.to_modes(u.values)
-        m = np.arange(modes.shape[1])
-        modes *= 1j * m
-        modes[:, -1] = 0.0
-        return Field(grid, grid.from_modes(modes))
-    n = grid.ntheta
-    theta0 = grid.sector.half_angle
-    coeff = grid.to_modes(u.values) / (n + 1)         # sine coefficients b_n
-    omega = np.arange(1, n + 1) * np.pi / (2 * theta0)
-    shifted = grid.angles + theta0                    # in (0, 2 theta0)
-    cosmat = np.cos(np.outer(omega, shifted))         # (modes, nodes)
-    return Field(grid, (coeff * omega) @ cosmat)
+    omega, A = grid.angular_series(u.values)
+    phase = np.exp(1j * np.outer(omega, grid.angles + grid.sector.half_angle))
+    return Field(grid, ((1j * omega * A) @ phase).real)

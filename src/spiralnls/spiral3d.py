@@ -3,12 +3,12 @@
 A planar profile u(r, theta) generates the spiraling field
 v(r, phi, t) = u(r, phi - t/lambda), invariant under
 (x, t) -> (R_omega x, t + lambda omega) and 2 pi lambda - periodic in t.
-Sector solutions are first extended to the full circle by odd reflection
-across the rays; the half-disk sine nodes interleave exactly with a uniform
-full-circle grid, so the extension is sample-exact and the only
-interpolation anywhere is radial (cubic, per Fourier mode).  The nodal set
-of an odd-extended solution contains the helicoid traced by the rotating
-zero rays.
+The screw motion turns each angular mode by a phase, so the field is the
+grid's angular series with phases e^{-i omega t / lambda}.  On the half disk
+the sine series has integer frequencies: it *is* the Fourier series of the
+odd extension across the rays, so there is no reflection step.  The only
+interpolation anywhere is radial (cubic, per mode).  The nodal set of the
+odd extension contains the helicoid traced by the rotating zero rays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import SectorError
-from .grid import Field, ModelParams
+from .grid import CONE, Field, ModelParams
 
 _HEADER = "# vtk DataFile Version 3.0"
 
@@ -41,67 +41,50 @@ class SpiralField3D:
 class SpiralEvaluator:
     """Pointwise evaluator of the screw-invariant field built from a solution.
 
-    Full-disk fields use their Fourier modes directly; half-disk fields are
-    odd-reflected into full-circle Fourier modes first.  Evaluation at
-    (x1, x2, t) rotates by the phase factor e^{-i m t / lambda} per mode.
+    Splines the angular series of a full- or half-disk field over r; the
+    field at (x1, x2, t) turns mode omega by the phase e^{-i omega t / lambda}.
+    Cone series have non-integer frequencies and no 2 pi - periodic extension.
     """
 
     def __init__(self, u: Field, params: ModelParams):
         grid = u.grid
+        if grid.sector.kind == CONE:
+            raise SectorError("3D reconstruction expects a full disk or half disk")
         self.lam = params.lam
         self.R = grid.R
-        if grid.sector.is_full:
-            full_vals = u.values
-            self.offset = float(grid.angles[0])
-        elif grid.sector.kind == "half":
-            n = grid.ntheta
-            nfull = 2 * (n + 1)
-            full_vals = np.zeros((grid.nr, nfull))
-            full_vals[:, 1:n + 1] = u.values
-            # theta in (pi/2, 3pi/2): odd image of the source nodes
-            src = 2 * n + 1 - np.arange(n + 2, nfull)
-            full_vals[:, n + 2:] = -u.values[:, src]
-            self.offset = float(grid.angles[0] - grid.dtheta)  # -pi/2
-        else:
-            raise SectorError("3D reconstruction expects a full disk or half disk")
-        modes = np.fft.rfft(full_vals, axis=1)
-        self.nfull = full_vals.shape[1]
-        self.m = np.arange(modes.shape[1])
-        self.coeff = np.full(modes.shape[1], 2.0)
-        self.coeff[0] = 1.0
-        if self.nfull % 2 == 0:
-            self.coeff[-1] = 1.0
-        self.spline = CubicSpline(grid.radii, modes, axis=0)
+        self.half_angle = grid.sector.half_angle
+        self.omega, series = grid.angular_series(u.values)
+        self.spline = CubicSpline(grid.radii, series, axis=0)
 
     def modes_at(self, radius: np.ndarray) -> np.ndarray:
-        """Radially interpolated Fourier modes; zero outside the disk."""
+        """Radially interpolated series coefficients; zero outside the disk."""
         radius = np.asarray(radius, dtype=float)
         vals = self.spline(np.clip(radius, None, self.R))
         vals[radius > self.R] = 0.0
         return vals
 
+    def base(self, x1, x2) -> np.ndarray:
+        """Series terms of the t = 0 profile at the points, (points, modes)."""
+        r = np.hypot(x1, x2).ravel()
+        phi = np.arctan2(x2, x1).ravel()
+        return self.modes_at(r) * np.exp(1j * np.outer(phi + self.half_angle, self.omega))
+
+    def twist(self, t) -> np.ndarray:
+        """Screw phases e^{-i omega t / lambda}, (times, modes)."""
+        return np.exp(-1j * np.outer(np.ravel(t) / self.lam, self.omega))
+
     def __call__(self, x1, x2, t):
         """Sample v at broadcastable coordinate arrays."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        t = np.asarray(t, dtype=float)
-        r = np.hypot(x1, x2)
-        phi = np.arctan2(x2, x1)
-        modes = self.modes_at(r.ravel())
-        phase = np.exp(1j * np.outer(
-            (phi - self.offset).ravel(), self.m))
-        twist = np.exp(-1j * np.outer(t.ravel() / self.lam, self.m))
-        contrib = self.coeff * modes * phase * twist
-        out = contrib.sum(axis=1).real / self.nfull
-        return out.reshape(np.broadcast(x1, x2, t).shape)
+        x1, x2, t = np.broadcast_arrays(x1, x2, t)
+        return (self.base(x1, x2) * self.twist(t)).sum(axis=1).real.reshape(x1.shape)
 
 
 def reconstruct3d(u: Field, params: ModelParams, nt: int,
                   nxy: int = 64, extent: float | None = None) -> SpiralField3D:
     """Sample the spiraling field over one turn period t in [0, 2 pi lambda).
 
-    Radial profiles (no angular content) give t-independent volumes; odd
-    reflected sector solutions vanish on the helicoid swept by the zero rays.
+    Radial profiles (no angular content) give t-independent volumes; half-disk
+    solutions vanish on the helicoid swept by the zero rays.
     """
     if nt < 2 or nxy < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -111,14 +94,7 @@ def reconstruct3d(u: Field, params: ModelParams, nt: int,
     xs = np.linspace(-extent, extent, nxy)
     ts = np.arange(nt) * (2 * math.pi * params.lam / nt)
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-
-    r = np.hypot(x1, x2).ravel()
-    phi = np.arctan2(x2, x1).ravel()
-    modes = ev.modes_at(r)
-    base = ev.coeff * modes * np.exp(1j * np.outer(phi - ev.offset, ev.m))
-    twist = np.exp(-1j * np.outer(ev.m, ts / params.lam))
-    vol = (base @ twist).real / ev.nfull          # (nxy*nxy, nt)
-    values = vol.reshape(nxy, nxy, nt)
+    values = (ev.base(x1, x2) @ ev.twist(ts).T).real.reshape(nxy, nxy, nt)
 
     dx = xs[1] - xs[0]
     dt = ts[1] - ts[0]
@@ -135,7 +111,7 @@ def helicoid_deviation(u: Field, params: ModelParams, n_samples: int = 100,
     """Largest |v| over points of the helicoid swept by the sector's zero rays.
 
     The screw motion carries the t = 0 zero set {x1 = 0} to
-    {(-x sin s, x cos s, lam s)}; for an odd-reflected sector solution this
+    {(-x sin s, x cos s, lam s)}; for a half-disk solution this
     surface lies in the nodal set, so the sampled values gauge reconstruction
     fidelity.
     """

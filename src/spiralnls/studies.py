@@ -84,18 +84,12 @@ class RescaleRecord:
 def _axis_peak(report: SolveReport) -> float:
     """Peak position along theta = 0, refined by a parabola through the argmax.
 
-    Sector grids have no node exactly on the axis; the angular sine series is
+    Sector grids have no node exactly on the axis; the angular series is
     summed at theta = 0, which is spectrally exact.
     """
     grid = report.field.grid
-    if grid.sector.is_full:
-        profile = report.field.values[:, int(np.argmin(np.abs(grid.angles)))]
-    else:
-        n = grid.ntheta
-        coeff = grid.to_modes(report.field.values) / (n + 1)  # sine coefficients
-        idx = np.arange(1, n + 1)
-        at_axis = np.sin(idx * np.pi / 2.0)                   # theta = 0 samples
-        profile = coeff @ at_axis
+    omega, A = grid.angular_series(report.field.values)
+    profile = (A @ np.exp(1j * omega * grid.sector.half_angle)).real
     j = int(np.argmax(np.abs(profile)))
     if j in (0, grid.nr - 1):
         raise PeakAtBoundary(f"profile maximum at radial node {j}; increase R")

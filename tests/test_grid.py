@@ -75,6 +75,14 @@ def test_model_params_validation():
         ModelParams(p=4.0, q=1, lam=0.0)
 
 
+def test_fields_compare_and_hash_by_identity():
+    g = build_grid(1.0, 8, 8, SectorKind.full_disk())
+    a, b = Field(g, np.ones((8, 8))), Field(g, np.ones((8, 8)))
+    assert (a == b) is False
+    assert a == a
+    assert len({a, b, a}) == 2
+
+
 def test_angular_derivative_of_x1():
     g = build_grid(2.0, 64, 32, SectorKind.full_disk())
     u = field_from_polar(g, lambda r, t: r * np.cos(t))

@@ -99,6 +99,15 @@ def test_inner_is_operator_quadratic_form(sector, rng):
         assert abs(form - quad) <= 1e-13 * abs(form)
 
 
+@pytest.mark.parametrize("sector", SECTORS)
+def test_angular_series_reproduces_nodes(sector, rng):
+    grid = build_grid(3.0, 12, 16, sector)
+    values = rng.standard_normal((grid.nr, grid.ntheta))
+    omega, A = grid.angular_series(values)
+    phase = np.exp(1j * np.outer(omega, grid.angles + sector.half_angle))
+    assert np.max(np.abs((A @ phase).real - values)) <= 1e-13 * np.max(np.abs(values))
+
+
 def test_grid_keeps_one_operator(small_disk):
     a = ModelParams(p=4.0, q=1, lam=0.7)
     b = ModelParams(p=4.0, q=1, lam=1.3)
@@ -119,3 +128,9 @@ def test_benchmark_layers_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"{name}: {module}.{attr} does not resolve"
+
+
+def test_package_exports_resolve():
+    package = importlib.import_module("spiralnls")
+    for name in package.__all__:
+        assert hasattr(package, name), f"spiralnls.{name} does not resolve"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spiralnls.errors import SectorError
-from spiralnls.grid import ModelParams, SectorKind, build_grid, field_from_polar
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
 from spiralnls.minimize import SolveConfig, solve_ground
 from spiralnls.spiral3d import (
     SpiralEvaluator,
@@ -58,6 +58,19 @@ def test_screw_invariance(small_disk, rng):
         a = ev(np.array([x1]), np.array([x2]), np.array([t]))
         b = ev(rot[:1], rot[1:], np.array([t + params.lam * omega]))
         assert abs(a - b) < 1e-11
+
+
+def test_half_disk_series_is_odd_extension(rng):
+    # at t = 0 the evaluator returns the nodes and their negated mirror
+    # images across the rays theta = +-pi/2
+    grid = build_grid(3.0, 12, 15, SectorKind.half_disk())
+    u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
+    ev = SpiralEvaluator(u, ModelParams(p=4.0, q=1, lam=1.0))
+    r, theta = np.meshgrid(grid.radii, grid.angles, indexing="ij")
+    scale = u.linf()
+    for angle, sign in ((theta, 1.0), (np.pi - theta, -1.0), (-np.pi - theta, -1.0)):
+        v = ev(r * np.cos(angle), r * np.sin(angle), 0.0)
+        assert np.max(np.abs(v - sign * u.values)) <= 1e-13 * scale
 
 
 def test_helicoid_nodal_set(half_ground):
