@@ -38,20 +38,16 @@ class EnergyBreakdown:
         return self.dirichlet + self.angular + self.mass
 
 
-def _pieces(u: Field, v: Field, params: ModelParams):
-    """(dirichlet, angular, mass) terms of <u, v>; a field shared by both sides
-    is transformed once."""
+def lambda_inner(u: Field, v: Field, params: ModelParams) -> float:
+    """Pitch-weighted scalar product <u, v>_{lam,q}; symmetric and bilinear.
+
+    A field shared by both sides is transformed once.
+    """
+    check_same_grid(u, v)
     grid = u.grid
     U = grid.to_modes(u.values)
     V = U if v is u else grid.to_modes(v.values)
-    return grid.operator(params).pieces(U, V)
-
-
-def lambda_inner(u: Field, v: Field, params: ModelParams) -> float:
-    """Pitch-weighted scalar product <u, v>_{lam,q}; symmetric and bilinear."""
-    check_same_grid(u, v)
-    d, a, m = _pieces(u, v, params)
-    return d + a + m
+    return grid.operator(params).inner(U, V)
 
 
 def lambda_norm(u: Field, params: ModelParams) -> float:
@@ -90,7 +86,8 @@ def energy(u: Field, params: ModelParams) -> EnergyBreakdown:
     """Energy breakdown for E(u) = 0.5 ||u||^2_{lam,q} - (1/p) |u|_p^p."""
     if not np.all(np.isfinite(u.values)):
         raise FloatingPointError("field has non-finite values")
-    d, a, m = _pieces(u, u, params)
+    U = u.grid.to_modes(u.values)
+    d, a, m = u.grid.operator(params).pieces(U, U)
     pot = lp_integral(u, params.p) / params.p
     total = 0.5 * (d + a + m) - pot
     return EnergyBreakdown(d, a, m, pot, total)
@@ -118,13 +115,6 @@ def gradient_parts(u: Field, params: ModelParams):
     """
     sol, S = solve_operator_modes(u.grid, params, nonlinearity(u.values, params.p))
     return Field(u.grid, u.values - sol), S
-
-
-def directional_derivative(u: Field, v: Field, params: ModelParams) -> float:
-    """E'(u) v evaluated directly from the weak form."""
-    check_same_grid(u, v)
-    inner = lambda_inner(u, v, params)
-    return inner - u.grid.quad(nonlinearity(u.values, params.p) * v.values)
 
 
 def h1_fd_norm_sq(u: Field, include_boundary: bool = False) -> float:

@@ -15,17 +15,26 @@ Per angular mode the operator
     -d^2/dr^2 - (1/r) d/dr + (1/lambda^2 + 1/r^2) mu + q
 
 is tridiagonal (mu = m^2 on the disk, mu = (n pi / 2 theta0)^2 on sectors),
-which is what makes preconditioned solves cheap.
+which is what makes preconditioned solves cheap.  Scaled by the radial
+quadrature weight r_j dr its rows become symmetric, since the face weight
+R_{j+1}/dr couples nodes j and j+1 both ways, and that r-weighted form is the
+matrix of the pitch inner product: symmetric positive definite for every lambda > 0 and q in
+{0, 1}.  PolarOperator therefore factors it once per (grid, params) as
+L D L^T and solves with the factor, and evaluates the inner product as one
+weighted sum over node products plus one over face differences.  The sums
+are numpy loops and the factor and its solves are unthreaded LAPACK loops,
+so none of them depends on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridMismatchError
 
@@ -85,12 +94,15 @@ class ModelParams:
     lam: float
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise ValueError(f"p must exceed 2, got {self.p}")
+        if not 2 < self.p < math.inf:
+            raise ValueError(f"p must be a finite number above 2, got {self.p}")
         if self.q not in (0, 1, 0.0, 1.0):
             raise ValueError(f"q must be 0 or 1, got {self.q}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        lam2 = float(self.lam) ** 2
+        if lam2 == 0.0 or not math.isfinite(1.0 / lam2):
+            raise ValueError(f"lambda {self.lam} is too small: 1/lambda^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -218,8 +230,8 @@ def build_grid(R: float, nr: int, ntheta: int, sector: SectorKind) -> PolarGrid:
     constant 1 over the full disk reproduces pi R^2 exactly (midpoint rule is
     exact for the linear integrand r).
     """
-    if not R > 0:
-        raise ValueError(f"truncation radius must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"truncation radius must be positive and finite, got {R}")
     if nr < 2:
         raise ValueError(f"need at least 2 radial nodes, got {nr}")
     if ntheta < 2:
@@ -260,31 +272,32 @@ def _re_prod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A * B
 
 
+def _reals(modes: np.ndarray) -> np.ndarray:
+    """A mode array as reals: complex (nr, nm) reads as (nr, 2 nm), Re and Im interleaved."""
+    if np.iscomplexobj(modes):
+        return np.ascontiguousarray(modes).view(np.float64)
+    return modes
+
+
 class Stencil:
     """Lambda-independent constants of the discrete operator on one grid.
 
     Mode arrays are (nr, nmodes), radial index first, as to_modes returns
     them.  Every angular mode shares the radial finite-volume stencil; the
     quadratic-form weights turn mode products into the Dirichlet, angular and
-    mass integrals.  PolarGrid.stencil builds this once per grid.
+    mass integrals, and they are also the entries of the r-weighted operator.
+    PolarGrid.stencil builds this once per grid.
     """
 
     def __init__(self, grid: "PolarGrid"):
         r, dr, faces = grid.radii, grid.dr, grid.face_radii
         self.mu = mu = grid.mode_multipliers()          # (nm,)
         self.cm = grid.mode_quad_coeffs()               # (nm,) Parseval coefficients
+        self.complex_modes = grid.sector.is_full        # rfft modes on the disk
         self.wr = wr = r * dr                           # (nr,) radial quadrature weights
-        self.inv_r2 = 1.0 / r**2
-        # banded rows A[j-1, j], A[j, j], A[j+1, j] at column j
-        self.radial = np.zeros((3, grid.nr))
-        self.radial[0, 1:] = -faces[1:-1] / (r[:-1] * dr * dr)
-        self.radial[1] = (faces[:-1] + faces[1:]) / (r * dr * dr)
-        # Dirichlet at r = R: ghost = -u_last turns the outer face flux R(u_ghost - u)
-        # into -2R u, one extra R beyond the regular face already in the diagonal
-        self.radial[1, -1] += faces[-1] / (r[-1] * dr * dr)
-        self.radial[2, :-1] = -faces[1:-1] / (r[1:] * dr * dr)
-        # quadratic-form weights: faces R_f / dr, closure 2 R / dr, nodes
-        # mu dr / r (centrifugal) and mu r dr (angular)
+        # quadratic-form weights: faces R_f / dr, closure 2 R / dr (the
+        # Dirichlet ghost -u_last), nodes mu dr / r (centrifugal) and
+        # mu r dr (angular)
         self.face_w = faces[1:-1, None] / dr
         self.bnd_w = 2 * faces[-1] / dr
         self.cent_w = (mu[None, :] / r[:, None]) * dr
@@ -314,41 +327,58 @@ class PolarOperator:
 
     Per angular mode L is the tridiagonal radial operator
     -d2/dr2 - (1/r) d/dr + (1/lam^2 + 1/r^2) mu + q with Dirichlet closure at
-    r = R (ghost value -u_last, i.e. the midpoint boundary condition).  The
-    modes stack mode-major into one tridiagonal system; its off-diagonals are
-    the stencil's, and the diagonal is the only part that depends on
-    (lam, q).  PolarGrid.operator builds one per parameters.
+    r = R (ghost value -u_last, i.e. the midpoint boundary condition).  Its
+    rows scaled by r dr form K = diag(r dr) L, the symmetric positive definite
+    matrix of <., .>_{lam,q} per mode: off-diagonals -R_f / dr, diagonal the
+    two adjacent face weights plus the node weight, the only part that
+    depends on (lam, q).  The modes stack mode-major into one tridiagonal K,
+    factored once here.  PolarGrid.operator builds one per parameters.
     """
 
     def __init__(self, stencil: Stencil, params: ModelParams):
         self.stencil = stencil
         self.params = params
-        radial, mu = stencil.radial, stencil.mu
-        coef = 1.0 / params.lam**2 + stencil.inv_r2                # (nr,)
-        self.diag = radial[1] + mu[:, None] * coef + params.q       # (nm, nr)
-        self.upper = np.tile(radial[0], mu.size)[1:]
-        self.lower = np.tile(radial[2], mu.size)[:-1]
+        st = stencil
+        node = st.cent_w + st.ang_w / params.lam**2 + params.q * st.wr[:, None]   # (nr, nm)
+        node[-1] += st.bnd_w
+        self.k_nodes = node                                     # K's node weights
+        faces = st.face_w[:, 0]
+        diag = node.T.copy()                                    # (nm, nr), mode-major
+        diag[:, 1:] += faces
+        diag[:, :-1] += faces
+        off = np.zeros_like(diag)
+        off[:, :-1] = -faces                                    # no coupling across modes
+        d, e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
+        if info != 0:
+            raise FloatingPointError(f"per-mode operator not positive definite (pttrf info={info})")
+        self._factor = (d, e)
+        # inner-product weights with the Parseval coefficients folded in,
+        # repeated per (Re, Im) pair on the disk to match _reals
+        pair = 2 if st.complex_modes else 1
+        self.w_nodes = np.repeat(node * st.cm, pair, axis=1)
+        self.w_faces = np.repeat(st.face_w * st.cm, pair, axis=1)
 
     def apply(self, modes: np.ndarray) -> np.ndarray:
-        """L times a mode array (nr, nmodes)."""
-        up, _, low = self.stencil.radial[:, :, None]
-        out = self.diag.T * modes
-        out[:-1] += up[1:] * modes[1:]
-        out[1:] += low[:-1] * modes[:-1]
-        return out
+        """L times a mode array (nr, nmodes): K times it, over r dr."""
+        st = self.stencil
+        flux = st.face_w * (modes[1:] - modes[:-1])
+        out = self.k_nodes * modes
+        out[:-1] -= flux
+        out[1:] += flux
+        return out / st.wr[:, None]
 
     def solve(self, modes: np.ndarray) -> np.ndarray:
-        """L^{-1} of a mode array (nr, nmodes) by per-mode tridiagonal solves.
+        """L^{-1} of a mode array (nr, nmodes): K^{-1} of the r dr-scaled modes.
 
         Real and imaginary parts of disk modes are two right-hand sides.
         """
         nr, nm = modes.shape
-        parts = (modes.real, modes.imag) if np.iscomplexobj(modes) else (modes,)
+        scaled = modes * self.stencil.wr[:, None]
+        parts = (scaled.real, scaled.imag) if np.iscomplexobj(scaled) else (scaled,)
         rhs = np.stack([part.T for part in parts])    # (parts, nm, nr), mode-major
-        *_, x, info = dgtsv(self.lower, self.diag.ravel(), self.upper,
-                            rhs.reshape(len(parts), -1).T, overwrite_b=True)
+        x, info = dpttrs(*self._factor, rhs.reshape(len(parts), -1).T, overwrite_b=True)
         if info != 0:
-            raise FloatingPointError(f"singular per-mode operator (gtsv info={info})")
+            raise FloatingPointError(f"per-mode solve failed (pttrs info={info})")
         x = x.T.reshape(len(parts), nm, nr).transpose(0, 2, 1)
         return x[0] if len(parts) == 1 else x[0] + 1j * x[1]
 
@@ -358,9 +388,23 @@ class PolarOperator:
         return d, a2 / self.params.lam**2, self.params.q * m2
 
     def inner(self, U: np.ndarray, V: np.ndarray) -> float:
-        """<u, v>_{lam,q} from mode arrays."""
-        d, a, m = self.pieces(U, V)
-        return d + a + m
+        """<u, v>_{lam,q} from mode arrays: a weighted sum over nodes plus one over faces."""
+        u, v = _reals(U), _reals(V)
+        du = u[1:] - u[:-1]
+        dv = du if V is U else v[1:] - v[:-1]
+        return float(np.einsum("ij,ij,ij->", self.w_nodes, u, v)
+                     + np.einsum("ij,ij,ij->", self.w_faces, du, dv))
+
+    def gram(self, P: np.ndarray, M: np.ndarray):
+        """(<p, p>, <p, m>, <m, m>) from mode arrays, sharing the weighted p terms."""
+        p, m = _reals(P), _reals(M)
+        dp, dm = p[1:] - p[:-1], m[1:] - m[:-1]
+        wp, wdp = self.w_nodes * p, self.w_faces * dp
+        pp = np.einsum("ij,ij->", wp, p) + np.einsum("ij,ij->", wdp, dp)
+        pm = np.einsum("ij,ij->", wp, m) + np.einsum("ij,ij->", wdp, dm)
+        mm = (np.einsum("ij,ij,ij->", self.w_nodes, m, m)
+              + np.einsum("ij,ij,ij->", self.w_faces, dm, dm))
+        return float(pp), float(pm), float(mm)
 
 
 def apply_operator(u: Field, params: ModelParams) -> Field:

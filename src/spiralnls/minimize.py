@@ -73,8 +73,10 @@ class SolveConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if not 0 < self.step <= 1:
             raise ValueError("step must lie in (0, 1]")
 

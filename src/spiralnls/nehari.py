@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import lambda_inner, lp_integral
+from .energy import lp_integral
 from .errors import OnePhaseMissing, ZeroFieldError
 from .grid import Field, ModelParams
 
@@ -104,15 +104,6 @@ def manifold_residual(u: Field, params: ModelParams) -> NehariResidual:
     return NehariResidual(float(single), out[0], out[1])
 
 
-def interface_commitment(u: Field, params: ModelParams) -> float:
-    """Discrete cross energy <u^+, u^-> relative to ||u||^2 (O(dr) at interfaces)."""
-    n2 = lambda_inner(u, u, params)
-    if n2 == 0.0:
-        raise ZeroFieldError("interface_commitment of the zero field")
-    _, _, P, M = _parts_with_modes(u)
-    return u.grid.operator(params).inner(P, M) / n2
-
-
 def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: int = 60) -> Field:
     """Scale u^+ and u^- separately so both parts land on the Nehari set.
 
@@ -137,10 +128,7 @@ def project_nodal_state(u: Field, params: ModelParams, tol: float = 1e-14,
     if pp == 0.0 or pm == 0.0:
         raise OnePhaseMissing("field does not change sign")
 
-    op = u.grid.operator(params)
-    a_pp = op.inner(P, P)
-    a_mm = op.inner(M, M)
-    cross = op.inner(P, M)
+    a_pp, cross, a_mm = u.grid.operator(params).gram(P, M)
     ex = 1.0 / (params.p - 2.0)
 
     # independent scalings with the indicator-convention part norms

@@ -177,6 +177,19 @@ def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", [
+    ["--p", "inf"], ["--lambda", "1e-300"], ["--lambda", "inf"], ["--R", "inf"],
+    ["--max_iters", "0"], ["--max_iters", "-5"], ["--grad_tol", "inf"],
+], ids=lambda bad: f"{bad[0][2:]}={bad[1]}")
+def test_degenerate_parameters_are_usage_errors(tmp_path, capsys, bad):
+    code = run_cli(["solve-ground", "--R", "8", "--nr", "32", "--ntheta", "8",
+                    "--out-dir", str(tmp_path)] + bad)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_malformed_solution_is_usage_error(tmp_path, capsys):
     grid = build_grid(4.0, 6, 4, SectorKind.full_disk())
     path = tmp_path / "sol.csv"

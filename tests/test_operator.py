@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +19,12 @@ from spiralnls.grid import (
     apply_operator,
     build_grid,
 )
+import spiralnls.grid
 from spiralnls.minimize import SEED_DIPOLE, SolveConfig, solve_ground, solve_nodal
 from spiralnls.nehari import project_nodal, project_nodal_state, project_ray
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 @pytest.fixture
@@ -106,6 +111,121 @@ def test_angular_series_reproduces_nodes(sector, rng):
     omega, A = grid.angular_series(values)
     phase = np.exp(1j * np.outer(omega, grid.angles + sector.half_angle))
     assert np.max(np.abs((A @ phase).real - values)) <= 1e-13 * np.max(np.abs(values))
+
+
+kernel_params = pytest.mark.parametrize(
+    "params", [ModelParams(p=4.0, q=q, lam=lam) for q in (0, 1) for lam in (0.05, 50.0)],
+    ids=lambda p: f"q{p.q}-lam{p.lam:g}")
+
+
+def _random_modes(grid, rng, count):
+    return [grid.to_modes(rng.standard_normal((grid.nr, grid.ntheta))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+@kernel_params
+def test_fused_inner_matches_pieces(sector, params, rng):
+    # the one weighted sum is the sum of the per-piece forms, and symmetric;
+    # cross terms are measured against the Cauchy-Schwarz scale ||u|| ||v||,
+    # since those of independent random fields cancel
+    grid = build_grid(3.0, 24, 16, sector)
+    op = grid.operator(params)
+    for U, V in zip(*[iter(_random_modes(grid, rng, 6))] * 2):
+        norms = op.inner(U, U), op.inner(V, V)
+        for W, norm in zip((U, V), norms):
+            assert abs(norm - sum(op.pieces(W, W))) <= 1e-14 * norm
+        scale = np.sqrt(norms[0] * norms[1])
+        form = op.inner(U, V)
+        assert abs(form - sum(op.pieces(U, V))) <= 1e-14 * scale
+        assert abs(form - op.inner(V, U)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+@kernel_params
+def test_gram_matches_inner(sector, params, rng):
+    grid = build_grid(3.0, 24, 16, sector)
+    op = grid.operator(params)
+    for P, M in zip(*[iter(_random_modes(grid, rng, 6))] * 2):
+        want = op.inner(P, P), op.inner(P, M), op.inner(M, M)
+        scale = np.sqrt(want[0] * want[2])
+        for got, form in zip(op.gram(P, M), want):
+            assert abs(got - form) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+@kernel_params
+def test_solve_inverts_apply(sector, params, rng):
+    grid = build_grid(3.0, 24, 16, sector)
+    op = grid.operator(params)
+    for X in _random_modes(grid, rng, 3):
+        assert np.max(np.abs(op.apply(op.solve(X)) - X)) <= 1e-12 * np.max(np.abs(X))
+
+
+def test_complex_solve_is_two_real_solves(small_disk, params_q1, rng):
+    op = small_disk.operator(params_q1)
+    (X,) = _random_modes(small_disk, rng, 1)
+    assert np.iscomplexobj(X)
+    x = op.solve(X)
+    assert np.array_equal(x.real, op.solve(np.ascontiguousarray(X.real)))
+    assert np.array_equal(x.imag, op.solve(np.ascontiguousarray(X.imag)))
+
+
+def test_factorization_once_per_operator(monkeypatch):
+    # a whole solve, descent and Newton polish, factors its operator once
+    calls = [0]
+    original = spiralnls.grid.dpttrf
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spiralnls.grid, "dpttrf", counting)
+    grid = build_grid(8.0, 48, 16, SectorKind.half_disk())
+    report = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
+                          SolveConfig(grad_tol=1e-8, newton_refine=True))
+    assert report.converged and report.iterations > 1
+    assert calls[0] == 1
+
+
+def test_nodal_projection_takes_one_gram(monkeypatch, small_disk, params_q1, rng):
+    calls = {"gram": 0, "inner": 0}
+    for name in calls:
+        original = getattr(spiralnls.grid.PolarOperator, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(spiralnls.grid.PolarOperator, name, counting)
+    u = Field(small_disk, rng.standard_normal((small_disk.nr, small_disk.ntheta)))
+    project_nodal_state(u, params_q1)
+    assert calls == {"gram": 1, "inner": 0}
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from spiralnls.grid import ModelParams, SectorKind, build_grid
+grid = build_grid(14.0, 320, 64, SectorKind.full_disk())
+op = grid.operator(ModelParams(p=4.0, q=1, lam=0.5))
+rng = np.random.default_rng(20201)
+P, M = (grid.to_modes(rng.standard_normal((320, 64))) for _ in range(2))
+print([float(x).hex() for x in (op.inner(P, M), op.inner(P, P), *op.gram(P, M))])
+print(hashlib.sha256(op.solve(P).tobytes()).hexdigest())
+"""
+
+
+def test_kernels_do_not_depend_on_blas_threads():
+    # the reductions stay off BLAS: 21120-long dot products would thread at 2
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_grid_keeps_one_operator(small_disk):
