@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -47,7 +48,12 @@ _OPTION_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta", "seed",
                 "grad_tol", "max_iters", "lambdas", "nt", "nxy")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process and shared by all calls.
+
+    argparse copies the --set list default per parse, so calls share no state.
+    """
     top = argparse.ArgumentParser(
         prog="spiralnls",
         description="Spiraling nonlinear Schrodinger solver on polar domains.")
@@ -138,7 +144,7 @@ def _run_radial(cfg: sio.RunConfig, nodes: int, out: str) -> int:
 
 
 def _run_sweep(cfg: sio.RunConfig, out: str) -> int:
-    lambdas = cfg["lambdas"] or (0.05, 0.5, 5.0, 50.0)
+    lambdas = cfg.pitches((0.05, 0.5, 5.0, 50.0), increasing=True)
     records = sweep_lambda(cfg.model_params(), lambdas, cfg.grid(),
                            cfg.solve_config())
     lo, hi, crossings = transition_bracket(records)
@@ -163,7 +169,7 @@ def _run_sweep(cfg: sio.RunConfig, out: str) -> int:
 
 
 def _run_asympt_inf(cfg: sio.RunConfig, out: str) -> int:
-    lambdas = cfg["lambdas"] or (5.0, 10.0, 20.0, 40.0)
+    lambdas = cfg.pitches((5.0, 10.0, 20.0, 40.0))
     grid = cfg.grid()
     if grid.sector.is_full:
         grid = sio.build_grid(grid.R, grid.nr, grid.ntheta,
@@ -182,7 +188,7 @@ def _run_asympt_inf(cfg: sio.RunConfig, out: str) -> int:
 
 
 def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
-    lambdas = cfg["lambdas"] or (1.0, 0.5, 0.25, 0.125)
+    lambdas = cfg.pitches((1.0, 0.5, 0.25, 0.125))
     grid = cfg.grid()
     if grid.sector.is_full:
         grid = sio.build_grid(grid.R, grid.nr, grid.ntheta,

@@ -12,6 +12,7 @@ it, so a failed write leaves the previous file in place.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -96,8 +97,18 @@ class RunConfig:
 
     def grid(self) -> PolarGrid:
         with _as_config_error():
-            return build_grid(self["R"], self["nr"], self["ntheta"],
-                              sector_from_label(self["sector"]))
+            return _grid(self["R"], self["nr"], self["ntheta"], self["sector"])
+
+    def pitches(self, default: tuple, increasing: bool = False) -> tuple:
+        """The --lambdas list (else default), each entry valid for ModelParams."""
+        lambdas = self["lambdas"] or default
+        params = self.model_params()
+        for lam in lambdas:
+            with _as_config_error("bad pitch in lambdas: "):
+                dataclasses.replace(params, lam=lam)
+        if increasing and any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+            raise ConfigError(f"lambdas must be strictly increasing, got {lambdas}")
+        return lambdas
 
     def solve_config(self) -> SolveConfig:
         with _as_config_error():
@@ -106,6 +117,14 @@ class RunConfig:
                 step=self["step"], seed_kind=self["seed"],
                 newton_refine=self["newton"], keep_trace=self["keep_trace"],
             )
+
+
+def _grid(R: float, nr: int, ntheta: int, sector: str) -> PolarGrid:
+    """build_grid, reporting a grid too large to allocate as a ConfigError."""
+    try:
+        return build_grid(R, nr, ntheta, sector_from_label(sector))
+    except MemoryError:
+        raise ConfigError(f"a {nr}x{ntheta} grid does not fit in memory") from None
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -158,7 +177,7 @@ def resolve_out_dir(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------- solutions
 
 @contextmanager
-def _replacing(path):
+def replacing(path):
     """Text handle on a temporary file beside path that replaces path on success.
 
     A writer that fails leaves the previous file intact and no temporary
@@ -178,7 +197,7 @@ def _replacing(path):
 def save_solution(path, field: Field, params: ModelParams) -> None:
     grid = field.grid
     sector = grid.sector
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(SOLUTION_MAGIC + "\n")
         fh.write(f"# p = {params.p!r}\n")
         fh.write(f"# q = {int(params.q)}\n")
@@ -188,10 +207,12 @@ def save_solution(path, field: Field, params: ModelParams) -> None:
         fh.write(f"# nr = {grid.nr}\n")
         fh.write(f"# ntheta = {grid.ntheta}\n")
         fh.write("j,k,value\n")
+        # one %-format per radial row, %r of a float being its repr; row j
+        # is "j,k,%r" for every k, so j prefixes and joins the column parts
+        values = field.values.astype(float, copy=False)
+        cols = [f",{k},%r\n" for k in range(grid.ntheta)]
         for j in range(grid.nr):
-            row = field.values[j]
-            for k in range(grid.ntheta):
-                fh.write(f"{j},{k},{float(row[k])!r}\n")
+            fh.write((str(j) + str(j).join(cols)) % tuple(values[j].tolist()))
 
 
 def load_solution(path):
@@ -219,8 +240,8 @@ def load_solution(path):
         if missing:
             raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
         with _as_config_error(f"{path}: "):
-            grid = build_grid(float(meta["R"]), int(meta["nr"]), int(meta["ntheta"]),
-                              sector_from_label(meta["sector"]))
+            grid = _grid(float(meta["R"]), int(meta["nr"]), int(meta["ntheta"]),
+                         meta["sector"])
             params = ModelParams(p=float(meta["p"]), q=int(meta["q"]),
                                  lam=float(meta["lambda"]))
             with warnings.catch_warnings():
@@ -300,7 +321,7 @@ def report_dict(report: SolveReport, params: ModelParams) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -326,7 +347,7 @@ def write_manifest(path, command: str, cfg: RunConfig, outputs: list) -> None:
 
 
 def write_csv(path, header: list, rows: list) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(

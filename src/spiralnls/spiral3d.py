@@ -21,6 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import SectorError
 from .grid import CONE, Field, ModelParams
+from .io import replacing
 
 _HEADER = "# vtk DataFile Version 3.0"
 
@@ -131,14 +132,15 @@ def export_vtk(field3d: SpiralField3D, path) -> None:
     """Write a legacy ASCII structured-points volume (scalar array "v").
 
     One value per line, x-fastest ordering, 12 significant digits,
-    locale-independent formatting.
+    locale-independent formatting.  Like every artifact, the volume is
+    written beside its target and renamed over it.
     """
     vals = field3d.values
     if vals.shape != (field3d.nx, field3d.ny, field3d.nt):
         raise ValueError(
             f"value block {vals.shape} does not match dimensions "
             f"({field3d.nx}, {field3d.ny}, {field3d.nt})")
-    lines = [
+    header = "\n".join([
         _HEADER,
         "spiraling field, one turn period",
         "ASCII",
@@ -149,12 +151,15 @@ def export_vtk(field3d: SpiralField3D, path) -> None:
         f"POINT_DATA {field3d.nx * field3d.ny * field3d.nt}",
         "SCALARS v double 1",
         "LOOKUP_TABLE default",
-    ]
-    flat = np.transpose(vals, (2, 1, 0)).ravel()   # x fastest
-    lines.extend("{:.11e}".format(x) for x in flat)
+    ]) + "\n"
+    template = "%.11e\n" * (field3d.nx * field3d.ny)
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with replacing(path) as fh:
+            fh.write(header)
+            # one %-format per t-slice, x fastest; %e shares str.format's
+            # float formatter, so the bytes are those of "{:.11e}".format
+            for plane in np.transpose(vals, (2, 1, 0)):
+                fh.write(template % tuple(plane.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"VTK export to {path} failed: {exc}") from exc
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spiralnls import cli
 from spiralnls.cli import (
     EXIT_CHECK,
     EXIT_NUMERICAL,
@@ -188,6 +189,49 @@ def test_degenerate_parameters_are_usage_errors(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--lambdas", "1e-300"],
+    ["sweep", "--lambdas", "inf,1"],
+    ["sweep", "--lambdas", "2,1"],
+    ["asympt-inf", "--sector", "half", "--lambdas", "nan"],
+    ["asympt-zero", "--sector", "half", "--lambdas", "1,-0.5"],
+], ids=lambda args: f"{args[0]}:{args[-1]}")
+def test_bad_pitch_lists_are_usage_errors(tmp_path, capsys, monkeypatch, args):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the pitch list was checked")
+    for study in ("sweep_lambda", "asymptotics_infinity", "asymptotics_zero"):
+        monkeypatch.setattr(cli, study, no_solve)
+    code = run_cli(args + ["--R", "8", "--nr", "32", "--ntheta", "8",
+                           "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_grid_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr("spiralnls.io.build_grid", out_of_memory)
+    code = run_cli(["solve-ground", "--nr", "100000000000", "--ntheta", "8",
+                    "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "100000000000x8" in err
+
+
+def test_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert cli._build_parser() is cli._build_parser()
+    assert run_cli(["solve-radial", "--set", "bogus=1", "--out-dir", out]) == EXIT_USAGE
+    assert run_cli(["solve-radial", "--p", "3", "--out-dir", out]) == EXIT_OK
+    assert cli._build_parser().parse_args(["solve-radial"]).overrides == []
+    assert run_cli(["solve-radial", "--no-such-option"]) == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_malformed_solution_is_usage_error(tmp_path, capsys):

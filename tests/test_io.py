@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from reference import solution_text
 
 from spiralnls.errors import ConfigError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
@@ -81,6 +82,27 @@ def test_solution_round_trip_bit_exact(tmp_path, rng):
     assert loaded_params == params
     assert loaded.grid.sector == grid.sector
     assert np.array_equal(loaded.grid.radii, grid.radii)
+
+
+# values whose repr is hardest to get right: signed zero, the smallest
+# subnormal, the largest finite magnitudes and a 17-digit repr
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.1 + 0.2]
+
+
+@pytest.mark.parametrize("sector", [SectorKind.full_disk(), SectorKind.half_disk(),
+                                    SectorKind.cone(0.7)],
+                         ids=lambda sector: sector.kind)
+def test_save_solution_matches_per_node_writer(tmp_path, rng, sector):
+    grid = build_grid(5.0, 12, 8, sector)
+    values = rng.standard_normal((12, 8)) * 10.0 ** rng.integers(-300, 300, (12, 8))
+    values.flat[:len(EXTREMES)] = EXTREMES
+    field = Field(grid, values)
+    params = ModelParams(p=3.5, q=0, lam=2.25)
+    path = tmp_path / "sol.csv"
+    save_solution(path, field, params)
+    assert path.read_bytes() == solution_text(field, params).encode("ascii")
+    assert load_solution(path)[0].values.tobytes() == values.tobytes()
 
 
 def test_solution_rejects_foreign_file(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import vtk_text
 
 from spiralnls.errors import SectorError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
@@ -128,3 +129,55 @@ def test_vtk_x_fastest_order(tmp_path):
     expected = [values[ix, iy, it]
                 for it in range(2) for iy in range(2) for ix in range(2)]
     assert data == expected
+
+
+def test_vtk_matches_per_value_writer(tmp_path, rng, small_half):
+    values = rng.standard_normal((3, 4, 5)) * 10.0 ** rng.integers(-300, 300, (3, 4, 5))
+    values[0, 0, 0] = -0.0
+    values[1, 2, 3] = np.nan
+    values[2, 3, 4] = np.inf
+    values[2, 0, 1] = -np.inf
+    synthetic = SpiralField3D(nx=3, ny=4, nt=5, origin=(-1.0, -1.0, 0.0),
+                              spacing=(0.5, 0.25, 0.1), values=values, lam=2.0)
+    u = field_from_polar(small_half, lambda r, t: np.exp(-r**2) * np.cos(t))
+    reconstructed = reconstruct3d(u, ModelParams(p=4.0, q=1, lam=1.5), nt=6, nxy=10)
+    for vol in (synthetic, reconstructed):
+        path = tmp_path / "vol.vtk"
+        export_vtk(vol, path)
+        assert path.read_bytes() == vtk_text(vol).encode("ascii")
+
+
+class _DiskFull:
+    """File handle that writes half of its first block, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_vtk_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    vol = SpiralField3D(nx=2, ny=2, nt=2, origin=(0, 0, 0), spacing=(1, 1, 1),
+                        values=np.ones((2, 2, 2)), lam=1.0)
+    path = tmp_path / "vol.vtk"
+    path.write_text("previous\n")
+    real_open = open
+
+    def open_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiskFull(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", open_full_disk)
+    with pytest.raises(OSError, match="VTK export"):
+        export_vtk(vol, path)
+    monkeypatch.undo()
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vol.vtk"]
