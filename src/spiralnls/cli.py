@@ -215,10 +215,13 @@ def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
 
 
 def _run_reconstruct(cfg: sio.RunConfig, solution_path: str, out: str) -> int:
+    nt, nxy = cfg.volume_samples()
     field, params = sio.load_solution(solution_path)
     extent = cfg["extent"] or None
-    vol = reconstruct3d(field, params, nt=cfg["nt"], nxy=cfg["nxy"],
-                        extent=extent)
+    try:
+        vol = reconstruct3d(field, params, nt=nt, nxy=nxy, extent=extent)
+    except MemoryError:
+        raise ConfigError(f"a {nxy}x{nxy}x{nt} volume does not fit in memory") from None
     base = os.path.join(out, os.path.splitext(os.path.basename(solution_path))[0])
     vtk_path = base + ".vtk"
     export_vtk(vol, vtk_path)

@@ -99,6 +99,13 @@ class RunConfig:
         with _as_config_error():
             return _grid(self["R"], self["nr"], self["ntheta"], self["sector"])
 
+    def volume_samples(self) -> tuple:
+        """(nt, nxy) of a reconstructed volume, each at least 2."""
+        nt, nxy = self["nt"], self["nxy"]
+        if nt < 2 or nxy < 2:
+            raise ConfigError(f"nt and nxy must be at least 2, got nt={nt}, nxy={nxy}")
+        return nt, nxy
+
     def pitches(self, default: tuple, increasing: bool = False) -> tuple:
         """The --lambdas list (else default), each entry valid for ModelParams."""
         lambdas = self["lambdas"] or default

@@ -5,9 +5,10 @@ u(0): the number of sign changes of the shot trajectory is a step function of
 the amplitude, jumping from k to k+1 exactly at the k-node decaying solution.
 Integration leaves the singular point at r = eps with the series
 u(r) = u(0) + (u(0) - u(0)^{p-1}) r^2 / 4 and uses an adaptive 4(5)
-Dormand-Prince stepper (hand-unrolled scalar arithmetic; the shooting loop
-runs a few thousand integrations per profile and per-call overhead of a
-generic IVP driver dominates otherwise).  Past the last sign change the
+Dormand-Prince stepper (hand-unrolled scalar arithmetic; the bisection takes
+66-94 shots per profile and per-call overhead of a generic IVP driver
+dominates otherwise).  A classifying shot ends as soon as its count of sign
+changes is final (see _integrate).  Past the last sign change the
 trajectory is grafted onto the exact linearized decay c K_0(r), which pins
 |u| below 1e-10 at the far boundary where bisection round-off would otherwise
 re-excite the growing mode.
@@ -30,7 +31,7 @@ from scipy.special import k0e, k1e
 from .errors import BisectionBracketFailure
 
 _EPS0 = 1e-6         # launch radius for the series start
-_RMAX_SHOOT = 60.0   # classification horizon; divergence triggers far earlier
+_RMAX_SHOOT = 60.0   # shot horizon; classifying shots stop once their class is final
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,23 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
                rmax: float = _RMAX_SHOOT, stop_at: float = math.inf):
     """Shoot from u(0) = a.  Returns (crossings, samples or None).
 
-    Terminates once |u| exceeds 3|a| + 1 (divergence) or the crossing count
-    reaches stop_at.  samples is a list of accepted (r, u, u') triples when
-    record is set.
+    With stop_at finite the shot only classifies: it ends once the crossing
+    count reaches stop_at, or once the mechanical energy
+    E = u'^2/2 - u^2/2 + |u|^p/p is negative.  Along the ODE
+    dE/dr = -u'^2/r <= 0, and reaching u = 0 needs E >= W(0) = 0 for the
+    potential W(u) = -u^2/2 + |u|^p/p, so from then on the count is final
+    (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30, 1981).  Below
+    the threshold amplitude a shot never diverges; it settles into a damped
+    oscillation about u = +-1 and without this test would run on to rmax.
+    samples is a list of accepted (r, u, u') triples when record is set.
     """
     pm1 = p - 1.0
+    classify = stop_at < math.inf
     atol = rtol * 1e-3
     r = _EPS0
     fa = a - math.copysign(abs(a) ** pm1, a)
     u = a + fa * r * r / 4.0
     v = fa * r / 2.0
-    bound = 3.0 * abs(a) + 1.0
     h = 1e-3
     crossings = 0
     samples = [(r, u, v)] if record else None
@@ -124,7 +131,8 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
                       + 0.6510416666666666 * k4v - 0.322376179245283 * k5v
                       + 0.13095238095238096 * k6v)
         k7u = v5
-        k7v = -v5 / r6 + u5 - math.copysign(abs(u5) ** pm1, u5)
+        g5 = abs(u5) ** pm1
+        k7v = -v5 / r6 + u5 - math.copysign(g5, u5)
         eu = h * (0.0012326388888888888 * k1u - 0.0042527702905061394 * k3u
                   + 0.03697916666666666 * k4u - 0.05086379716981132 * k5u
                   + 0.0419047619047619 * k6u - 0.025 * k7u)
@@ -146,7 +154,7 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
             k1u, k1v = k7u, k7v
             if record:
                 samples.append((r, u, v))
-            if abs(u) > bound:
+            if classify and 0.5 * (v * v - u * u) + g5 * abs(u) / p < 0.0:
                 break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
     return crossings, samples
@@ -161,11 +169,18 @@ def _crossings(a: float, p: float, rtol: float, k: int) -> int:
     return _integrate(a, p, rtol, stop_at=k + 1)[0]
 
 
-def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
-                 max_iter: int):
-    """Narrow [lo, hi] onto the k -> k+1 crossing-count jump."""
+def _check_lower(p: float, k: int, lo: float, rtol: float) -> None:
+    """Raise unless the shot from lo crosses at most k times."""
     if _crossings(lo, p, rtol, k) > k:
         raise BisectionBracketFailure(f"lower amplitude {lo} already crosses > {k} times")
+
+
+def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
+                 max_iter: int):
+    """Narrow [lo, hi] onto the k -> k+1 crossing-count jump.
+
+    lo must already be known to cross at most k times (_check_lower).
+    """
     attempts = 0
     while _crossings(hi, p, rtol, k) <= k:
         hi *= 2.0
@@ -184,14 +199,16 @@ def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
     return lo, hi
 
 
-def _shoot_amplitude(p: float, k: int, tol: float) -> float:
-    """Two-stage amplitude bisection: coarse sweep, then tight refinement."""
+@lru_cache(maxsize=32)
+def _shoot_amplitude(p: float, k: int, rtol: float) -> float:
+    """Two-stage amplitude bisection: coarse sweep, then refinement at rtol."""
+    _check_lower(p, k, 0.25, 1e-9)
     lo, hi = _bisect_band(p, k, 0.25, 1.0, rtol=1e-9, max_iter=34)
     pad = max(4.0 * (hi - lo), 1e-8 * hi)
     lo2, hi2 = max(lo - pad, 0.5 * lo), hi + pad
-    rtol = min(tol, 1e-12)
     if _crossings(lo2, p, rtol, k) > k:      # coarse band missed; restart tight
         lo2, hi2 = 0.25, 1.0
+        _check_lower(p, k, lo2, rtol)
     lo, hi = _bisect_band(p, k, lo2, hi2, rtol=rtol, max_iter=200)
     return lo
 
@@ -255,8 +272,9 @@ def _assemble_profile(a: float, p: float, k: int, r1d: float, dr1d: float,
 
 @lru_cache(maxsize=32)
 def _shoot_cached(p: float, k: int, tol: float, r1d: float, dr1d: float) -> RadialProfile:
-    a = _shoot_amplitude(p, k, tol)
-    return _assemble_profile(a, p, k, r1d, dr1d, rtol=min(tol, 1e-12))
+    rtol = min(tol, 1e-12)
+    a = _shoot_amplitude(p, k, rtol)    # cached apart: shared by every (r1d, dr1d)
+    return _assemble_profile(a, p, k, r1d, dr1d, rtol)
 
 
 def shoot_ground(p: float, tol: float = 1e-12, r1d: float = 40.0,

@@ -23,7 +23,13 @@ from spiralnls.minimize import (
     solve_ground,
     solve_nodal,
 )
-from spiralnls.radial import _shoot_cached, profile_identities, shoot_ground, shoot_nodal
+from spiralnls.radial import (
+    _shoot_amplitude,
+    _shoot_cached,
+    profile_identities,
+    shoot_ground,
+    shoot_nodal,
+)
 from spiralnls.studies import (
     WINNER_DIPOLE,
     WINNER_RADIAL,
@@ -78,6 +84,7 @@ def zero_records():
 
 
 def test_criterion_01_oracle_self_consistency():
+    _shoot_amplitude.cache_clear()
     _shoot_cached.cache_clear()
     start = time.perf_counter()
     profile = shoot_ground(4.0)

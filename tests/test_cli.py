@@ -224,6 +224,29 @@ def test_grid_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch)
     assert "100000000000x8" in err
 
 
+@pytest.mark.parametrize("sizes,named", [
+    (["--nt", "1"], "nt=1"),
+    (["--nxy", "1"], "nxy=1"),
+    (["--nxy", "1000000", "--nt", "4"], "1000000x1000000x4"),
+], ids=["nt=1", "nxy=1", "too-large"])
+def test_bad_volume_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, sizes, named):
+    # a real 10^6 x 10^6 volume would ask numpy for 7.3 TiB; the fake keeps the
+    # test from depending on how the host answers such a request
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("spiralnls.cli.reconstruct3d", out_of_memory)
+    grid = build_grid(4.0, 6, 4, SectorKind.full_disk())
+    path = tmp_path / "sol.csv"
+    save_solution(path, Field(grid, np.ones((6, 4))), ModelParams(p=4.0, q=1, lam=1.0))
+    code = run_cli(["reconstruct", str(path), "--out-dir", str(tmp_path)] + sizes)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "sol.vtk").exists()
+
+
 def test_calls_share_the_parser_but_no_state(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli._build_parser() is cli._build_parser()

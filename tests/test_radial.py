@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from spiralnls.radial import (
+    _RMAX_SHOOT,
     _crossings,
     _integrate,
     count_interior_zeros,
@@ -97,15 +100,77 @@ def test_invalid_arguments():
         shoot_nodal(4.0, 0)
 
 
+def _profile(p, k):
+    return shoot_ground(p) if k == 0 else shoot_nodal(p, k)
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_early_stopped_shots_keep_their_class(k):
     # a counting shot stops at its (k+1)-th sign change; on both sides of the
     # k -> k+1 threshold it classifies like the full shot
     p, rtol = 4.0, 1e-9
-    threshold = (shoot_ground(p) if k == 0 else shoot_nodal(p, k)).amplitude
+    threshold = _profile(p, k).amplitude
     for rel in (-0.05, -1e-3, -1e-6, 1e-6, 1e-3, 0.05):
         a = threshold * (1.0 + rel)
         full = _integrate(a, p, rtol)[0]
         stopped = _crossings(a, p, rtol, k)
         assert (stopped <= k) == (full <= k) == (rel < 0)
         assert stopped == min(full, k + 1)
+
+
+def _ulps_around(a, n):
+    out, lo, hi = [a], a, a
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# at p = 2.5, k = 1 the padded coarse band misses the tight threshold on the
+# high side, so the tight stage doubles its upper amplitude and bisects anew
+@pytest.mark.parametrize("p,k", [(4.0, 0), (4.0, 1), (4.0, 2), (2.5, 1)])
+@pytest.mark.parametrize("rtol", [1e-12, 1e-9])
+def test_energy_stop_keeps_the_class_at_the_threshold(p, k, rtol):
+    # the energy stop ends a classifying shot early; at the threshold
+    # amplitude, within a few ulps of it and at small relative offsets it
+    # counts like the full-length shot (up to the (k+1)-th crossing)
+    threshold = _profile(p, k).amplitude
+    amplitudes = _ulps_around(threshold, 6)
+    for rel in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+        amplitudes += [threshold * (1.0 - rel), threshold * (1.0 + rel)]
+    for a in amplitudes:
+        full = _integrate(a, p, rtol)[0]
+        assert _crossings(a, p, rtol, k) == min(full, k + 1), a.hex()
+    if rtol == 1e-12:   # the rtol of the tight bisection that returned it
+        assert _crossings(threshold, p, rtol, k) <= k
+        assert _crossings(math.nextafter(threshold, math.inf), p, rtol, k) > k
+
+
+@pytest.mark.parametrize("p,k,amplitude", [
+    (4.0, 0, "0x1.1a64ca390a976p+1"),
+    (4.0, 1, "0x1.aa7e9fd14e0bep+1"),
+    (2.5, 1, "0x1.e23f985142c2ep+1"),
+    (6.0, 2, "0x1.f05f92cfef4dfp+1"),
+])
+def test_threshold_amplitudes_are_pinned(p, k, amplitude):
+    assert _profile(p, k).amplitude.hex() == amplitude
+
+
+def test_profile_energies_are_pinned():
+    assert shoot_ground(4.0).energy.hex() == "0x1.766dbe5180990p+2"
+    assert shoot_nodal(4.0, 1).energy.hex() == "0x1.34b106ce0fa32p+5"
+    assert shoot_ground(4.0, dr1d=0.005).energy.hex() == "0x1.766dbe8b2f6e8p+2"
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_below_threshold_shot_stops_on_negative_energy(k):
+    # below the threshold a shot settles about u = +-1 and never diverges;
+    # only the energy test ends it before the horizon
+    p, rtol = 4.0, 1e-9
+    a = _profile(p, k).amplitude * (1.0 - 1e-3)
+    crossings, samples = _integrate(a, p, rtol, record=True, stop_at=k + 1)
+    assert crossings == k
+    r, u, v = samples[-1]
+    assert r < 0.5 * _RMAX_SHOOT
+    assert 0.5 * (v * v - u * u) + abs(u) ** p / p < 0.0
+    assert _integrate(a, p, rtol, record=True)[1][-1][0] == _RMAX_SHOOT
