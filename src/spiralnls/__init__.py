@@ -22,15 +22,12 @@ from .grid import (
     ModelParams,
     PolarGrid,
     SectorKind,
-    apply_angular_derivative,
-    apply_operator,
     build_grid,
     field_from_polar,
 )
 from .minimize import (
     SolveConfig,
     SolveReport,
-    newton_refine,
     solve_ground,
     solve_nodal,
 )
@@ -63,8 +60,6 @@ __all__ = [
     "SpiralField3D",
     "SweepRecord",
     "SymmetryReport",
-    "apply_angular_derivative",
-    "apply_operator",
     "asymptotics_infinity",
     "asymptotics_zero",
     "build_grid",
@@ -77,7 +72,6 @@ __all__ = [
     "manifold_residual",
     "moser_exponent",
     "nehari_scale",
-    "newton_refine",
     "project_nodal",
     "radial_average",
     "reconstruct3d",

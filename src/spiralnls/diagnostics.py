@@ -19,6 +19,7 @@ from .errors import SectorError
 from .grid import Field, ModelParams
 
 RADIAL_TOL = 1e-6  # nonradiality below this classifies a field as radial
+_MONOTONE_SLACK = 1e-8   # angular monotonicity slack, relative to |u|_inf
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def radiality_threshold(linf: float, p: float) -> float:
     return (1.0 / ((p - 1.0) * linf ** (p - 2.0))) ** 0.5
 
 
-def angular_monotone(u: Field, slack_rel: float = 1e-8) -> bool:
+def angular_monotone(u: Field) -> bool:
     """On sectors: is each radius profile nonincreasing in |theta|?
 
     Checks both half-axes separately with slack proportional to |u|_inf so
@@ -97,7 +98,7 @@ def angular_monotone(u: Field, slack_rel: float = 1e-8) -> bool:
     """
     if u.grid.sector.is_full:
         raise SectorError("angular monotonicity is a sector property")
-    slack = slack_rel * max(u.linf(), 1e-300)
+    slack = _MONOTONE_SLACK * max(u.linf(), 1e-300)
     angles = u.grid.angles
     pos = angles >= 0
     right = u.values[:, pos][:, np.argsort(angles[pos])]       # ascending theta >= 0
@@ -139,9 +140,3 @@ def moser_exponent(p: float, r_param: float, q_exponent: float) -> float:
     rho = q_exponent / (2.0 * r_param)
     return (p - 2.0) * rho / (2.0 * (rho - 1.0)) + 1.0
 
-
-def orthogonality_defect(u: Field, params: ModelParams) -> float:
-    """<u - u#, u#> in L^2; zero for the discrete projection."""
-    avg = radial_average(u)
-    diff = Field(u.grid, u.values - avg.values)
-    return u.grid.quad(diff.values * avg.values)

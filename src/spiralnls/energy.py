@@ -117,10 +117,10 @@ def gradient_parts(u: Field, params: ModelParams):
     return Field(u.grid, u.values - sol), S
 
 
-def h1_fd_norm_sq(u: Field, include_boundary: bool = False) -> float:
+def h1_fd_norm_sq(u: Field) -> float:
     """Independent H^1 check: first-difference stencils in both directions.
 
-    Interior faces only by default; serves as the O(dr^2) cross-check of the
+    Interior radial faces only; serves as the O(dr^2) cross-check of the
     operator-based forms, and as the metric for recentred profile distances
     where the comparison field need not satisfy the sector's boundary
     conditions.
@@ -130,8 +130,6 @@ def h1_fd_norm_sq(u: Field, include_boundary: bool = False) -> float:
     dr, dth = g.dr, g.dtheta
     faces = g.face_radii
     rad = np.sum(faces[1:-1, None] * (vals[1:] - vals[:-1]) ** 2) / dr
-    if include_boundary:
-        rad += 2 * faces[-1] / dr * np.sum(vals[-1] ** 2)
     if g.sector.is_full:
         dth_vals = np.diff(np.concatenate([vals, vals[:, :1]], axis=1), axis=1)
     else:

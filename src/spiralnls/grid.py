@@ -148,11 +148,14 @@ class PolarGrid:
     def mode_quad_coeffs(self) -> np.ndarray:
         """Coefficients c_m with sum_k u_k v_k dtheta = sum_m c_m Re(U_m conj(V_m))."""
         if self.sector.is_full:
-            c = np.full(self.ntheta // 2 + 1, 2.0)
-            c[0] = 1.0
-            c[-1] = 1.0
-            return c * self.dtheta / self.ntheta
+            return self._disk_pairs() * self.dtheta / self.ntheta
         return np.full(self.ntheta, self.dtheta / (2 * (self.ntheta + 1)))
+
+    def _disk_pairs(self) -> np.ndarray:
+        """Nodal values each rfft mode stands for on the disk: c = (1, 2, ..., 2, 1)."""
+        c = np.full(self.ntheta // 2 + 1, 2.0)
+        c[[0, -1]] = 1.0
+        return c
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Angular transform: rfft on the full disk, DST-I on sectors."""
@@ -174,9 +177,7 @@ class PolarGrid:
         """
         omega, modes = self._omega(), self.to_modes(values)
         if self.sector.is_full:
-            c = np.full(omega.size, 2.0)
-            c[[0, -1]] = 1.0
-            return omega, modes * (c / self.ntheta)
+            return omega, modes * (self._disk_pairs() / self.ntheta)
         return omega, -1j * (modes / (self.ntheta + 1))
 
     def quad(self, samples: np.ndarray) -> float:
@@ -212,11 +213,9 @@ class Field:
                 f"({self.grid.nr}, {self.grid.ntheta})"
             )
 
-    def is_radial(self, tol: float = 0.0) -> bool:
-        """True when the angular variance vanishes at every radius."""
-        spread = np.ptp(self.values, axis=1)
-        scale = np.max(np.abs(self.values), initial=0.0)
-        return bool(np.all(spread <= tol * max(scale, 1.0)))
+    def is_radial(self) -> bool:
+        """True when every radius holds one value at all its angular nodes."""
+        return bool(np.all(np.ptp(self.values, axis=1) == 0))
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -340,8 +339,7 @@ class PolarOperator:
         self.params = params
         st = stencil
         node = st.cent_w + st.ang_w / params.lam**2 + params.q * st.wr[:, None]   # (nr, nm)
-        node[-1] += st.bnd_w
-        self.k_nodes = node                                     # K's node weights
+        node[-1] += st.bnd_w                                    # K's node weights
         faces = st.face_w[:, 0]
         diag = node.T.copy()                                    # (nm, nr), mode-major
         diag[:, 1:] += faces
@@ -357,15 +355,6 @@ class PolarOperator:
         pair = 2 if st.complex_modes else 1
         self.w_nodes = np.repeat(node * st.cm, pair, axis=1)
         self.w_faces = np.repeat(st.face_w * st.cm, pair, axis=1)
-
-    def apply(self, modes: np.ndarray) -> np.ndarray:
-        """L times a mode array (nr, nmodes): K times it, over r dr."""
-        st = self.stencil
-        flux = st.face_w * (modes[1:] - modes[:-1])
-        out = self.k_nodes * modes
-        out[:-1] -= flux
-        out[1:] += flux
-        return out / st.wr[:, None]
 
     def solve(self, modes: np.ndarray) -> np.ndarray:
         """L^{-1} of a mode array (nr, nmodes): K^{-1} of the r dr-scaled modes.
@@ -407,15 +396,6 @@ class PolarOperator:
         return float(pp), float(pm), float(mm)
 
 
-def apply_operator(u: Field, params: ModelParams) -> Field:
-    """Apply the linear part L = -Laplacian - (1/lam^2) d_theta^2 + q per mode."""
-    grid = u.grid
-    result = grid.from_modes(grid.operator(params).apply(grid.to_modes(u.values)))
-    if not np.all(np.isfinite(result)):
-        raise FloatingPointError("operator application produced non-finite values")
-    return Field(grid, result)
-
-
 def solve_operator(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray) -> np.ndarray:
     """Solve L u = rhs (physical-space samples) via per-mode tridiagonal solves."""
     return solve_operator_modes(grid, params, rhs_values)[0]
@@ -428,16 +408,3 @@ def solve_operator_modes(grid: PolarGrid, params: ModelParams, rhs_values: np.nd
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("per-mode tridiagonal solve produced non-finite values")
     return out, modes
-
-
-def apply_angular_derivative(u: Field) -> Field:
-    """Spectral d/dtheta: the angular series differentiated term by term at the nodes.
-
-    The disk's Nyquist term vanishes at the nodes (the standard
-    real-derivative convention); quadratic forms elsewhere use the m^2
-    multiplier directly and keep it.  Dense in the angular node count.
-    """
-    grid = u.grid
-    omega, A = grid.angular_series(u.values)
-    phase = np.exp(1j * np.outer(omega, grid.angles + grid.sector.half_angle))
-    return Field(grid, ((1j * omega * A) @ phase).real)

@@ -21,6 +21,7 @@ otherwise stalls the Newton polish on the full disk.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field as dc_field, replace
@@ -34,7 +35,6 @@ from .energy import (
     EnergyBreakdown,
     abs_power,
     energy,
-    gradient,
     gradient_parts,
     h1_norm_sq,
     lambda_norm,
@@ -55,6 +55,8 @@ log = logging.getLogger(__name__)
 
 STEP_MIN = 1e-4
 STEP_MAX = 1.0
+_NEWTON_SOLVES = 40    # linear solves per Newton polish
+_NODAL_RESTARTS = 3    # mixed-seed restarts of a nodal solve that lost one sign
 
 SEED_RADIAL = "radial"
 SEED_DIPOLE = "dipole"
@@ -104,9 +106,9 @@ def _reflect_index(grid: PolarGrid) -> np.ndarray:
     return n - 1 - np.arange(n)
 
 
-def _evenized(grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
-    """Bit-exact reflection symmetrization (trig sampling alone is not)."""
-    return 0.5 * (vals + vals[:, _reflect_index(grid)])
+def _evenized(vals: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+    """Bit-exact reflection symmetrization by _reflect_index (trig sampling alone is not)."""
+    return 0.5 * (vals + vals[:, reflect])
 
 
 def make_seed(grid: PolarGrid, params: ModelParams, kind: str,
@@ -141,10 +143,12 @@ def make_seed(grid: PolarGrid, params: ModelParams, kind: str,
             center = min(center, 0.75 * grid.R)
             theta0 = grid.sector.half_angle
             lowest = np.sin(np.pi * (th + theta0) / (2 * theta0))
-            vals = _evenized(grid, amp * np.exp(-0.5 * ((r - center) / width) ** 2) * lowest)
+            vals = _evenized(amp * np.exp(-0.5 * ((r - center) / width) ** 2) * lowest,
+                             _reflect_index(grid))
         return Field(grid, vals)
     if kind == SEED_DIPOLE:
-        vals = _evenized(grid, 2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th))
+        vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th),
+                         _reflect_index(grid))
         return Field(grid, vals)
     if kind == SEED_RADIAL_NODAL:
         profile = shoot_nodal(params.p, 1)
@@ -168,9 +172,7 @@ def _constraint_for(seed: Field):
             return values.mean(axis=1, keepdims=True) * np.ones((1, ntheta))
         return radial_mean
     if np.array_equal(seed.values, seed.values[:, reflect]):
-        def evenize(values):
-            return 0.5 * (values + values[:, reflect])
-        return evenize
+        return functools.partial(_evenized, reflect=reflect)
     return None
 
 
@@ -226,13 +228,7 @@ def _descend(cur: Projected, params: ModelParams, cfg: SolveConfig, project, tol
     return cur, gn, iterations, gn <= tol
 
 
-def _unprojected(u: Field, params: ModelParams) -> Projected:
-    """u itself as a carried state, for polishing without a projection."""
-    return Projected(u, u.grid.to_modes(u.values), energy(u, params).total)
-
-
-def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 40,
-                   constrain=None, project=None):
+def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain):
     """Newton polish of E'(u) = 0 along the manifold's energy valley.
 
     Solves ((1 + mu) I - L^{-1} D) delta = -g, D = (p-1)|u|^{p-2}, matrix-free
@@ -242,21 +238,19 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 
     along a productive step while the constrained energy keeps falling.  Once
     energy differences sink below round-off the residual itself decides, which
     is where quadratic convergence takes over.  mu grows only when a step
-    fails both tests.  project maps a field to its Projected state.  A failed
+    fails both tests.  project maps a field to its Projected state, and
+    constrain is the symmetry projector of _constraint_for or None.  A failed
     linear solve (GMRES breakdown or a non-finite step) ends the polish.
     Returns (state, residual_norm, succeeded, solves).
     """
     grid = u.grid
     n = grid.nr * grid.ntheta
-    if project is None:
-        def project(v):
-            return _unprojected(v, params)
     cur = project(u)
     g, gn = _gradient_of(cur, params)
     mu = 0.0
     fails_here = 0
     solves = 0
-    while solves < max_solves:
+    while solves < _NEWTON_SOLVES:
         if gn <= tol:
             return cur, gn, True, solves
         weight = (params.p - 1.0) * abs_power(cur.field.values, params.p - 2.0)
@@ -319,25 +313,6 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, max_solves: int = 
     return cur, gn, gn <= tol, solves
 
 
-def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
-    """Polish a near-critical field to residual < tol; returns input on stall.
-
-    Requires the pitch-metric gradient already small (descent output); an
-    indefinite-Hessian stall at sign-changing saddles is logged, not raised,
-    since criticality rather than minimality is the target there.
-    """
-    norm = lambda_norm(u, params)
-    if norm == 0.0:
-        raise ZeroFieldError("newton_refine needs a nontrivial field")
-    gn = lambda_norm(gradient(u, params), params)
-    if gn > 1e-3 * (1.0 + norm):
-        raise ValueError(f"not near a critical point: |grad| = {gn:.3e}")
-    refined, _, ok, _ = _newton_polish(u, params, tol)
-    if not ok:
-        log.warning("newton_refine returned the best iterate without reaching %.1e", tol)
-    return refined.field
-
-
 def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
     eng = energy(u, params)
     return SolveReport(
@@ -371,8 +346,8 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project) -> SolveRe
     cur, gn, iters, converged = _descend(cur, params, pre_cfg, project, switch_tol,
                                          trace, constrain)
     if cfg.newton_refine and gn > cfg.grad_tol:
-        cur, gn, ok, nsteps = _newton_polish(cur.field, params, cfg.grad_tol,
-                                             constrain=constrain, project=project)
+        cur, gn, ok, nsteps = _newton_polish(cur.field, params, cfg.grad_tol, project,
+                                             constrain)
         iters += nsteps
         converged = gn <= cfg.grad_tol
         if not ok and iters < cfg.max_iters:
@@ -399,8 +374,8 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
     return _run(seed, params, cfg, project)
 
 
-def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None,
-                max_restarts: int = 3) -> SolveReport:
+def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
+                ) -> SolveReport:
     """Least-energy sign-changing solution on the full disk (beta level)."""
     cfg = cfg or SolveConfig(seed_kind=SEED_DIPOLE)
     if not grid.sector.is_full:
@@ -418,7 +393,7 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
             return _run(seed, params, cfg, project)
         except OnePhaseMissing:
             rng_shift += 1
-            if rng_shift > max_restarts:
+            if rng_shift > _NODAL_RESTARTS:
                 raise
             log.warning("iterate lost one sign; restarting with a mixed seed (%d)",
                         rng_shift)

@@ -25,6 +25,9 @@ from .energy import lp_integral
 from .errors import OnePhaseMissing, ZeroFieldError
 from .grid import Field, ModelParams
 
+_NODAL_TOL = 1e-14     # relative change of the part scalings that ends the fixed point
+_NODAL_ITERS = 60
+
 
 @dataclass(frozen=True)
 class NehariResidual:
@@ -104,7 +107,7 @@ def manifold_residual(u: Field, params: ModelParams) -> NehariResidual:
     return NehariResidual(float(single), out[0], out[1])
 
 
-def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: int = 60) -> Field:
+def project_nodal(u: Field, params: ModelParams) -> Field:
     """Scale u^+ and u^- separately so both parts land on the Nehari set.
 
     The part scalings decouple up to the discrete interface cross term; the
@@ -112,11 +115,10 @@ def project_nodal(u: Field, params: ModelParams, tol: float = 1e-14, max_iter: i
     indicator-convention residuals to round-off.  Raises OnePhaseMissing when
     either part vanishes.
     """
-    return project_nodal_state(u, params, tol, max_iter).field
+    return project_nodal_state(u, params).field
 
 
-def project_nodal_state(u: Field, params: ModelParams, tol: float = 1e-14,
-                        max_iter: int = 60) -> Projected:
+def project_nodal_state(u: Field, params: ModelParams) -> Projected:
     """project_nodal, with the modes a P + b M and the energy of a u^+ + b u^-.
 
     The energy is (a^2 A++ + 2 a b A+- + b^2 A--)/2 - (a^p |u^+|_p^p + b^p |u^-|_p^p)/p,
@@ -134,7 +136,7 @@ def project_nodal_state(u: Field, params: ModelParams, tol: float = 1e-14,
     # independent scalings with the indicator-convention part norms
     a = ((a_pp + cross) / pp) ** ex
     b = ((a_mm + cross) / pm) ** ex
-    for _ in range(max_iter):
+    for _ in range(_NODAL_ITERS):
         qa = a_pp + (b / a) * cross
         qb = a_mm + (a / b) * cross
         if qa <= 0.0 or qb <= 0.0:
@@ -143,7 +145,7 @@ def project_nodal_state(u: Field, params: ModelParams, tol: float = 1e-14,
         b_new = (qb / pm) ** ex
         shift = abs(a_new - a) + abs(b_new - b)
         a, b = a_new, b_new
-        if shift <= tol * (a + b):
+        if shift <= _NODAL_TOL * (a + b):
             break
     total = (0.5 * (a * a * a_pp + 2.0 * a * b * cross + b * b * a_mm)
              - (a ** params.p * pp + b ** params.p * pm) / params.p)

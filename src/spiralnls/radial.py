@@ -32,6 +32,8 @@ from .errors import BisectionBracketFailure
 
 _EPS0 = 1e-6         # launch radius for the series start
 _RMAX_SHOOT = 60.0   # shot horizon; classifying shots stop once their class is final
+_RTOL = 1e-12        # relative tolerance of the tight bisection and the profile shot
+_R1D = 40.0          # outer radius of the sampled profile
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class RadialProfile:
 
 
 def _integrate(a: float, p: float, rtol: float, record: bool = False,
-               rmax: float = _RMAX_SHOOT, stop_at: float = math.inf):
+               stop_at: float = math.inf):
     """Shoot from u(0) = a.  Returns (crossings, samples or None).
 
     With stop_at finite the shot only classifies: it ends once the crossing
@@ -72,7 +74,7 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
     potential W(u) = -u^2/2 + |u|^p/p, so from then on the count is final
     (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30, 1981).  Below
     the threshold amplitude a shot never diverges; it settles into a damped
-    oscillation about u = +-1 and without this test would run on to rmax.
+    oscillation about u = +-1 and without this test would run on to _RMAX_SHOOT.
     samples is a list of accepted (r, u, u') triples when record is set.
     """
     pm1 = p - 1.0
@@ -88,9 +90,9 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
 
     k1u = v
     k1v = -v / r + u - math.copysign(abs(u) ** pm1, u)
-    while r < rmax:
-        if h > rmax - r:
-            h = rmax - r
+    while r < _RMAX_SHOOT:
+        if h > _RMAX_SHOOT - r:
+            h = _RMAX_SHOOT - r
         r2 = r + 0.2 * h
         uu = u + h * 0.2 * k1u
         vv = v + h * 0.2 * k1v
@@ -200,22 +202,30 @@ def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
 
 
 @lru_cache(maxsize=32)
-def _shoot_amplitude(p: float, k: int, rtol: float) -> float:
-    """Two-stage amplitude bisection: coarse sweep, then refinement at rtol."""
+def _shoot_amplitude(p: float, k: int) -> float:
+    """Two-stage amplitude bisection: coarse sweep, then refinement at _RTOL."""
     _check_lower(p, k, 0.25, 1e-9)
     lo, hi = _bisect_band(p, k, 0.25, 1.0, rtol=1e-9, max_iter=34)
     pad = max(4.0 * (hi - lo), 1e-8 * hi)
     lo2, hi2 = max(lo - pad, 0.5 * lo), hi + pad
-    if _crossings(lo2, p, rtol, k) > k:      # coarse band missed; restart tight
+    if _crossings(lo2, p, _RTOL, k) > k:      # coarse band missed; restart tight
         lo2, hi2 = 0.25, 1.0
-        _check_lower(p, k, lo2, rtol)
-    lo, hi = _bisect_band(p, k, lo2, hi2, rtol=rtol, max_iter=200)
+        _check_lower(p, k, lo2, _RTOL)
+    lo, hi = _bisect_band(p, k, lo2, hi2, rtol=_RTOL, max_iter=200)
     return lo
 
 
-def _assemble_profile(a: float, p: float, k: int, r1d: float, dr1d: float,
-                      rtol: float) -> RadialProfile:
-    crossings, samples = _integrate(a, p, rtol, record=True)
+def _integrals(radii, vals, slopes, p):
+    """(mass, grad_sq, lp): Simpson integrals of u^2, u'^2 and |u|^p against 2 pi r dr."""
+    w = radii
+    mass = 2 * np.pi * simpson(vals**2 * w, x=radii)
+    grad2 = 2 * np.pi * simpson(slopes**2 * w, x=radii)
+    lp = 2 * np.pi * simpson(np.abs(vals) ** p * w, x=radii)
+    return mass, grad2, lp
+
+
+def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
+    crossings, samples = _integrate(a, p, _RTOL, record=True)
     rs = np.array([s[0] for s in samples])
     us = np.array([s[1] for s in samples])
     vs = np.array([s[2] for s in samples])
@@ -235,7 +245,7 @@ def _assemble_profile(a: float, p: float, k: int, r1d: float, dr1d: float,
         idx = np.nonzero(small)[0][0]
     r_g, u_g = float(rs[idx]), float(us[idx])
 
-    radii = np.arange(0.0, r1d + 0.5 * dr1d, dr1d)
+    radii = np.arange(0.0, _R1D + 0.5 * dr1d, dr1d)
     hermite = CubicSpline(rs, us)  # dense accepted steps; plain cubic suffices
     hermite_v = CubicSpline(rs, vs)
     vals = np.empty_like(radii)
@@ -255,10 +265,7 @@ def _assemble_profile(a: float, p: float, k: int, r1d: float, dr1d: float,
     vals[outer] = c * k0e(radii[outer]) * damp
     slopes[outer] = -c * k1e(radii[outer]) * damp
 
-    w = radii
-    mass = 2 * np.pi * simpson(vals**2 * w, x=radii)
-    grad2 = 2 * np.pi * simpson(slopes**2 * w, x=radii)
-    lp = 2 * np.pi * simpson(np.abs(vals) ** p * w, x=radii)
+    mass, grad2, lp = _integrals(radii, vals, slopes, p)
     e_star = 0.5 * (grad2 + mass) - lp / p
 
     for arr in (radii, vals, slopes):
@@ -271,37 +278,31 @@ def _assemble_profile(a: float, p: float, k: int, r1d: float, dr1d: float,
 
 
 @lru_cache(maxsize=32)
-def _shoot_cached(p: float, k: int, tol: float, r1d: float, dr1d: float) -> RadialProfile:
-    rtol = min(tol, 1e-12)
-    a = _shoot_amplitude(p, k, rtol)    # cached apart: shared by every (r1d, dr1d)
-    return _assemble_profile(a, p, k, r1d, dr1d, rtol)
+def _shoot_cached(p: float, k: int, dr1d: float) -> RadialProfile:
+    a = _shoot_amplitude(p, k)    # cached apart: shared by every dr1d
+    return _assemble_profile(a, p, k, dr1d)
 
 
-def shoot_ground(p: float, tol: float = 1e-12, r1d: float = 40.0,
-                 dr1d: float = 0.01) -> RadialProfile:
+def shoot_ground(p: float, dr1d: float = 0.01) -> RadialProfile:
     """Positive decaying solution (unique up to the amplitude found here)."""
     if not p > 2:
         raise ValueError(f"p must exceed 2, got {p}")
-    return _shoot_cached(float(p), 0, float(tol), float(r1d), float(dr1d))
+    return _shoot_cached(float(p), 0, float(dr1d))
 
 
-def shoot_nodal(p: float, k: int = 1, tol: float = 1e-12, r1d: float = 40.0,
-                dr1d: float = 0.01) -> RadialProfile:
+def shoot_nodal(p: float, k: int = 1, dr1d: float = 0.01) -> RadialProfile:
     """Decaying solution with exactly k interior sign changes."""
     if not p > 2:
         raise ValueError(f"p must exceed 2, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _shoot_cached(float(p), int(k), float(tol), float(r1d), float(dr1d))
+    return _shoot_cached(float(p), int(k), float(dr1d))
 
 
 def profile_identities(profile: RadialProfile) -> dict:
     """Relative defects of the Pohozaev and Nehari identities (dimension 2)."""
-    radii, vals, slopes, p = profile.radii, profile.values, profile.slopes, profile.p
-    w = radii
-    mass = 2 * np.pi * simpson(vals**2 * w, x=radii)
-    grad2 = 2 * np.pi * simpson(slopes**2 * w, x=radii)
-    lp = 2 * np.pi * simpson(np.abs(vals) ** p * w, x=radii)
+    p = profile.p
+    mass, grad2, lp = _integrals(profile.radii, profile.values, profile.slopes, p)
     return {
         "pohozaev": float((mass - (2.0 / p) * lp) / mass),
         "nehari": float((grad2 + mass - lp) / (grad2 + mass)),
@@ -311,16 +312,10 @@ def profile_identities(profile: RadialProfile) -> dict:
     }
 
 
-def count_interior_zeros(profile: RadialProfile, floor: float = 1e-8) -> int:
-    """Sign changes of the profile, ignoring sub-noise tail wiggle."""
-    v = profile.values[np.abs(profile.values) > floor * abs(profile.amplitude)]
-    return int(np.count_nonzero(np.diff(np.signbit(v))))
-
-
-def limit_levels(p: float, tol: float = 1e-12):
+def limit_levels(p: float):
     """(c_inf, radial nodal energy, eps_star): the energy-doubling gap data."""
-    ground = shoot_ground(p, tol)
-    nodal = shoot_nodal(p, 1, tol)
+    ground = shoot_ground(p)
+    nodal = shoot_nodal(p, 1)
     c_inf = ground.energy
     eps_star = nodal.energy - 2.0 * c_inf
     return c_inf, nodal.energy, eps_star

@@ -40,10 +40,11 @@ class SpiralField3D:
 
 
 class SpiralEvaluator:
-    """Pointwise evaluator of the screw-invariant field built from a solution.
+    """Angular series of the screw-invariant field built from a solution.
 
     Splines the angular series of a full- or half-disk field over r; the
-    field at (x1, x2, t) turns mode omega by the phase e^{-i omega t / lambda}.
+    field at (x1, x2, t) is the sum over modes of base(x1, x2) times
+    twist(t), which turns mode omega by the phase e^{-i omega t / lambda}.
     Cone series have non-integer frequencies and no 2 pi - periodic extension.
     """
 
@@ -74,11 +75,6 @@ class SpiralEvaluator:
         """Screw phases e^{-i omega t / lambda}, (times, modes)."""
         return np.exp(-1j * np.outer(np.ravel(t) / self.lam, self.omega))
 
-    def __call__(self, x1, x2, t):
-        """Sample v at broadcastable coordinate arrays."""
-        x1, x2, t = np.broadcast_arrays(x1, x2, t)
-        return (self.base(x1, x2) * self.twist(t)).sum(axis=1).real.reshape(x1.shape)
-
 
 def reconstruct3d(u: Field, params: ModelParams, nt: int,
                   nxy: int = 64, extent: float | None = None) -> SpiralField3D:
@@ -105,27 +101,6 @@ def reconstruct3d(u: Field, params: ModelParams, nt: int,
         spacing=(float(dx), float(dx), float(dt)),
         values=values, lam=params.lam,
     )
-
-
-def helicoid_deviation(u: Field, params: ModelParams, n_samples: int = 100,
-                       x_extent: float | None = None) -> float:
-    """Largest |v| over points of the helicoid swept by the sector's zero rays.
-
-    The screw motion carries the t = 0 zero set {x1 = 0} to
-    {(-x sin s, x cos s, lam s)}; for a half-disk solution this
-    surface lies in the nodal set, so the sampled values gauge reconstruction
-    fidelity.
-    """
-    ev = SpiralEvaluator(u, params)
-    if x_extent is None:
-        x_extent = 0.6 * u.grid.R
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-x_extent, x_extent, n_samples)
-    ss = rng.uniform(0.0, 2 * math.pi, n_samples)
-    x1 = -xs * np.sin(ss)
-    x2 = xs * np.cos(ss)
-    t = params.lam * ss
-    return float(np.max(np.abs(ev(x1, x2, t))))
 
 
 def export_vtk(field3d: SpiralField3D, path) -> None:

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 
 WINNER_RADIAL = "RadialNodal"
 WINNER_DIPOLE = "Dipole"
+_WIDE = 1.5    # radius (and radial node) factor of limit_radius_study's second grid
 
 
 @dataclass(frozen=True)
@@ -270,12 +271,12 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
 
 
 def limit_radius_study(params: ModelParams, grid: PolarGrid,
-                       cfg: SolveConfig | None = None, factor: float = 1.5):
+                       cfg: SolveConfig | None = None):
     """Truncation-radius sensitivity of the q=0 limit level (no decay rate is
-    known a priori there): level at R and at factor*R, same resolution."""
+    known a priori there): level at R and at 1.5 R, same resolution."""
     cfg = cfg or SolveConfig(newton_refine=True)
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
     e1 = solve_ground(grid, limit_params, cfg).energy.total
-    wide = build_grid(factor * grid.R, int(factor * grid.nr), grid.ntheta, grid.sector)
+    wide = build_grid(_WIDE * grid.R, int(_WIDE * grid.nr), grid.ntheta, grid.sector)
     e2 = solve_ground(wide, limit_params, cfg).energy.total
     return e1, e2, abs(e2 - e1) / abs(e1)

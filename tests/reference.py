@@ -1,13 +1,117 @@
 """Reference math the tests check the package against; not part of the package."""
 
+import logging
+import math
+
 import numpy as np
 
-from spiralnls.energy import lambda_inner, nonlinearity
+from spiralnls import minimize
+from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm, nonlinearity
 from spiralnls.errors import ZeroFieldError
-from spiralnls.grid import Field, ModelParams, check_same_grid
+from spiralnls.grid import Field, ModelParams, PolarOperator, check_same_grid
 from spiralnls.io import SOLUTION_MAGIC
-from spiralnls.nehari import split_parts
-from spiralnls.spiral3d import SpiralField3D
+from spiralnls.nehari import Projected, split_parts
+from spiralnls.radial import RadialProfile
+from spiralnls.spiral3d import SpiralEvaluator, SpiralField3D
+
+log = logging.getLogger(__name__)
+
+
+def operator_apply(op: PolarOperator, modes: np.ndarray) -> np.ndarray:
+    """L times a mode array (nr, nmodes): K times it, over r dr.
+
+    K's node weights are rebuilt from the Stencil constants, so the check
+    shares no array with the factored operator.
+    """
+    st, params = op.stencil, op.params
+    node = st.cent_w + st.ang_w / params.lam**2 + params.q * st.wr[:, None]
+    node[-1] += st.bnd_w
+    flux = st.face_w * (modes[1:] - modes[:-1])
+    out = node * modes
+    out[:-1] -= flux
+    out[1:] += flux
+    return out / st.wr[:, None]
+
+
+def apply_operator(u: Field, params: ModelParams) -> Field:
+    """Apply the linear part L = -Laplacian - (1/lam^2) d_theta^2 + q per mode."""
+    grid = u.grid
+    result = grid.from_modes(operator_apply(grid.operator(params), grid.to_modes(u.values)))
+    if not np.all(np.isfinite(result)):
+        raise FloatingPointError("operator application produced non-finite values")
+    return Field(grid, result)
+
+
+def apply_angular_derivative(u: Field) -> Field:
+    """Spectral d/dtheta: the angular series differentiated term by term at the nodes.
+
+    The disk's Nyquist term vanishes at the nodes (the standard
+    real-derivative convention); quadratic forms elsewhere use the m^2
+    multiplier directly and keep it.  Dense in the angular node count.
+    """
+    grid = u.grid
+    omega, A = grid.angular_series(u.values)
+    phase = np.exp(1j * np.outer(omega, grid.angles + grid.sector.half_angle))
+    return Field(grid, ((1j * omega * A) @ phase).real)
+
+
+def unprojected(params: ModelParams):
+    """The projector that carries u itself as a state, for polishing without a projection."""
+    def project(u: Field) -> Projected:
+        return Projected(u, u.grid.to_modes(u.values), energy(u, params).total)
+    return project
+
+
+def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
+    """Polish a near-critical field to residual < tol; returns input on stall.
+
+    Requires the pitch-metric gradient already small (descent output); an
+    indefinite-Hessian stall at sign-changing saddles is logged, not raised,
+    since criticality rather than minimality is the target there.
+    """
+    norm = lambda_norm(u, params)
+    if norm == 0.0:
+        raise ZeroFieldError("newton_refine needs a nontrivial field")
+    gn = lambda_norm(gradient(u, params), params)
+    if gn > 1e-3 * (1.0 + norm):
+        raise ValueError(f"not near a critical point: |grad| = {gn:.3e}")
+    refined, _, ok, _ = minimize._newton_polish(u, params, tol, unprojected(params), None)
+    if not ok:
+        log.warning("newton_refine returned the best iterate without reaching %.1e", tol)
+    return refined.field
+
+
+def spiral_value(ev: SpiralEvaluator, x1, x2, t):
+    """Sample the evaluator's field v at broadcastable coordinate arrays."""
+    x1, x2, t = np.broadcast_arrays(x1, x2, t)
+    return (ev.base(x1, x2) * ev.twist(t)).sum(axis=1).real.reshape(x1.shape)
+
+
+def helicoid_deviation(u: Field, params: ModelParams, n_samples: int = 100,
+                       x_extent: float | None = None) -> float:
+    """Largest |v| over points of the helicoid swept by the sector's zero rays.
+
+    The screw motion carries the t = 0 zero set {x1 = 0} to
+    {(-x sin s, x cos s, lam s)}; for a half-disk solution this
+    surface lies in the nodal set, so the sampled values gauge reconstruction
+    fidelity.
+    """
+    ev = SpiralEvaluator(u, params)
+    if x_extent is None:
+        x_extent = 0.6 * u.grid.R
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-x_extent, x_extent, n_samples)
+    ss = rng.uniform(0.0, 2 * math.pi, n_samples)
+    x1 = -xs * np.sin(ss)
+    x2 = xs * np.cos(ss)
+    t = params.lam * ss
+    return float(np.max(np.abs(spiral_value(ev, x1, x2, t))))
+
+
+def count_interior_zeros(profile: RadialProfile, floor: float = 1e-8) -> int:
+    """Sign changes of the profile, ignoring sub-noise tail wiggle."""
+    v = profile.values[np.abs(profile.values) > floor * abs(profile.amplitude)]
+    return int(np.count_nonzero(np.diff(np.signbit(v))))
 
 
 def directional_derivative(u: Field, v: Field, params: ModelParams) -> float:

@@ -266,6 +266,22 @@ def test_malformed_solution_is_usage_error(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_solution_is_usage_error(tmp_path, capsys, bad):
+    # load_solution rejects the file before check evaluates any invariant
+    grid = build_grid(4.0, 6, 4, SectorKind.full_disk())
+    vals = np.ones((6, 4))
+    vals[2, 1] = bad
+    path = tmp_path / "sol.csv"
+    save_solution(path, Field(grid, vals), ModelParams(p=4.0, q=1, lam=1.0))
+    assert run_cli(["check", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "non-finite values" in captured.err
+    assert captured.out == ""
+
+
 def test_identical_runs_write_identical_manifests(tmp_path, capsys):
     out = str(tmp_path / "out")
     manifest = tmp_path / "out" / "radial_p4_k0_manifest.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import apply_angular_derivative, apply_operator
 
 from spiralnls.energy import lambda_inner
 from spiralnls.errors import GridMismatchError
@@ -7,8 +8,6 @@ from spiralnls.grid import (
     Field,
     ModelParams,
     SectorKind,
-    apply_angular_derivative,
-    apply_operator,
     build_grid,
     field_from_polar,
     solve_operator,

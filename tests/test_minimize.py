@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from reference import newton_refine, unprojected
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
@@ -13,7 +14,6 @@ from spiralnls.minimize import (
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
-    newton_refine,
     solve_ground,
     solve_nodal,
 )
@@ -206,7 +206,7 @@ def test_newton_polish_stops_on_gmres_breakdown(monkeypatch):
     u = _near_critical(params)
     monkeypatch.setattr(minimize, "gmres",
                         lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    state, gn, ok, solves = minimize._newton_polish(u, params, tol=1e-12)
+    state, gn, ok, solves = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
     assert not ok and solves == 1
     assert np.array_equal(state.field.values, u.values)
     assert gn > 1e-12
@@ -223,7 +223,7 @@ def test_newton_polish_logs_gmres_iteration_cap(monkeypatch, caplog):
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
-        _, gn, ok, _ = minimize._newton_polish(u, params, tol=1e-12)
+        _, gn, ok, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
     assert ok and gn <= 1e-12
     assert any("iteration cap" in rec.getMessage() and rec.levelno == logging.DEBUG
                for rec in caplog.records)

@@ -1,5 +1,6 @@
 """The precomputed polar operator: one per (grid, params), one transform per field."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import apply_operator, operator_apply
 
 from spiralnls.energy import energy, lambda_inner
 from spiralnls.grid import (
@@ -16,7 +18,6 @@ from spiralnls.grid import (
     ModelParams,
     PolarGrid,
     SectorKind,
-    apply_operator,
     build_grid,
 )
 import spiralnls.grid
@@ -158,7 +159,7 @@ def test_solve_inverts_apply(sector, params, rng):
     grid = build_grid(3.0, 24, 16, sector)
     op = grid.operator(params)
     for X in _random_modes(grid, rng, 3):
-        assert np.max(np.abs(op.apply(op.solve(X)) - X)) <= 1e-12 * np.max(np.abs(X))
+        assert np.max(np.abs(operator_apply(op, op.solve(X)) - X)) <= 1e-12 * np.max(np.abs(X))
 
 
 def test_complex_solve_is_two_real_solves(small_disk, params_q1, rng):
@@ -248,6 +249,38 @@ def test_benchmark_layers_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"{name}: {module}.{attr} does not resolve"
+
+
+def _attribute_chain(node):
+    """["mod", "a", "b"] for the expression mod.a.b, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_calls_resolve():
+    # every package attribute the benchmark's workloads and input maker read
+    # through their module handles (x = import_module("spiralnls.y")) exists
+    modules, chains = {}, set()
+    for name in ("workloads.py", "make_inputs.py"):
+        tree = ast.parse((ROOT / "bench" / name).read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "import_module"):
+                modules[node.targets[0].id] = node.value.args[0].value
+            chain = _attribute_chain(node)
+            if chain and len(chain) > 1:
+                chains.add(tuple(chain))
+    assert set(modules) >= {"cli", "sio", "grid_mod", "radial", "nehari"}
+    used = [chain for chain in chains if chain[0] in modules]
+    assert {chain[0] for chain in used} == set(modules)
+    for handle, *attrs in sorted(used):
+        obj = importlib.import_module(modules[handle])
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{handle}.{'.'.join(attrs)} does not resolve"
+            obj = getattr(obj, attr)
 
 
 def test_package_exports_resolve():

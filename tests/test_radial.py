@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from reference import count_interior_zeros
 
 from spiralnls.radial import (
     _RMAX_SHOOT,
     _crossings,
     _integrate,
-    count_interior_zeros,
     limit_levels,
     profile_identities,
     shoot_ground,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import vtk_text
+from reference import helicoid_deviation, spiral_value, vtk_text
 
 from spiralnls.errors import SectorError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
@@ -11,7 +11,6 @@ from spiralnls.spiral3d import (
     SpiralEvaluator,
     SpiralField3D,
     export_vtk,
-    helicoid_deviation,
     read_vtk,
     reconstruct3d,
 )
@@ -41,8 +40,8 @@ def test_turn_periodicity(small_disk):
     pts = np.array([0.3, -0.7, 1.1]), np.array([0.5, 0.2, -0.9])
     t = np.array([0.1, 1.0, 2.5])
     period = 2 * math.pi * params.lam
-    a = ev(pts[0], pts[1], t)
-    b = ev(pts[0], pts[1], t + period)
+    a = spiral_value(ev, pts[0], pts[1], t)
+    b = spiral_value(ev, pts[0], pts[1], t + period)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -56,8 +55,8 @@ def test_screw_invariance(small_disk, rng):
         omega = rng.uniform(-3, 3)
         rot = np.array([[np.cos(omega), -np.sin(omega)],
                         [np.sin(omega), np.cos(omega)]]) @ np.array([x1, x2])
-        a = ev(np.array([x1]), np.array([x2]), np.array([t]))
-        b = ev(rot[:1], rot[1:], np.array([t + params.lam * omega]))
+        a = spiral_value(ev, np.array([x1]), np.array([x2]), np.array([t]))
+        b = spiral_value(ev, rot[:1], rot[1:], np.array([t + params.lam * omega]))
         assert abs(a - b) < 1e-11
 
 
@@ -70,7 +69,7 @@ def test_half_disk_series_is_odd_extension(rng):
     r, theta = np.meshgrid(grid.radii, grid.angles, indexing="ij")
     scale = u.linf()
     for angle, sign in ((theta, 1.0), (np.pi - theta, -1.0), (-np.pi - theta, -1.0)):
-        v = ev(r * np.cos(angle), r * np.sin(angle), 0.0)
+        v = spiral_value(ev, r * np.cos(angle), r * np.sin(angle), 0.0)
         assert np.max(np.abs(v - sign * u.values)) <= 1e-13 * scale
 
 
