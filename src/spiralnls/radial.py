@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.special import k0e, k1e
 
 from .errors import BisectionBracketFailure
@@ -50,17 +49,88 @@ class RadialProfile:
     amplitude: float     # u(0)
     p: float
 
-    def interpolator(self) -> CubicSpline:
-        """Clamped cubic spline (u'(0) = 0); evaluate as 0 beyond the grid."""
-        return CubicSpline(self.radii, self.values,
-                           bc_type=((1, 0.0), (1, float(self.slopes[-1]))))
+    @cached_property
+    def _spline(self):
+        """Clamped cubic spline, u'(0) = 0 and the sampled end slope."""
+        return _cubic_spline(self.radii, self.values, ends=(0.0, float(self.slopes[-1])))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The spline inside the sampled grid, 0 beyond it."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = r <= self.radii[-1]
-        out[inside] = self.interpolator()(r[inside])
+        out[inside] = self._spline(r[inside])
         return out
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson sum over an odd number of non-uniform samples.
+
+    The arithmetic of scipy.integrate.simpson(y, x=x) for odd counts, term for
+    term, so the sums keep their bits.
+    """
+    if len(x) % 2 == 0:
+        raise ValueError(f"Simpson sum needs an odd number of samples, got {len(x)}")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, h0h1 = h0 + h1, h0 * h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0h1)
+                                + y[1:-1:2] * (hsum * (hsum / hprod))
+                                + y[2::2] * (2.0 - h0h1)))
+
+
+def _cubic_spline(x: np.ndarray, y: np.ndarray, ends=None):
+    """Cubic spline through the rows of y (real or complex) at the increasing x.
+
+    ends=None gives not-a-knot ends; ends=(s0, s1) clamps the first
+    derivative at x[0] and x[-1].  Slopes, coefficients and evaluation do the
+    arithmetic of scipy's CubicSpline, so the values keep their bits (below
+    4 samples not-a-knot is the line or parabola through them, which scipy
+    solves another way).  Returns r -> values at r, shape r.shape + y.shape[1:];
+    the end pieces extrapolate.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if ends is None and n < 4:
+        c = (slope[-1] - slope[0]) / (x[-1] - x[0])
+        s = np.stack([slope[0] - c * dx[0], slope[0] + c * dx[0], slope[-1] + c * dx[-1]][:n])
+    else:
+        # the tridiagonal system of solve_banded((1, 1)); complex columns
+        # are solved as their real and imaginary parts
+        d, du, dl = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        d[1:-1], du[1:], dl[:-1] = 2 * (dx[:-1] + dx[1:]), dx[:-1], dx[1:]
+        b = np.empty((n,) + y.shape[1:], dtype=y.dtype)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if ends is None:
+            d[0], du[0], d[-1], dl[-1] = dx[1], x[2] - x[0], dx[-2], x[-1] - x[-3]
+            b[0] = ((dxr[0] + 2 * du[0]) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / du[0]
+            b[-1] = (dxr[-1] ** 2 * slope[-2]
+                     + (2 * dl[-1] + dxr[-1]) * dxr[-2] * slope[-1]) / dl[-1]
+        else:
+            d[0], du[0], d[-1], dl[-1] = 1.0, 0.0, 1.0, 0.0
+            b[0], b[-1] = ends
+        x_f = dgtsv(dl, d, du, b.reshape(n, -1).view(float))[3]
+        s = np.ascontiguousarray(x_f).view(y.dtype).reshape(b.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    coef = (y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr)
+
+    def evaluate(r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(x, r, "right") - 1, 0, n - 2)
+        h = (r - x[i]).reshape(r.shape + (1,) * (y.ndim - 1))
+        # scipy's power sum 0 + c3 + c2 h + c1 h^2 + c0 h^3, the powers of h
+        # built up term by term; in place, since volumes evaluate large blocks
+        out, z = coef[0][i], h
+        out += 0.0
+        for c in coef[1:]:
+            term = c[i]
+            term *= z
+            out += term
+            z = z * h
+        return out
+    return evaluate
 
 
 def _integrate(a: float, p: float, rtol: float, record: bool = False,
@@ -218,9 +288,9 @@ def _shoot_amplitude(p: float, k: int) -> float:
 def _integrals(radii, vals, slopes, p):
     """(mass, grad_sq, lp): Simpson integrals of u^2, u'^2 and |u|^p against 2 pi r dr."""
     w = radii
-    mass = 2 * np.pi * simpson(vals**2 * w, x=radii)
-    grad2 = 2 * np.pi * simpson(slopes**2 * w, x=radii)
-    lp = 2 * np.pi * simpson(np.abs(vals) ** p * w, x=radii)
+    mass = 2 * np.pi * _simpson(vals**2 * w, radii)
+    grad2 = 2 * np.pi * _simpson(slopes**2 * w, radii)
+    lp = 2 * np.pi * _simpson(np.abs(vals) ** p * w, radii)
     return mass, grad2, lp
 
 
@@ -246,8 +316,8 @@ def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
     r_g, u_g = float(rs[idx]), float(us[idx])
 
     radii = np.arange(0.0, _R1D + 0.5 * dr1d, dr1d)
-    hermite = CubicSpline(rs, us)  # dense accepted steps; plain cubic suffices
-    hermite_v = CubicSpline(rs, vs)
+    spline_u = _cubic_spline(rs, us)  # dense accepted steps; not-a-knot suffices
+    spline_v = _cubic_spline(rs, vs)
     vals = np.empty_like(radii)
     slopes = np.empty_like(radii)
 
@@ -256,8 +326,8 @@ def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
     vals[series] = a + fa * radii[series] ** 2 / 4.0
     slopes[series] = fa * radii[series] / 2.0
     inner = (~series) & (radii <= r_g)
-    vals[inner] = hermite(radii[inner])
-    slopes[inner] = hermite_v(radii[inner])
+    vals[inner] = spline_u(radii[inner])
+    slopes[inner] = spline_v(radii[inner])
     outer = radii > r_g
     # decaying Bessel tail: u = c K0(r), u' = -c K1(r)
     c = u_g / k0e(r_g)

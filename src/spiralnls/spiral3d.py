@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SectorError
 from .grid import CONE, Field, ModelParams
 from .io import replacing
+from .radial import _cubic_spline
 
 _HEADER = "# vtk DataFile Version 3.0"
 
@@ -56,7 +56,7 @@ class SpiralEvaluator:
         self.R = grid.R
         self.half_angle = grid.sector.half_angle
         self.omega, series = grid.angular_series(u.values)
-        self.spline = CubicSpline(grid.radii, series, axis=0)
+        self.spline = _cubic_spline(grid.radii, series)
 
     def modes_at(self, radius: np.ndarray) -> np.ndarray:
         """Radially interpolated series coefficients; zero outside the disk."""
@@ -69,7 +69,9 @@ class SpiralEvaluator:
         """Series terms of the t = 0 profile at the points, (points, modes)."""
         r = np.hypot(x1, x2).ravel()
         phi = np.arctan2(x2, x1).ravel()
-        return self.modes_at(r) * np.exp(1j * np.outer(phi + self.half_angle, self.omega))
+        # phases first: numpy's SIMD complex product is not bitwise commutative,
+        # and the volumes' bits follow this order
+        return np.exp(1j * np.outer(phi + self.half_angle, self.omega)) * self.modes_at(r)
 
     def twist(self, t) -> np.ndarray:
         """Screw phases e^{-i omega t / lambda}, (times, modes)."""
