@@ -22,7 +22,6 @@ from . import io as sio
 from .diagnostics import symmetry_report
 from .energy import energy, gradient, lambda_norm
 from .errors import ConfigError, SpiralError
-from .grid import sector_from_label
 from .minimize import solve_ground, solve_nodal
 from .nehari import manifold_residual
 from .radial import profile_identities, shoot_ground, shoot_nodal
@@ -172,8 +171,7 @@ def _run_asympt_inf(cfg: sio.RunConfig, out: str) -> int:
     lambdas = cfg.pitches((5.0, 10.0, 20.0, 40.0))
     grid = cfg.grid()
     if grid.sector.is_full:
-        grid = sio.build_grid(grid.R, grid.nr, grid.ntheta,
-                              sector_from_label("half"))
+        grid = cfg.grid("half")
     records = asymptotics_infinity(cfg.model_params(), lambdas, grid,
                                    cfg.solve_config())
     base = os.path.join(out, "asympt_inf")
@@ -191,8 +189,7 @@ def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
     lambdas = cfg.pitches((1.0, 0.5, 0.25, 0.125))
     grid = cfg.grid()
     if grid.sector.is_full:
-        grid = sio.build_grid(grid.R, grid.nr, grid.ntheta,
-                              sector_from_label("half"))
+        grid = cfg.grid("half")
     records = asymptotics_zero(cfg.model_params(), lambdas, grid,
                                cfg.solve_config())
     base = os.path.join(out, "asympt_zero")

@@ -95,9 +95,10 @@ class RunConfig:
         with _as_config_error():
             return ModelParams(p=self["p"], q=self["q"], lam=self["lambda"])
 
-    def grid(self) -> PolarGrid:
+    def grid(self, sector: str = "") -> PolarGrid:
+        """The configured grid, on the given sector label if one is named."""
         with _as_config_error():
-            return _grid(self["R"], self["nr"], self["ntheta"], self["sector"])
+            return _grid(self["R"], self["nr"], self["ntheta"], sector or self["sector"])
 
     def volume_samples(self) -> tuple:
         """(nt, nxy) of a reconstructed volume, each at least 2."""

@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.special import k0e, k1e
 
 from .errors import BisectionBracketFailure
 
@@ -77,6 +76,49 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return np.sum(hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0h1)
                                 + y[1:-1:2] * (hsum * (hsum / hprod))
                                 + y[2::2] * (2.0 - h0h1)))
+
+
+# Cephes' Chebyshev coefficients of exp(x) sqrt(x) K_0(x) and K_1(x) in
+# 8/x - 2 for x > 2 (Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the tables scipy.special's k0e and k1e evaluate there
+_K0E_TAIL = (
+    5.300433772686263e-18, -1.6475804301524212e-17, 5.2103915050390274e-17,
+    -1.678231096805412e-16, 5.512055978524319e-16, -1.848593377343779e-15,
+    6.3400764774050706e-15, -2.2275133269916698e-14, 8.032890775363575e-14,
+    -2.9800969231727303e-13, 1.140340588208475e-12, -4.514597883373944e-12,
+    1.8559491149547177e-11, -7.957489244477107e-11, 3.577397281400301e-10,
+    -1.69753450938906e-09, 8.574034017414225e-09, -4.660489897687948e-08,
+    2.766813639445015e-07, -1.8317555227191195e-06, 1.39498137188765e-05,
+    -0.00012849549581627802, 0.0015698838857300533, -0.0314481013119645,
+    2.4403030820659555,
+)
+_K1E_TAIL = (
+    -5.756744483665017e-18, 1.7940508731475592e-17, -5.689462558442859e-17,
+    1.838093544366639e-16, -6.057047248373319e-16, 2.038703165624334e-15,
+    -7.019837090418314e-15, 2.4771544244813043e-14, -8.976705182324994e-14,
+    3.3484196660784293e-13, -1.2891739609510289e-12, 5.13963967348173e-12,
+    -2.1299678384275683e-11, 9.218315187605006e-11, -4.1903547593418965e-10,
+    2.015049755197033e-09, -1.0345762465678097e-08, 5.7410841254500495e-08,
+    -3.5019606030878126e-07, 2.406484947837217e-06, -1.936197974166083e-05,
+    0.00019521551847135162, -0.002857816859622779, 0.10392373657681724,
+    2.7206261904844427,
+)
+
+
+def _scaled_bessel_k(x, table) -> np.ndarray:
+    """exp(x) K_n(x) for x > 2 from the K_n table, bit for bit scipy's k0e/k1e.
+
+    Cephes' chbevl(8/x - 2, table) / sqrt(x), term for term.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 2.0):
+        raise ValueError("the scaled Bessel tail needs arguments above 2")
+    y = 8.0 / x - 2.0
+    b0, b1, b2 = np.full_like(y, table[0]), np.zeros_like(y), None
+    for c in table[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return 0.5 * (b0 - b2) / np.sqrt(x)
 
 
 def _cubic_spline(x: np.ndarray, y: np.ndarray, ends=None):
@@ -330,10 +372,10 @@ def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
     slopes[inner] = spline_v(radii[inner])
     outer = radii > r_g
     # decaying Bessel tail: u = c K0(r), u' = -c K1(r)
-    c = u_g / k0e(r_g)
+    c = u_g / _scaled_bessel_k(r_g, _K0E_TAIL)
     damp = np.exp(-(radii[outer] - r_g))
-    vals[outer] = c * k0e(radii[outer]) * damp
-    slopes[outer] = -c * k1e(radii[outer]) * damp
+    vals[outer] = c * _scaled_bessel_k(radii[outer], _K0E_TAIL) * damp
+    slopes[outer] = -c * _scaled_bessel_k(radii[outer], _K1E_TAIL) * damp
 
     mass, grad2, lp = _integrals(radii, vals, slopes, p)
     e_star = 0.5 * (grad2 + mass) - lp / p

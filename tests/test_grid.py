@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from reference import apply_angular_derivative, apply_operator
+from scipy.fft import dst, idst
 
 from spiralnls.energy import lambda_inner
 from spiralnls.errors import GridMismatchError
@@ -142,6 +143,20 @@ def test_operator_mode_decoupling(params_q1):
     power = np.abs(modes).sum(axis=0)
     others = np.delete(power, 3)
     assert np.max(others) < 1e-12 * power[3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 96, 256])
+@pytest.mark.parametrize("sector", [SectorKind.half_disk(), SectorKind.cone(0.7)],
+                         ids=["half", "cone"])
+def test_sector_transform_matches_scipy_dst(sector, n):
+    # the sine-matrix products are scipy's DST-I and its inverse to round-off
+    g = build_grid(3.0, 12, n, sector)
+    v = np.random.default_rng(n).standard_normal((12, n))
+    for ours, want in ((g.to_modes(v), dst(v, type=1, axis=1)),
+                       (g.from_modes(v), idst(v, type=1, axis=1))):
+        assert np.max(np.abs(ours - want)) <= 1e-13 * np.max(np.abs(want))
+    back = g.from_modes(g.to_modes(v))
+    assert np.max(np.abs(back - v)) <= 2 * (n + 1) * np.finfo(float).eps * np.max(np.abs(v))
 
 
 def _dense_matrix(grid, params):

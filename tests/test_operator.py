@@ -207,17 +207,27 @@ _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from spiralnls.grid import ModelParams, SectorKind, build_grid
+def digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
 grid = build_grid(14.0, 320, 64, SectorKind.full_disk())
 op = grid.operator(ModelParams(p=4.0, q=1, lam=0.5))
 rng = np.random.default_rng(20201)
 P, M = (grid.to_modes(rng.standard_normal((320, 64))) for _ in range(2))
 print([float(x).hex() for x in (op.inner(P, M), op.inner(P, P), *op.gram(P, M))])
-print(hashlib.sha256(op.solve(P).tobytes()).hexdigest())
+print(digest(op.solve(P)))
+# the sector transform is a BLAS dgemm, large enough here to thread at 2
+for sector, shape in ((SectorKind.half_disk(), (480, 96)), (SectorKind.cone(0.7), (320, 64))):
+    grid = build_grid(14.0, *shape, sector)
+    op = grid.operator(ModelParams(p=4.0, q=1, lam=10.0))
+    values = rng.standard_normal(shape)
+    modes = grid.to_modes(values)
+    print(digest(modes), digest(grid.from_modes(values)), digest(op.solve(modes)))
 """
 
 
 def test_kernels_do_not_depend_on_blas_threads():
-    # the reductions stay off BLAS: 21120-long dot products would thread at 2
+    # the reductions stay off BLAS: 21120-long dot products would thread at 2;
+    # the sector transform's dgemm splits its output, not its sums, over threads
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

@@ -1,7 +1,7 @@
-"""The package's Simpson sum and cubic spline against scipy's, bit for bit.
+"""The package's Simpson sum, cubic spline and Bessel tails against scipy's, bit for bit.
 
-The package itself loads neither scipy.integrate nor scipy.interpolate; these
-tests import them as references.
+The package itself loads none of scipy.integrate, scipy.interpolate or
+scipy.special; these tests import them as references.
 """
 
 import os
@@ -13,9 +13,17 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
+from scipy.special import k0e, k1e
 
 from spiralnls.grid import Field, ModelParams
-from spiralnls.radial import _cubic_spline, _simpson, shoot_ground
+from spiralnls.radial import (
+    _K0E_TAIL,
+    _K1E_TAIL,
+    _cubic_spline,
+    _scaled_bessel_k,
+    _simpson,
+    shoot_ground,
+)
 from spiralnls.spiral3d import SpiralEvaluator
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,10 +142,29 @@ def test_spiral_series_matches_scipy_spline(small_half, rng):
     assert ev.spline(r).tobytes() == want.tobytes()
 
 
-def test_cli_loads_no_scipy_integrate_interpolate_optimize_or_spatial():
+@pytest.mark.parametrize("table,reference", [(_K0E_TAIL, k0e), (_K1E_TAIL, k1e)],
+                         ids=["k0e", "k1e"])
+def test_scaled_bessel_matches_scipy_bits(table, reference):
+    # every dr1d = 0.005 profile radius above 2, and seeded points up to 60
+    x = np.arange(0.0, 40.0 + 0.0025, 0.005)
+    x = np.concatenate([x[x > 2.0], np.random.default_rng(7).uniform(2.0, 60.0, 20000),
+                        [np.nextafter(2.0, 3.0)]])
+    assert _scaled_bessel_k(x, table).tobytes() == reference(x).tobytes()
+    assert float(_scaled_bessel_k(7.25, table)).hex() == float(reference(7.25)).hex()
+
+
+@pytest.mark.parametrize("x", [2.0, 1.0, [3.0, 2.0], float("nan")])
+def test_scaled_bessel_rejects_arguments_up_to_2(x):
+    with pytest.raises(ValueError):
+        _scaled_bessel_k(x, _K0E_TAIL)
+
+
+def test_cli_loads_no_unneeded_scipy_parts():
+    # of scipy the package loads only linalg.lapack and sparse.linalg
     probe = ("import sys, spiralnls.cli\n"
              "print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',"
-             " 'scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+             " 'scipy.optimize', 'scipy.spatial', 'scipy.fft', 'scipy.special')"
+             " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
