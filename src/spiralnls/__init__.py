@@ -23,7 +23,6 @@ from .grid import (
     PolarGrid,
     SectorKind,
     build_grid,
-    field_from_polar,
 )
 from .minimize import (
     SolveConfig,
@@ -65,7 +64,6 @@ __all__ = [
     "build_grid",
     "check_wirtinger",
     "export_vtk",
-    "field_from_polar",
     "gradient",
     "lambda_inner",
     "limit_levels",

@@ -187,6 +187,16 @@ class PolarGrid:
             return omega, modes * (self._disk_pairs() / self.ntheta)
         return omega, -1j * (modes / (self.ntheta + 1))
 
+    def series_at(self, values: np.ndarray, angles) -> np.ndarray:
+        """The angular series of values summed at any angles, (nr, *shape of angles).
+
+        On the half disk the frequencies are integers, so at angles outside
+        the sector this is the odd extension of the field across its rays.
+        """
+        omega, A = self.angular_series(values)
+        shifted = np.asarray(angles) + self.sector.half_angle
+        return (A @ np.exp(1j * np.multiply.outer(omega, shifted))).real
+
     def quad(self, samples: np.ndarray) -> float:
         """Quadrature of point samples against the r dr dtheta measure."""
         return float(np.sum(self.weights * samples))
@@ -271,12 +281,6 @@ def _sine_matrices(n: int) -> tuple:
     k = np.arange(1, n + 1)
     forward = 2 * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
     return forward, forward / (2 * (n + 1))
-
-
-def field_from_polar(grid: PolarGrid, fn) -> Field:
-    """Sample fn(r, theta) on the grid nodes."""
-    rr, tt = np.meshgrid(grid.radii, grid.angles, indexing="ij")
-    return Field(grid, np.asarray(fn(rr, tt), dtype=float))
 
 
 def check_same_grid(u: Field, v: Field) -> None:

@@ -169,13 +169,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form: sorted keys, normalized value formatting."""
-    lines = [f"{key} = {_format_value(cfg.entries[key])}"
-             for key in sorted(cfg.entries)]
-    return "\n".join(lines) + "\n"
-
-
 def resolve_out_dir(cfg: RunConfig) -> str:
     out = cfg["out_dir"] or os.environ.get(ENV_OUTDIR, "") or "runs"
     os.makedirs(out, exist_ok=True)

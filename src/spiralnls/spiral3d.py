@@ -140,18 +140,3 @@ def export_vtk(field3d: SpiralField3D, path) -> None:
     except OSError as exc:
         raise OSError(f"VTK export to {path} failed: {exc}") from exc
 
-
-def read_vtk(path) -> SpiralField3D:
-    """Minimal reader for the files export_vtk writes (round-trip checks)."""
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
-    if lines[0] != _HEADER or lines[3] != "DATASET STRUCTURED_POINTS":
-        raise ValueError(f"{path}: not a structured-points file from this package")
-    dims = tuple(int(x) for x in lines[4].split()[1:])
-    origin = tuple(float(x) for x in lines[5].split()[1:])
-    spacing = tuple(float(x) for x in lines[6].split()[1:])
-    count = int(lines[7].split()[1])
-    data = np.array([float(x) for x in lines[10:10 + count]])
-    values = data.reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0)
-    return SpiralField3D(nx=dims[0], ny=dims[1], nt=dims[2], origin=origin,
-                         spacing=spacing, values=values, lam=math.nan)

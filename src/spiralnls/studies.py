@@ -36,6 +36,8 @@ from .minimize import (
     SEED_RADIAL_NODAL,
     SolveConfig,
     SolveReport,
+    _evenized,
+    _reflect_index,
     make_seed,
     solve_ground,
     solve_nodal,
@@ -89,8 +91,7 @@ def _axis_peak(report: SolveReport) -> float:
     summed at theta = 0, which is spectrally exact.
     """
     grid = report.field.grid
-    omega, A = grid.angular_series(report.field.values)
-    profile = (A @ np.exp(1j * omega * grid.sector.half_angle)).real
+    profile = grid.series_at(report.field.values, 0.0)
     j = int(np.argmax(np.abs(profile)))
     if j in (0, grid.nr - 1):
         raise PeakAtBoundary(f"profile maximum at radial node {j}; increase R")
@@ -98,6 +99,17 @@ def _axis_peak(report: SolveReport) -> float:
     denom = y0 - 2 * y1 + y2
     shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
     return float(grid.radii[j] + shift * grid.dr)
+
+
+def _odd_extension(u: Field, disk: PolarGrid) -> Field:
+    """A half-disk field continued oddly across its rays onto a disk of the same radii.
+
+    The half disk's sine series is the Fourier series of that extension, so
+    it is summed at the disk's angles.  The result is symmetrized, so a
+    solve seeded with it keeps the reflection class of the cold dipole seed.
+    """
+    vals = u.grid.series_at(u.values, disk.angles)
+    return Field(disk, _evenized(vals, _reflect_index(disk)))
 
 
 def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
@@ -109,7 +121,10 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
     pitch list.  Per-pitch solver failures are recorded and the sweep goes on.
     A row with a radial seed whose converged field at the previous pitch is
     radial starts from that field (natural-parameter continuation, exact for
-    radial states); all other rows start from their cold seeds.
+    radial states).  The dipole row starts from the odd extension of the same
+    pitch's sector ground state across the rays, a sign-changing critical
+    point of the disk problem, or from its cold seed if the sector row
+    failed.  The sector ground row starts from its cold seed.
     """
     if params_base.q != 1:
         raise ValueError("the sweep studies the q = 1 problem")
@@ -125,12 +140,14 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
         params = replace(params_base, lam=float(lam))
         failures = []
 
-        def attempt(tag, fn, row_grid, seed_kind):
+        def attempt(tag, fn, row_grid, seed_kind, seed_field=None):
             # a radial seed keeps its solve among radial fields, which have no
             # angular energy: there the previous pitch's converged field is
             # critical at this pitch too, and seeds the row exactly
             prev = previous.pop(tag, None)
-            if (prev is not None and prev.converged and prev.field.is_radial()
+            if seed_field is not None:
+                row_cfg = replace(cfg, seed_kind=SEED_CUSTOM, seed_field=seed_field)
+            elif (prev is not None and prev.converged and prev.field.is_radial()
                     and make_seed(row_grid, params, seed_kind).is_radial()):
                 row_cfg = replace(cfg, seed_kind=SEED_CUSTOM, seed_field=prev.field)
             else:
@@ -145,7 +162,8 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
 
         rep_alpha = attempt("disk-ground", solve_ground, grid, SEED_RADIAL)
         rep_c = attempt("sector-ground", solve_ground, half, SEED_RADIAL)
-        rep_dip = attempt("nodal-dipole", solve_nodal, grid, SEED_DIPOLE)
+        rep_dip = attempt("nodal-dipole", solve_nodal, grid, SEED_DIPOLE,
+                          _odd_extension(rep_c.field, grid) if rep_c else None)
         rep_rad = attempt("nodal-radial", solve_nodal, grid, SEED_RADIAL_NODAL)
 
         beta_dip = rep_dip.energy.total if rep_dip else math.inf

@@ -8,13 +8,19 @@ import numpy as np
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm, nonlinearity
 from spiralnls.errors import ZeroFieldError
-from spiralnls.grid import Field, ModelParams, PolarOperator, check_same_grid
-from spiralnls.io import SOLUTION_MAGIC
+from spiralnls.grid import Field, ModelParams, PolarGrid, PolarOperator, check_same_grid
+from spiralnls.io import SOLUTION_MAGIC, RunConfig, _format_value
 from spiralnls.nehari import Projected, split_parts
 from spiralnls.radial import RadialProfile
-from spiralnls.spiral3d import SpiralEvaluator, SpiralField3D
+from spiralnls.spiral3d import _HEADER, SpiralEvaluator, SpiralField3D
 
 log = logging.getLogger(__name__)
+
+
+def field_from_polar(grid: PolarGrid, fn) -> Field:
+    """Sample fn(r, theta) on the grid nodes."""
+    rr, tt = np.meshgrid(grid.radii, grid.angles, indexing="ij")
+    return Field(grid, np.asarray(fn(rr, tt), dtype=float))
 
 
 def operator_apply(op: PolarOperator, modes: np.ndarray) -> np.ndarray:
@@ -167,4 +173,27 @@ def vtk_text(field3d: SpiralField3D) -> str:
     ]
     flat = np.transpose(field3d.values, (2, 1, 0)).ravel()   # x fastest
     lines.extend("{:.11e}".format(x) for x in flat)
+    return "\n".join(lines) + "\n"
+
+
+def read_vtk(path) -> SpiralField3D:
+    """Minimal reader for the files export_vtk writes (round-trip checks)."""
+    with open(path, encoding="ascii") as fh:
+        lines = [ln.strip() for ln in fh]
+    if lines[0] != _HEADER or lines[3] != "DATASET STRUCTURED_POINTS":
+        raise ValueError(f"{path}: not a structured-points file from this package")
+    dims = tuple(int(x) for x in lines[4].split()[1:])
+    origin = tuple(float(x) for x in lines[5].split()[1:])
+    spacing = tuple(float(x) for x in lines[6].split()[1:])
+    count = int(lines[7].split()[1])
+    data = np.array([float(x) for x in lines[10:10 + count]])
+    values = data.reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0)
+    return SpiralField3D(nx=dims[0], ny=dims[1], nt=dims[2], origin=origin,
+                         spacing=spacing, values=values, lam=math.nan)
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Canonical text form: sorted keys, normalized value formatting."""
+    lines = [f"{key} = {_format_value(cfg.entries[key])}"
+             for key in sorted(cfg.entries)]
     return "\n".join(lines) + "\n"

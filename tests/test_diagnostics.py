@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import field_from_polar
 
 from spiralnls.diagnostics import (
     angular_monotone,
@@ -12,7 +13,7 @@ from spiralnls.diagnostics import (
 )
 from spiralnls.energy import lp_integral
 from spiralnls.errors import SectorError
-from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 
 
 def test_radial_average_kills_oscillation(small_disk):

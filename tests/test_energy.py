@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import directional_derivative
+from reference import directional_derivative, field_from_polar
 from spiralnls.energy import (
     abs_power,
     energy,
@@ -10,7 +10,7 @@ from spiralnls.energy import (
     lambda_inner,
     lp_integral,
 )
-from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.nehari import nehari_scale
 from spiralnls.radial import shoot_ground
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import apply_angular_derivative, apply_operator
+from reference import apply_angular_derivative, apply_operator, field_from_polar
 from scipy.fft import dst, idst
 
 from spiralnls.energy import lambda_inner
@@ -10,7 +10,6 @@ from spiralnls.grid import (
     ModelParams,
     SectorKind,
     build_grid,
-    field_from_polar,
     solve_operator,
 )
 

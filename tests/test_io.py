@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from reference import solution_text
+from reference import serialize_config, solution_text
 
 from spiralnls.errors import ConfigError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
@@ -11,7 +11,6 @@ from spiralnls.io import (
     parse_config,
     report_dict,
     save_solution,
-    serialize_config,
     write_csv,
     write_json,
     write_manifest,

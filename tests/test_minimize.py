@@ -2,12 +2,12 @@ import logging
 
 import numpy as np
 import pytest
-from reference import newton_refine, unprojected
+from reference import field_from_polar, newton_refine, unprojected
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
 from spiralnls.errors import OnePhaseMissing, ZeroFieldError
-from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.minimize import (
     SEED_CUSTOM,
     SEED_DIPOLE,

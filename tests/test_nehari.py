@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from reference import directional_derivative, interface_commitment
+from reference import directional_derivative, field_from_polar, interface_commitment
 from spiralnls.energy import energy, lambda_inner, lp_integral
 from spiralnls.errors import OnePhaseMissing, ZeroFieldError
-from spiralnls.grid import Field, field_from_polar
+from spiralnls.grid import Field
 from spiralnls.nehari import (
     manifold_residual,
     nehari_scale,

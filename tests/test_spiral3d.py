@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from reference import helicoid_deviation, spiral_value, vtk_text
+from reference import field_from_polar, helicoid_deviation, read_vtk, spiral_value, vtk_text
 
 from spiralnls.errors import SectorError
-from spiralnls.grid import Field, ModelParams, SectorKind, build_grid, field_from_polar
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.minimize import SolveConfig, solve_ground
 from spiralnls.spiral3d import (
     SpiralEvaluator,
     SpiralField3D,
     export_vtk,
-    read_vtk,
     reconstruct3d,
 )
 
@@ -71,6 +70,20 @@ def test_half_disk_series_is_odd_extension(rng):
     for angle, sign in ((theta, 1.0), (np.pi - theta, -1.0), (-np.pi - theta, -1.0)):
         v = spiral_value(ev, r * np.cos(angle), r * np.sin(angle), 0.0)
         assert np.max(np.abs(v - sign * u.values)) <= 1e-13 * scale
+
+
+def test_evaluator_base_operand_order(rng):
+    # numpy's SIMD complex product is not bitwise commutative, and the
+    # volumes' bits follow phases * modes; modes * phases fails here (disk
+    # modes have both parts nonzero, unlike the half disk's imaginary ones)
+    grid = build_grid(4.0, 32, 32, SectorKind.full_disk())
+    u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
+    ev = SpiralEvaluator(u, ModelParams(p=4.0, q=1, lam=1.3))
+    xs = np.linspace(-3.5, 3.5, 24)
+    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+    r, phi = np.hypot(x1, x2).ravel(), np.arctan2(x2, x1).ravel()
+    expected = np.exp(1j * np.outer(phi + ev.half_angle, ev.omega)) * ev.modes_at(r)
+    assert np.array_equal(ev.base(x1, x2), expected)
 
 
 def test_helicoid_nodal_set(half_ground):

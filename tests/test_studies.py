@@ -1,8 +1,12 @@
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from reference import field_from_polar
 
 from spiralnls import studies
+from spiralnls.energy import energy
 from spiralnls.errors import PeakAtBoundary
 from spiralnls.grid import ModelParams, SectorKind, build_grid
 from spiralnls.minimize import (
@@ -11,6 +15,7 @@ from spiralnls.minimize import (
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
+    _reflect_index,
     solve_ground,
     solve_nodal,
 )
@@ -144,8 +149,9 @@ def test_sweep_continues_radial_rows(monkeypatch):
     records = sweep_lambda(params, [0.2, 8.0], grid, CFG)
     assert [r.winner for r in records] == [WINNER_RADIAL, WINNER_DIPOLE]
 
+    # the dipole row starts from the odd extension of the sector ground state
     later = solves[4:]
-    assert [kind for kind, _ in later] == [SEED_CUSTOM, SEED_RADIAL, SEED_DIPOLE,
+    assert [kind for kind, _ in later] == [SEED_CUSTOM, SEED_RADIAL, SEED_CUSTOM,
                                            SEED_CUSTOM]
     pars = ModelParams(p=4.0, q=1, lam=8.0)
     colds = {0: solve_ground(grid, pars, replace(CFG, seed_kind=SEED_RADIAL)),
@@ -156,3 +162,64 @@ def test_sweep_continues_radial_rows(monkeypatch):
         assert continued.field.is_radial()
         rel = abs(continued.energy.total - cold.energy.total) / cold.energy.total
         assert rel <= 1e-12
+    seeded = later[2][1]
+    cold = solve_nodal(grid, pars, replace(CFG, seed_kind=SEED_DIPOLE))
+    assert seeded.converged and cold.converged
+    assert abs(seeded.energy.total - cold.energy.total) <= 1e-12 * cold.energy.total
+
+
+def test_sweep_records_a_failed_sector_row(monkeypatch):
+    # a sector ground solve that raises costs that pitch its c_hat and tau,
+    # and its dipole row falls back to the cold dipole seed
+    grid = build_grid(10.0, 64, 16, SectorKind.full_disk())
+    real_ground, real_nodal = studies.solve_ground, studies.solve_nodal
+    nodal_rows = []   # per pitch the dipole row, then the radial-nodal row
+
+    def ground(row_grid, pars, cfg):
+        if not row_grid.sector.is_full and pars.lam == 0.5:
+            raise FloatingPointError("injected sector failure")
+        return real_ground(row_grid, pars, cfg)
+
+    def nodal(row_grid, pars, cfg):
+        rep = real_nodal(row_grid, pars, cfg)
+        nodal_rows.append((cfg.seed_kind, rep))
+        return rep
+
+    monkeypatch.setattr(studies, "solve_ground", ground)
+    monkeypatch.setattr(studies, "solve_nodal", nodal)
+    failed, after = sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.5, 4.0], grid, CFG)
+
+    assert failed.failures == ("sector-ground: injected sector failure",)
+    assert math.isnan(failed.c_hat) and math.isnan(failed.tau)
+    dipole_rows = nodal_rows[::2]
+    assert [kind for kind, _ in dipole_rows] == [SEED_DIPOLE, SEED_CUSTOM]
+    assert failed.beta_dipole == dipole_rows[0][1].energy.total
+    assert math.isfinite(failed.beta_dipole)
+    assert not after.failures and math.isfinite(after.c_hat)
+    assert after.beta_dipole == dipole_rows[1][1].energy.total
+
+
+def test_odd_extension_of_a_half_disk_field():
+    # a band-limited half-disk field, cos theta, cos 3 theta and cos 5 theta
+    # (the odd sine modes from the lower ray), continued across the rays
+    half = build_grid(6.0, 48, 64, SectorKind.half_disk())
+    disk = build_grid(6.0, 48, 64, SectorKind.full_disk())
+
+    def profile(r, t):
+        return r * np.exp(-0.5 * r**2) * (1.5 * np.cos(t) - 0.4 * np.cos(3 * t)
+                                          + 0.1 * np.cos(5 * t))
+
+    u = field_from_polar(half, profile)
+    ext = studies._odd_extension(u, disk)
+    reflect = _reflect_index(disk)
+    assert np.array_equal(ext.values, ext.values[:, reflect])
+    scale = ext.linf()
+    turned = np.roll(ext.values, disk.ntheta // 2, axis=1)     # theta -> theta + pi
+    assert np.max(np.abs(turned + ext.values)) <= 1e-13 * scale
+    assert np.max(np.abs(ext.values - field_from_polar(disk, profile).values)) <= 1e-13 * scale
+
+    params = ModelParams(p=4.0, q=1, lam=0.7)
+    e_half, e_disk = energy(u, params), energy(ext, params)
+    for name in ("dirichlet", "angular", "mass", "potential", "total"):
+        twice = 2 * getattr(e_half, name)
+        assert abs(getattr(e_disk, name) - twice) <= 1e-12 * abs(twice)
