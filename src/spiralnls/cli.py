@@ -22,7 +22,7 @@ from . import io as sio
 from .diagnostics import symmetry_report
 from .energy import energy, gradient, lambda_norm
 from .errors import ConfigError, SpiralError
-from .minimize import solve_ground, solve_nodal
+from .minimize import SEED_RADIAL, SEED_RADIAL_NODAL, solve_ground, solve_nodal
 from .nehari import manifold_residual
 from .radial import profile_identities, shoot_ground, shoot_nodal
 from .spiral3d import export_vtk, reconstruct3d
@@ -39,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK = 4
 EXIT_IO = 5
+CHECK_TOL = 1e-5   # bound of check's Nehari and Euler-Lagrange residuals
 
 _COMMANDS = ("solve-ground", "solve-nodal", "solve-radial", "sweep",
              "asympt-inf", "asympt-zero", "reconstruct", "check")
@@ -105,8 +106,8 @@ def _run_solve(cfg: sio.RunConfig, command: str, out: str) -> int:
     if command == "solve-ground":
         report = solve_ground(grid, params, scfg)
     else:
-        if scfg.seed_kind == "radial":   # positive seed cannot start a nodal run
-            scfg = dataclasses.replace(scfg, seed_kind="radial-nodal")
+        if scfg.seed_kind == SEED_RADIAL:   # positive seed cannot start a nodal run
+            scfg = dataclasses.replace(scfg, seed_kind=SEED_RADIAL_NODAL)
         report = solve_nodal(grid, params, scfg)
     tag = command.replace("solve-", "")
     base = os.path.join(out, f"{tag}_p{params.p:g}_q{int(params.q)}_lam{params.lam:g}")
@@ -214,9 +215,8 @@ def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
 def _run_reconstruct(cfg: sio.RunConfig, solution_path: str, out: str) -> int:
     nt, nxy = cfg.volume_samples()
     field, params = sio.load_solution(solution_path)
-    extent = cfg["extent"] or None
     try:
-        vol = reconstruct3d(field, params, nt=nt, nxy=nxy, extent=extent)
+        vol = reconstruct3d(field, params, nt=nt, nxy=nxy)
     except MemoryError:
         raise ConfigError(f"a {nxy}x{nxy}x{nt} volume does not fit in memory") from None
     base = os.path.join(out, os.path.splitext(os.path.basename(solution_path))[0])
@@ -230,18 +230,17 @@ def _run_reconstruct(cfg: sio.RunConfig, solution_path: str, out: str) -> int:
 
 def _run_check(cfg: sio.RunConfig, solution_path: str) -> int:
     field, params = sio.load_solution(solution_path)
-    tol = cfg["check_tol"]
     failures = []
 
     res = manifold_residual(field, params)
-    if abs(res.single) > tol:
+    if abs(res.single) > CHECK_TOL:
         failures.append(f"nehari-residual ({res.single:.2e})")
     if field.grid.sector.is_full and not (math.isnan(res.plus) or math.isnan(res.minus)):
         worst = max(abs(res.plus), abs(res.minus))
-        if not worst <= tol:
+        if not worst <= CHECK_TOL:
             failures.append(f"nodal-nehari-residual ({worst:.2e})")
     el = lambda_norm(gradient(field, params), params) / lambda_norm(field, params)
-    if not el <= tol:
+    if not el <= CHECK_TOL:
         failures.append(f"euler-lagrange-residual ({el:.2e})")
     sym = symmetry_report(field, params)
     if not sym.wirtinger_ok:

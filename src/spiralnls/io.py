@@ -62,15 +62,11 @@ _SCHEMA = {
     "ntheta": (int, 64),
     "max_iters": (int, 2000),
     "grad_tol": (float, 1e-8),
-    "step": (float, 1.0),
     "seed": (str, "radial"),
-    "newton": (_parse_bool, True),
     "keep_trace": (_parse_bool, False),
     "lambdas": (_parse_floats, ()),
     "nt": (int, 32),
     "nxy": (int, 48),
-    "extent": (float, 0.0),        # 0 means automatic
-    "check_tol": (float, 1e-5),
     "out_dir": (str, ""),
 }
 
@@ -122,8 +118,7 @@ class RunConfig:
         with _as_config_error():
             return SolveConfig(
                 max_iters=self["max_iters"], grad_tol=self["grad_tol"],
-                step=self["step"], seed_kind=self["seed"],
-                newton_refine=self["newton"], keep_trace=self["keep_trace"],
+                seed_kind=self["seed"], keep_trace=self["keep_trace"],
             )
 
 

@@ -4,11 +4,12 @@ Ground states (positive, level alpha on the disk / c_lambda on sectors)
 descend along the pitch-metric gradient and re-project onto the Nehari set
 after every step; sign-changing solves (level beta) re-project both signed
 parts.  Backtracking halves the step whenever the projected energy rises and
-doubles it after five consecutive accepts, clamped to [1e-4, 1].  The descent
-tolerance can hand over to a Newton polish of the full Euler-Lagrange system,
-solved matrix-free with the per-mode operator as preconditioner; that is what
-makes tight tolerances affordable when the energy landscape is flat (large
-pitch, translating bump).
+doubles it after five consecutive accepts, clamped to [1e-4, 1].  Every solve
+then hands over to a Newton polish of the full Euler-Lagrange system, solved
+matrix-free with the per-mode operator as preconditioner; that is what makes
+tight tolerances affordable when the energy landscape is flat (large pitch,
+translating bump).  A polish that stalls falls back to short first-order
+steps.  max_iters bounds descent steps and Newton solves together.
 
 The exact flow preserves the symmetries of its seed: a radial seed stays
 radial, a reflection-even seed stays even in theta.  Runs started from such
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -55,23 +56,23 @@ log = logging.getLogger(__name__)
 
 STEP_MIN = 1e-4
 STEP_MAX = 1.0
+_DESCENT_STEPS = 300   # descent steps before the hand-over to Newton
 _NEWTON_SOLVES = 40    # linear solves per Newton polish
-_NODAL_RESTARTS = 3    # mixed-seed restarts of a nodal solve that lost one sign
+_FALLBACK_STEP = 0.1   # first step of the descent after a stalled polish
 
 SEED_RADIAL = "radial"
 SEED_DIPOLE = "dipole"
 SEED_RADIAL_NODAL = "radial-nodal"
 SEED_CUSTOM = "custom"
+_SEED_KINDS = (SEED_RADIAL, SEED_DIPOLE, SEED_RADIAL_NODAL, SEED_CUSTOM)
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-8
-    step: float = 1.0
     seed_kind: str = SEED_RADIAL
     seed_field: Optional[Field] = None
-    newton_refine: bool = False
     keep_trace: bool = False
 
     def __post_init__(self):
@@ -79,8 +80,10 @@ class SolveConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if not 0 < self.step <= 1:
-            raise ValueError("step must lie in (0, 1]")
+        if self.seed_kind not in _SEED_KINDS:
+            raise ValueError(f"unknown seed kind {self.seed_kind!r}")
+        if self.seed_kind == SEED_CUSTOM and self.seed_field is None:
+            raise ValueError("custom seed requires a field")
 
 
 @dataclass
@@ -120,11 +123,10 @@ def make_seed(grid: PolarGrid, params: ModelParams, kind: str,
     radial-nodal  the 1D oracle's one-node profile interpolated onto the disk
 
     Built-in seeds are exactly reflection-even so the solver can lock the
-    symmetry class.
+    symmetry class.  kind is one SolveConfig accepts, and custom is given for
+    SEED_CUSTOM.
     """
     if kind == SEED_CUSTOM:
-        if custom is None:
-            raise ValueError("custom seed requires a field")
         return custom
     r = grid.radii[:, None]
     th = grid.angles[None, :]
@@ -150,11 +152,8 @@ def make_seed(grid: PolarGrid, params: ModelParams, kind: str,
         vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th),
                          _reflect_index(grid))
         return Field(grid, vals)
-    if kind == SEED_RADIAL_NODAL:
-        profile = shoot_nodal(params.p, 1)
-        vals = profile(grid.radii)[:, None] * np.ones_like(th)
-        return Field(grid, vals)
-    raise ValueError(f"unknown seed kind {kind!r}")
+    profile = shoot_nodal(params.p, 1)   # SEED_RADIAL_NODAL
+    return Field(grid, profile(grid.radii)[:, None] * np.ones_like(th))
 
 
 def _constraint_for(seed: Field):
@@ -187,24 +186,24 @@ def _gradient_of(state: Projected, params: ModelParams):
     return g, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
 
 
-def _descend(cur: Projected, params: ModelParams, cfg: SolveConfig, project, tol: float,
-             trace: Optional[list], constrain):
+def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, project,
+             tol: float, trace: Optional[list], constrain):
     """Projected gradient descent with the spec'd backtracking policy.
 
     The iterate and each projected trial carry their modes and energy, so a
-    step transforms only the nonlinearity and the trial.
+    step transforms only the nonlinearity and the trial.  Returns (state,
+    gradient norm, iterations).
     """
     grid = cur.field.grid
-    step = cfg.step
     accepts_in_row = 0
     iterations = 0
     gn = math.inf
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, max_steps + 1):
         g, gn = _gradient_of(cur, params)
         if trace is not None:
             trace.append((iterations, cur.energy, gn))
         if gn <= tol:
-            return cur, gn, iterations, True
+            return cur, gn, iterations
         while True:
             trial_vals = cur.field.values - step * g.values
             if constrain is not None:
@@ -217,7 +216,7 @@ def _descend(cur: Projected, params: ModelParams, cfg: SolveConfig, project, tol
                 break
             if step <= STEP_MIN:
                 # flat to round-off; nothing left for first-order steps
-                return cur, gn, iterations, gn <= tol
+                return cur, gn, iterations
             step = max(step / 2.0, STEP_MIN)
             accepts_in_row = 0
         cur = trial
@@ -225,10 +224,11 @@ def _descend(cur: Projected, params: ModelParams, cfg: SolveConfig, project, tol
         if accepts_in_row >= 5:
             step = min(step * 2.0, STEP_MAX)
             accepts_in_row = 0
-    return cur, gn, iterations, gn <= tol
+    return cur, gn, iterations
 
 
-def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain):
+def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain,
+                   max_solves: int = _NEWTON_SOLVES):
     """Newton polish of E'(u) = 0 along the manifold's energy valley.
 
     Solves ((1 + mu) I - L^{-1} D) delta = -g, D = (p-1)|u|^{p-2}, matrix-free
@@ -240,8 +240,9 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
     is where quadratic convergence takes over.  mu grows only when a step
     fails both tests.  project maps a field to its Projected state, and
     constrain is the symmetry projector of _constraint_for or None.  A failed
-    linear solve (GMRES breakdown or a non-finite step) ends the polish.
-    Returns (state, residual_norm, succeeded, solves).
+    linear solve (GMRES breakdown or a non-finite step) ends the polish, as
+    do max_solves linear solves.  Returns (state, residual_norm, succeeded,
+    solves).
     """
     grid = u.grid
     n = grid.nr * grid.ntheta
@@ -250,7 +251,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
     mu = 0.0
     fails_here = 0
     solves = 0
-    while solves < _NEWTON_SOLVES:
+    while solves < max_solves:
         if gn <= tol:
             return cur, gn, True, solves
         weight = (params.p - 1.0) * abs_power(cur.field.values, params.p - 2.0)
@@ -335,29 +336,22 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project) -> SolveRe
     constrain = _constraint_for(seed)
     cur = project(seed)
 
-    switch_tol = cfg.grad_tol
-    pre_cfg = cfg
-    if cfg.newton_refine:
-        # hand over to Newton once the iterate is merely in the neighborhood;
-        # the energy line search makes the polish robust from moderate range
-        switch_tol = max(cfg.grad_tol, 1e-4 * (1.0 + lambda_norm(cur.field, params)))
-        if cfg.max_iters > 300:
-            pre_cfg = replace(cfg, max_iters=300)
-    cur, gn, iters, converged = _descend(cur, params, pre_cfg, project, switch_tol,
-                                         trace, constrain)
-    if cfg.newton_refine and gn > cfg.grad_tol:
-        cur, gn, ok, nsteps = _newton_polish(cur.field, params, cfg.grad_tol, project,
-                                             constrain)
-        iters += nsteps
-        converged = gn <= cfg.grad_tol
+    # hand over to Newton once the iterate is merely in the neighborhood;
+    # the energy line search makes the polish robust from moderate range
+    switch_tol = max(cfg.grad_tol, 1e-4 * (1.0 + lambda_norm(cur.field, params)))
+    cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), STEP_MAX,
+                              project, switch_tol, trace, constrain)
+    if gn > cfg.grad_tol and iters < cfg.max_iters:
+        cur, gn, ok, solves = _newton_polish(cur.field, params, cfg.grad_tol, project,
+                                             constrain,
+                                             min(_NEWTON_SOLVES, cfg.max_iters - iters))
+        iters += solves
         if not ok and iters < cfg.max_iters:
             # stall: fall back to first-order steps for the remaining budget
-            rem = replace(cfg, max_iters=cfg.max_iters - iters, step=min(0.1, cfg.step),
-                          newton_refine=False, keep_trace=False)
-            cur, gn, extra, converged = _descend(cur, params, rem, project,
-                                                 cfg.grad_tol, trace, constrain)
+            cur, gn, extra = _descend(cur, params, cfg.max_iters - iters, _FALLBACK_STEP,
+                                      project, cfg.grad_tol, trace, constrain)
             iters += extra
-    return _finalize(cur.field, iters, converged, params, trace)
+    return _finalize(cur.field, iters, gn <= cfg.grad_tol, params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
@@ -376,7 +370,10 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
 
 def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
                 ) -> SolveReport:
-    """Least-energy sign-changing solution on the full disk (beta level)."""
+    """Least-energy sign-changing solution on the full disk (beta level).
+
+    Raises OnePhaseMissing if the seed or an iterate has only one sign.
+    """
     cfg = cfg or SolveConfig(seed_kind=SEED_DIPOLE)
     if not grid.sector.is_full:
         raise ValueError("nodal solves run on the full disk")
@@ -387,16 +384,4 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
     def project(v: Field) -> Projected:
         return project_nodal_state(v, params)
 
-    rng_shift = 0
-    while True:
-        try:
-            return _run(seed, params, cfg, project)
-        except OnePhaseMissing:
-            rng_shift += 1
-            if rng_shift > _NODAL_RESTARTS:
-                raise
-            log.warning("iterate lost one sign; restarting with a mixed seed (%d)",
-                        rng_shift)
-            other = SEED_RADIAL_NODAL if cfg.seed_kind == SEED_DIPOLE else SEED_DIPOLE
-            mix = make_seed(grid, params, other)
-            seed = Field(grid, seed.values + 0.5 * rng_shift * mix.values)
+    return _run(seed, params, cfg, project)

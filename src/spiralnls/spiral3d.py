@@ -78,9 +78,10 @@ class SpiralEvaluator:
         return np.exp(-1j * np.outer(np.ravel(t) / self.lam, self.omega))
 
 
-def reconstruct3d(u: Field, params: ModelParams, nt: int,
-                  nxy: int = 64, extent: float | None = None) -> SpiralField3D:
+def reconstruct3d(u: Field, params: ModelParams, nt: int, nxy: int = 64) -> SpiralField3D:
     """Sample the spiraling field over one turn period t in [0, 2 pi lambda).
+
+    The volume spans [-0.75 R, 0.75 R] in both plane coordinates.
 
     Radial profiles (no angular content) give t-independent volumes; half-disk
     solutions vanish on the helicoid swept by the zero rays.
@@ -88,8 +89,7 @@ def reconstruct3d(u: Field, params: ModelParams, nt: int,
     if nt < 2 or nxy < 2:
         raise ValueError("need at least 2 samples per axis")
     ev = SpiralEvaluator(u, params)
-    if extent is None:
-        extent = 0.75 * u.grid.R
+    extent = 0.75 * u.grid.R
     xs = np.linspace(-extent, extent, nxy)
     ts = np.arange(nt) * (2 * math.pi * params.lam / nt)
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import energy, h1_fd_norm_sq, lambda_norm
-from .errors import PeakAtBoundary
+from .errors import PeakAtBoundary, SpiralError
 from .grid import Field, ModelParams, PolarGrid, SectorKind, build_grid
 from .minimize import (
     SEED_CUSTOM,
@@ -118,7 +118,8 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
 
     Uses the supplied disk grid for all whole-disk solves and a half-disk grid
     of the same shape for the sector level.  Requires q = 1 and an increasing
-    pitch list.  Per-pitch solver failures are recorded and the sweep goes on.
+    pitch list.  Per-pitch solver failures, unconverged rows among them, are
+    recorded and give no level; the sweep goes on.
     A row with a radial seed whose converged field at the previous pitch is
     radial starts from that field (natural-parameter continuation, exact for
     radial states).  The dipole row starts from the odd extension of the same
@@ -131,7 +132,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
     lambdas = list(lambdas)
     if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("need a nonempty, strictly increasing pitch list")
-    cfg = cfg or SolveConfig(newton_refine=True)
+    cfg = cfg or SolveConfig()
     half = build_grid(grid.R, grid.nr, grid.ntheta, SectorKind.half_disk())
 
     records = []
@@ -153,12 +154,15 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
             else:
                 row_cfg = replace(cfg, seed_kind=seed_kind)
             try:
-                previous[tag] = fn(row_grid, params, row_cfg)
-                return previous[tag]
+                rep = fn(row_grid, params, row_cfg)
+                if not rep.converged:
+                    raise SpiralError(f"not converged after {rep.iterations} iterations")
             except Exception as exc:  # per-pitch failures must not kill the sweep
                 log.warning("%s failed at lam=%s: %s", tag, lam, exc)
                 failures.append(f"{tag}: {exc}")
                 return None
+            previous[tag] = rep
+            return rep
 
         rep_alpha = attempt("disk-ground", solve_ground, grid, SEED_RADIAL)
         rep_c = attempt("sector-ground", solve_ground, half, SEED_RADIAL)
@@ -218,7 +222,7 @@ def asymptotics_infinity(params: ModelParams, lambdas, grid: PolarGrid,
         raise ValueError("the large-pitch study needs q = 1")
     if grid.sector.is_full:
         raise ValueError("needs a sector grid")
-    cfg = cfg or SolveConfig(newton_refine=True)
+    cfg = cfg or SolveConfig()
     w_inf = shoot_ground(params.p)
     w_h1 = math.sqrt(2.0 * math.pi * np.trapezoid(
         (w_inf.slopes**2 + w_inf.values**2) * w_inf.radii, w_inf.radii))
@@ -256,7 +260,7 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
     lambdas = list(lambdas)
     if any(l > 1.0 for l in lambdas):
         raise ValueError("pitch values must be <= 1 for the rescaling limit")
-    cfg = cfg or SolveConfig(newton_refine=True)
+    cfg = cfg or SolveConfig()
     alpha = 2.0 / (params.p - 2.0)
 
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
@@ -292,7 +296,7 @@ def limit_radius_study(params: ModelParams, grid: PolarGrid,
                        cfg: SolveConfig | None = None):
     """Truncation-radius sensitivity of the q=0 limit level (no decay rate is
     known a priori there): level at R and at 1.5 R, same resolution."""
-    cfg = cfg or SolveConfig(newton_refine=True)
+    cfg = cfg or SolveConfig()
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
     e1 = solve_ground(grid, limit_params, cfg).energy.total
     wide = build_grid(_WIDE * grid.R, int(_WIDE * grid.nr), grid.ntheta, grid.sector)

@@ -39,7 +39,7 @@ from spiralnls.studies import (
     transition_bracket,
 )
 
-ACC_CFG = SolveConfig(grad_tol=1e-8, newton_refine=True)
+ACC_CFG = SolveConfig(grad_tol=1e-8)
 
 
 def _announce(num, message):
@@ -145,7 +145,7 @@ def threshold_sample():
 
     def add(p, lam, seed):
         params = ModelParams(p=p, q=1, lam=lam)
-        cfg = SolveConfig(grad_tol=1e-8, newton_refine=True, seed_kind=seed)
+        cfg = SolveConfig(grad_tol=1e-8, seed_kind=seed)
         rep = solve_nodal(grid, params, cfg) if seed != SEED_RADIAL \
             else solve_ground(grid, params, cfg)
         solves.append((params, rep, seed))
@@ -286,7 +286,7 @@ def test_criterion_10_numerics_hygiene():
 
     solve_grid = build_grid(15.0, 128, 16, SectorKind.full_disk())
     pars = ModelParams(p=4.0, q=1, lam=1.0)
-    cfg = SolveConfig(grad_tol=1e-8, newton_refine=True, keep_trace=True)
+    cfg = SolveConfig(grad_tol=1e-8, keep_trace=True)
     rep_a = solve_ground(solve_grid, pars, cfg)
     rep_b = solve_ground(solve_grid, pars, cfg)
     assert np.array_equal(rep_a.field.values, rep_b.field.values)

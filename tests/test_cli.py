@@ -6,6 +6,7 @@ import pytest
 from spiralnls import cli
 from spiralnls.cli import (
     EXIT_CHECK,
+    EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -37,7 +38,7 @@ def test_solve_ground_end_to_end(tmp_path, capsys):
     # fixture comparison: the same solve through the API
     grid = build_grid(12.0, 96, 16, SectorKind.half_disk())
     rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
-                       SolveConfig(grad_tol=1e-7, newton_refine=True))
+                       SolveConfig(grad_tol=1e-7))
     assert report["energy"]["total"] == pytest.approx(rep.energy.total, rel=1e-12)
     manifest = json.loads(
         (tmp_path / "out" / "ground_p4_q1_lam2_manifest.json").read_text())
@@ -149,7 +150,7 @@ def test_cli_reports_numerical_failure(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = run_cli(["solve-ground", "--p", "4", "--q", "1", "--lambda", "1",
                     "--sector", "half", "--out-dir", out,
-                    "--set", "max_iters=3", "--set", "newton=false",
+                    "--set", "max_iters=3",
                     "--set", "grad_tol=1e-12"] + ARGS_SMALL[:-2])
     assert code == EXIT_NUMERICAL
     capsys.readouterr()
@@ -170,7 +171,9 @@ def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
     assert "nehari-residual" not in message
 
 
-@pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"]])
+# the last two: a seed kind that does not exist, and a custom seed with no field
+@pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"],
+                                 ["--seed", "bogus"], ["--seed", "custom"]])
 def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
     code = run_cli(["solve-ground", "--out-dir", str(tmp_path)] + bad)
     assert code == EXIT_USAGE
@@ -189,6 +192,15 @@ def test_degenerate_parameters_are_usage_errors(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["newton", "step", "extent", "check_tol"])
+def test_fixed_settings_are_unknown_keys(tmp_path, capsys, key):
+    # the solve policy, the volume extent and check's tolerance are not settable
+    code = run_cli(["check", "--set", f"{key}=1", "--out-dir", str(tmp_path),
+                    str(tmp_path / "absent.csv")])
+    assert code == EXIT_USAGE
+    assert f"unknown override key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -310,3 +322,27 @@ def test_identical_runs_write_identical_manifests(tmp_path, capsys):
     capsys.readouterr()
     assert texts[0] == texts[1]
     assert set(json.loads(texts[0])["environment"]) >= {"python", "numpy", "scipy"}
+
+
+def test_config_file_with_trace(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a traced solve\nkeep_trace = true\nsector = half\n")
+    out = tmp_path / "out"
+    code = run_cli(["solve-ground", "--config", str(cfg), "--lambda", "2",
+                    "--out-dir", str(out)] + ARGS_SMALL)
+    assert code == EXIT_OK
+    capsys.readouterr()
+    lines = (out / "ground_p4_q1_lam2_trace.csv").read_text().splitlines()
+    assert lines[0] == "iter,energy,grad_norm"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) > 1 and [row[0] for row in rows] == list(range(1, len(rows) + 1))
+    energies = [row[1] for row in rows]
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    manifest = json.loads((out / "ground_p4_q1_lam2_manifest.json").read_text())
+    assert manifest["config"]["keep_trace"] == "true"
+
+
+def test_check_of_a_missing_file_is_io_error(tmp_path, capsys):
+    assert run_cli(["check", str(tmp_path / "absent.csv")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and err.count("\n") == 1

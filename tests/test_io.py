@@ -24,7 +24,7 @@ def test_config_round_trip_canonical():
     lambda = 2.5
     p = 3.0
     nr = 128
-    newton = yes
+    keep_trace = yes
     lambdas = 0.5, 1.0, 2
     """
     cfg = parse_config(text)
@@ -34,7 +34,7 @@ def test_config_round_trip_canonical():
     lines = [ln.split(" = ")[0] for ln in canonical.strip().splitlines()]
     assert lines == sorted(lines)
     assert cfg["lambda"] == 2.5
-    assert cfg["newton"] is True
+    assert cfg["keep_trace"] is True
     assert cfg["lambdas"] == (0.5, 1.0, 2.0)
 
 
@@ -49,7 +49,7 @@ def test_config_bad_values():
     with pytest.raises(ConfigError):
         parse_config("nr = small\n")
     with pytest.raises(ConfigError):
-        parse_config("newton = maybe\n")
+        parse_config("keep_trace = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("p 4\n")
 
@@ -66,8 +66,7 @@ def test_config_builds_objects():
     assert grid.nr == 16
     params = cfg.model_params()
     assert params.p == 4.0
-    scfg = cfg.solve_config()
-    assert scfg.newton_refine is True
+    cfg.solve_config()
 
 
 def test_solution_round_trip_bit_exact(tmp_path, rng):
@@ -114,8 +113,7 @@ def test_solution_rejects_foreign_file(tmp_path):
 def test_report_dict_json_safe():
     grid = build_grid(12.0, 96, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=1.0)
-    rep = solve_ground(grid, params, SolveConfig(grad_tol=1e-6, newton_refine=True,
-                                                 keep_trace=True))
+    rep = solve_ground(grid, params, SolveConfig(grad_tol=1e-6, keep_trace=True))
     payload = report_dict(rep, params)
     text = json.dumps(payload, allow_nan=False)
     back = json.loads(text)

@@ -51,7 +51,7 @@ def _count(calls, fn):
 def _per_step(calls, solve, grid, params, seed_kind):
     """Forward transforms of one accepted descent step: run k + 1 steps minus k."""
     def run(k):
-        cfg = SolveConfig(max_iters=k, seed_kind=seed_kind, newton_refine=False)
+        cfg = SolveConfig(max_iters=k, seed_kind=seed_kind)
         return _count(calls, lambda: solve(grid, params, cfg))
     return run(3) - run(2)
 
@@ -183,7 +183,7 @@ def test_factorization_once_per_operator(monkeypatch):
     monkeypatch.setattr(spiralnls.grid, "dpttrf", counting)
     grid = build_grid(8.0, 48, 16, SectorKind.half_disk())
     report = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
-                          SolveConfig(grad_tol=1e-8, newton_refine=True))
+                          SolveConfig(grad_tol=1e-8))
     assert report.converged and report.iterations > 1
     assert calls[0] == 1
 

@@ -19,7 +19,7 @@ from spiralnls.spiral3d import (
 def half_ground():
     grid = build_grid(14.0, 160, 32, SectorKind.half_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    rep = solve_ground(grid, params, SolveConfig(grad_tol=1e-8, newton_refine=True))
+    rep = solve_ground(grid, params, SolveConfig(grad_tol=1e-8))
     assert rep.converged
     return rep.field, params
 

@@ -30,7 +30,7 @@ from spiralnls.studies import (
     transition_bracket,
 )
 
-CFG = SolveConfig(grad_tol=1e-7, newton_refine=True)
+CFG = SolveConfig(grad_tol=1e-7)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,19 @@ def test_sweep_records_a_failed_sector_row(monkeypatch):
     assert math.isfinite(failed.beta_dipole)
     assert not after.failures and math.isfinite(after.c_hat)
     assert after.beta_dipole == dipole_rows[1][1].energy.total
+
+
+def test_sweep_records_unconverged_rows():
+    # every row stops at the iteration cap: each is a failure and gives no level
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    records = sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.5, 4.0], grid,
+                           replace(CFG, max_iters=2))
+    tags = ["disk-ground", "sector-ground", "nodal-dipole", "nodal-radial"]
+    for rec in records:
+        assert rec.failures == tuple(f"{tag}: not converged after 2 iterations"
+                                     for tag in tags)
+        assert math.isnan(rec.alpha_hat) and math.isnan(rec.c_hat)
+        assert rec.beta_hat == math.inf
 
 
 def test_odd_extension_of_a_half_disk_field():
