@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridMismatchError
+from .lapack import dpttrf, dpttrs
 
 FULL = "full"
 HALF = "half"

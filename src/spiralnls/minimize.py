@@ -26,10 +26,10 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .diagnostics import nonradiality_index
 from .energy import (
@@ -41,7 +41,7 @@ from .energy import (
     lambda_norm,
     lp_integral,
 )
-from .errors import OnePhaseMissing, SeedCollapsed, ZeroFieldError
+from .errors import ConfigError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
 from .nehari import (
     NehariResidual,
@@ -187,11 +187,12 @@ def _gradient_of(state: Projected, params: ModelParams):
 
 
 def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, project,
-             tol: float, trace: Optional[list], constrain):
+             tol: float, trace: Optional[list], constrain, spent: int = 0):
     """Projected gradient descent with the spec'd backtracking policy.
 
     The iterate and each projected trial carry their modes and energy, so a
-    step transforms only the nonlinearity and the trial.  Returns (state,
+    step transforms only the nonlinearity and the trial.  Trace rows are
+    numbered on from the spent iterations of the solve.  Returns (state,
     gradient norm, iterations).
     """
     grid = cur.field.grid
@@ -201,7 +202,7 @@ def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, p
     for iterations in range(1, max_steps + 1):
         g, gn = _gradient_of(cur, params)
         if trace is not None:
-            trace.append((iterations, cur.energy, gn))
+            trace.append((spent + iterations, cur.energy, gn))
         if gn <= tol:
             return cur, gn, iterations
         while True:
@@ -225,6 +226,93 @@ def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, p
             step = min(step * 2.0, STEP_MAX)
             accepts_in_row = 0
     return cur, gn, iterations
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of products of two vectors in einsum's own loop, which calls no BLAS.
+
+    np.dot and np.linalg.norm call BLAS, which splits long sums over its
+    threads, so their bits depend on the thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def gmres(op, b: np.ndarray, *, rtol: float, atol: float = 0.0, restart: int = 20,
+          maxiter: Optional[int] = None):
+    """Restarted GMRES (Saad & Schultz 1986) for op x = b, started from x = 0.
+
+    op is used only through op.matvec.  A cycle runs at most restart Arnoldi
+    steps (modified Gram-Schmidt) and stops early once the Givens estimate of
+    the residual meets its target; the true residual ||b - op x|| is then
+    checked against max(atol, rtol ||b||).  After a cycle whose estimate met
+    its target but whose true residual did not, the estimate's target
+    tightens, as in scipy's gmres.  Returns (x, info): info 0 on
+    convergence, maxiter after maxiter cycles, -1 when the Krylov space closes
+    (or a value turns non-finite) short of the target.  The rotations run
+    on Python floats and every vector reduction goes through _dot, so the
+    bits do not depend on the BLAS thread count.
+    """
+    n = b.size
+    x = np.zeros(n)
+    bnorm = math.sqrt(_dot(b, b))
+    if bnorm == 0.0:
+        return x, 0
+    target = max(atol, rtol * bnorm)
+    restart = min(restart, n)
+    maxiter = 10 * n if maxiter is None else maxiter
+    eps = np.finfo(float).eps
+    V = np.empty((restart + 1, n))
+    r, rnorm = b, bnorm
+    inner_tol, factor = target, 1.0
+    for _ in range(maxiter):
+        V[0] = r / rnorm
+        gs = [rnorm]        # the rotated right-hand side of the least-squares problem
+        cols, rots = [], []
+        closed = False
+        for j in range(restart):
+            w = op.matvec(V[j])
+            w0 = math.sqrt(_dot(w, w))
+            h = []
+            for k in range(j + 1):
+                h.append(_dot(V[k], w))
+                w -= h[k] * V[k]
+            hn = math.sqrt(_dot(w, w))
+            if not math.isfinite(hn):
+                return x, -1
+            closed = hn <= eps * w0
+            if not closed:
+                V[j + 1] = w / hn
+            for k, (c, s) in enumerate(rots):
+                h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+            rho = math.hypot(h[j], hn)
+            c, s = (h[j] / rho, hn / rho) if rho > 0.0 else (1.0, 0.0)
+            h[j] = rho
+            rots.append((c, s))
+            cols.append(h)
+            gs.append(-s * gs[j])
+            gs[j] *= c
+            estimate = abs(gs[j + 1])
+            if estimate <= inner_tol or closed:
+                break
+        # back substitution in the triangle, column by column
+        y = gs[:len(cols)]
+        for m in range(len(cols) - 1, -1, -1):
+            y[m] = y[m] / cols[m][m] if cols[m][m] != 0.0 else 0.0
+            for i in range(m):
+                y[i] -= y[m] * cols[m][i]
+        x += np.einsum("k,ki->i", np.array(y), V[:len(y)])
+        r = b - op.matvec(x)
+        rnorm = math.sqrt(_dot(r, r))
+        if rnorm <= target:
+            return x, 0
+        if closed:
+            return x, -1
+        if estimate <= inner_tol:
+            factor = max(eps, 0.25 * factor)
+        else:
+            factor = min(1.0, 1.5 * factor)
+        inner_tol = estimate * min(factor, target / rnorm)
+    return x, maxiter
 
 
 def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain,
@@ -262,7 +350,8 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
             out = shift * vals - solve_operator(grid, params, weight * vals)
             return out.ravel()
 
-        lin = LinearOperator((n, n), matvec=matvec)
+        # shape and dtype describe the operator to wrappers such as a tracer's
+        lin = SimpleNamespace(shape=(n, n), dtype=np.dtype(float), matvec=matvec)
         rhs = -g.values.ravel()
         rtol = min(0.1, max(1e-10, 0.01 * gn))
         delta, info = gmres(lin, rhs, rtol=rtol, atol=0.0, restart=80, maxiter=600)
@@ -270,9 +359,10 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
         if info < 0 or not np.all(np.isfinite(delta)):
             log.warning("newton linear solve failed (gmres info=%d)", info)
             return cur, gn, False, solves
-        if info > 0:
+        if info > 0 and log.isEnabledFor(logging.DEBUG):
+            res = rhs - lin.matvec(delta)
             log.debug("gmres stopped at its iteration cap (info=%d), relative residual %.3e",
-                      info, np.linalg.norm(rhs - lin.matvec(delta)) / np.linalg.norm(rhs))
+                      info, math.sqrt(_dot(res, res) / _dot(rhs, rhs)))
         dvals = delta.reshape(grid.nr, grid.ntheta)
 
         # keep the modes of the lowest-energy candidate only: seven mode
@@ -349,7 +439,7 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project) -> SolveRe
         if not ok and iters < cfg.max_iters:
             # stall: fall back to first-order steps for the remaining budget
             cur, gn, extra = _descend(cur, params, cfg.max_iters - iters, _FALLBACK_STEP,
-                                      project, cfg.grad_tol, trace, constrain)
+                                      project, cfg.grad_tol, trace, constrain, iters)
             iters += extra
     return _finalize(cur.field, iters, gn <= cfg.grad_tol, params, trace)
 
@@ -360,7 +450,8 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
     cfg = cfg or SolveConfig()
     seed = make_seed(grid, params, cfg.seed_kind, cfg.seed_field)
     if np.any(seed.values < 0) and cfg.seed_kind != SEED_CUSTOM:
-        raise ValueError("ground solve needs a nonnegative seed")
+        raise ConfigError(f"a ground solve needs a nonnegative seed; the {cfg.seed_kind} "
+                          f"seed changes sign on this domain")
 
     def project(v: Field) -> Projected:
         return project_ray(v, params)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import BisectionBracketFailure
+from .lapack import dgtsv
 
 _EPS0 = 1e-6         # launch radius for the series start
 _RMAX_SHOOT = 60.0   # shot horizon; classifying shots stop once their class is final

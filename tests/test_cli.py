@@ -171,9 +171,11 @@ def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
     assert "nehari-residual" not in message
 
 
-# the last two: a seed kind that does not exist, and a custom seed with no field
+# the last four: a seed kind that does not exist, a custom seed with no field,
+# and two seeds that change sign on the disk, where a ground solve needs one sign
 @pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"],
-                                 ["--seed", "bogus"], ["--seed", "custom"]])
+                                 ["--seed", "bogus"], ["--seed", "custom"],
+                                 ["--seed", "dipole"], ["--seed", "radial-nodal"]])
 def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
     code = run_cli(["solve-ground", "--out-dir", str(tmp_path)] + bad)
     assert code == EXIT_USAGE

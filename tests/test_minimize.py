@@ -1,8 +1,10 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from reference import field_from_polar, newton_refine, unprojected
+from scipy.sparse.linalg import LinearOperator
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
@@ -247,8 +249,85 @@ def test_solve_falls_back_to_descent_after_gmres_breakdown(monkeypatch):
     monkeypatch.setattr(minimize, "_descend", recording)
     monkeypatch.setattr(minimize, "gmres",
                         lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(max_iters=400))
+    rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
+                       SolveConfig(max_iters=400, keep_trace=True))
     (handover, _, steps), _ = descents
     assert rep.iterations > steps + 1   # descent, one failed solve, then the fallback
     assert rep.energy.total <= handover.energy
     assert rep.converged
+    # the fallback's rows are numbered on from the descent and the failed solve
+    iters = [row[0] for row in rep.trace]
+    assert iters[steps] == steps + 2
+    assert all(b > a for a, b in zip(iters, iters[1:]))
+    assert iters[-1] == rep.iterations
+
+
+@pytest.mark.parametrize("level", [logging.DEBUG, logging.INFO], ids=["debug", "info"])
+def test_gmres_cap_residual_is_computed_only_for_debug(monkeypatch, caplog, level):
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = _near_critical(params)
+    real = minimize.gmres
+    outside = []   # matvecs of the polish's operator made after gmres returned
+
+    def capped(op, rhs, **kw):
+        matvec = op.matvec
+        op.matvec = lambda x: outside.append(1) or matvec(x)
+        delta, _ = real(SimpleNamespace(matvec=matvec), rhs, **kw)
+        return delta, 7
+
+    monkeypatch.setattr(minimize, "gmres", capped)
+    with caplog.at_level(level, logger="spiralnls.minimize"):
+        minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
+    assert bool(outside) == (level == logging.DEBUG)
+
+
+def _nonsymmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.eye(n) * 4.0 + rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("restart", [5, 60])
+def test_gmres_solves_a_nonsymmetric_system(restart):
+    A, b = _nonsymmetric(60, 7)
+    x, info = minimize.gmres(SimpleNamespace(matvec=lambda v: A @ v), b, rtol=1e-10,
+                             restart=restart, maxiter=200)
+    assert info == 0
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-8)
+
+
+def test_gmres_reports_its_cycle_cap():
+    A, b = _nonsymmetric(60, 8)
+    x, info = minimize.gmres(SimpleNamespace(matvec=lambda v: A @ v), b, rtol=1e-12,
+                             restart=2, maxiter=3)
+    assert info == 3
+    assert np.linalg.norm(b - A @ x) > 1e-12 * np.linalg.norm(b)
+
+
+def test_gmres_of_a_zero_right_hand_side():
+    A, _ = _nonsymmetric(10, 9)
+    x, info = minimize.gmres(SimpleNamespace(matvec=lambda v: A @ v), np.zeros(10), rtol=1e-8)
+    assert info == 0 and not np.any(x)
+
+
+def test_gmres_reports_a_closed_krylov_space():
+    # b spans the kernel of a nilpotent A: the space closes without a solution
+    A = np.diag(np.ones(3), k=1)
+    x, info = minimize.gmres(SimpleNamespace(matvec=lambda v: A @ v), np.eye(4)[0], rtol=1e-8)
+    assert info < 0
+
+
+def test_gmres_takes_a_scipy_linear_operator():
+    # the shape of a benchmark tracer's counting wrapper
+    A, b = _nonsymmetric(40, 10)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v
+
+    op = LinearOperator(A.shape, matvec=matvec, dtype=float)
+    x, info = minimize.gmres(op, b, rtol=1e-10, atol=0.0, restart=80, maxiter=600)
+    assert info == 0
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    assert 0 < len(calls) <= 41

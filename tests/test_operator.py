@@ -239,6 +239,31 @@ def test_kernels_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+_SOLVE_PROBE = """
+import hashlib
+from spiralnls.grid import ModelParams, SectorKind, build_grid
+from spiralnls.minimize import SolveConfig, solve_ground
+grid = build_grid(24.0, 320, 64, SectorKind.half_disk())
+rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(keep_trace=True))
+print(rep.energy.total.hex(), hashlib.sha256(rep.field.values.tobytes()).hexdigest())
+print(rep.converged, rep.trace[-1][0] < rep.iterations)   # the Newton polish ran
+"""
+
+
+def test_newton_polished_solve_does_not_depend_on_blas_threads():
+    # the polish's GMRES reduces 20480-long vectors, which BLAS would split at 2
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _SOLVE_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].splitlines()[1] == "True True"
+    assert outputs[0] == outputs[1]
+
+
 def test_grid_keeps_one_operator(small_disk):
     a = ModelParams(p=4.0, q=1, lam=0.7)
     b = ModelParams(p=4.0, q=1, lam=1.3)

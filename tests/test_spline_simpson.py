@@ -160,10 +160,12 @@ def test_scaled_bessel_rejects_arguments_up_to_2(x):
 
 
 def test_cli_loads_no_unneeded_scipy_parts():
-    # of scipy the package loads only linalg.lapack and sparse.linalg
+    # of scipy the package loads only the LAPACK extension scipy.linalg._flapack,
+    # and not through the scipy.linalg package, which loads numpy.f2py and numpy.testing
     probe = ("import sys, spiralnls.cli\n"
              "print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',"
-             " 'scipy.optimize', 'scipy.spatial', 'scipy.fft', 'scipy.special')"
+             " 'scipy.optimize', 'scipy.spatial', 'scipy.fft', 'scipy.special',"
+             " 'scipy.linalg', 'scipy.sparse', 'numpy.f2py', 'numpy.testing')"
              " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
