@@ -214,7 +214,7 @@ def test_newton_polish_stops_on_gmres_breakdown(monkeypatch):
     u = _near_critical(params)
     monkeypatch.setattr(minimize, "gmres",
                         lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    state, gn, ok, solves = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
+    state, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
     assert not ok and solves == 1
     assert np.array_equal(state.field.values, u.values)
     assert gn > 1e-12
@@ -231,7 +231,7 @@ def test_newton_polish_logs_gmres_iteration_cap(monkeypatch, caplog):
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
-        _, gn, ok, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
+        _, gn, ok, _, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
     assert ok and gn <= 1e-12
     assert any("iteration cap" in rec.getMessage() and rec.levelno == logging.DEBUG
                for rec in caplog.records)
@@ -260,6 +260,66 @@ def test_solve_falls_back_to_descent_after_gmres_breakdown(monkeypatch):
     assert iters[steps] == steps + 2
     assert all(b > a for a, b in zip(iters, iters[1:]))
     assert iters[-1] == rep.iterations
+
+
+def test_newton_stall_falls_back_to_descent(monkeypatch, caplog):
+    # a zero Newton step never lowers the energy or the residual
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    real = minimize._newton_polish
+    polishes = []
+
+    def recording(*args, **kwargs):
+        polishes.append(real(*args, **kwargs))
+        return polishes[-1]
+
+    monkeypatch.setattr(minimize, "_newton_polish", recording)
+    monkeypatch.setattr(minimize, "gmres", lambda op, rhs, **kw: (np.zeros_like(rhs), 0))
+    with caplog.at_level(logging.WARNING, logger="spiralnls.minimize"):
+        rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
+                           SolveConfig(max_iters=400, keep_trace=True))
+    ((_, _, ok, solves, _),) = polishes
+    assert not ok and solves == 9
+    assert any("newton stalled" in rec.getMessage() for rec in caplog.records)
+    assert rep.converged
+    iters = [row[0] for row in rep.trace]
+    assert all(b > a for a, b in zip(iters, iters[1:]))
+    assert iters[-1] == rep.iterations
+
+
+def test_cold_sector_ground_solve_hands_over_early(caplog):
+    # the bump's flat valley at lambda = 5 took 102 descent steps before the
+    # hand-over at 1e-4; Newton now carries it from 1e-2
+    grid = build_grid(24.0, 320, 64, SectorKind.half_disk())
+    with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
+        rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=5.0), SolveConfig(keep_trace=True))
+    assert rep.converged and rep.iterations <= 20
+    assert abs(rep.energy.total - 6.596732415772473) <= 1e-12 * 6.596732415772473
+    # one trace row per descent step and per Newton solve
+    iters = [row[0] for row in rep.trace]
+    assert iters == list(range(1, rep.iterations + 1))
+    assert any("newton solves" in rec.getMessage() and rec.levelno == logging.DEBUG
+               for rec in caplog.records)
+
+
+def test_newton_forcing_term_does_not_over_solve(monkeypatch):
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = _near_critical(params)
+    project = unprojected(params)
+    real = minimize.gmres
+    rtols = []
+
+    def recording(op, rhs, **kw):
+        rtols.append(kw["rtol"])
+        return real(op, rhs, **kw)
+
+    monkeypatch.setattr(minimize, "gmres", recording)
+    tol, trace = 1e-12, []
+    _, gn, ok, solves, _ = minimize._newton_polish(u, params, tol, project, None, trace=trace)
+    assert ok and gn <= tol and len(rtols) == solves >= 1
+    # the residual norm at each solve: the polish's start, then each solve's row
+    gns = [minimize._gradient_of(project(u), params)[1]] + [row[2] for row in trace]
+    for rtol, g in zip(rtols, gns):
+        assert rtol >= min(0.1, 0.1 * tol / g)
 
 
 @pytest.mark.parametrize("level", [logging.DEBUG, logging.INFO], ids=["debug", "info"])
