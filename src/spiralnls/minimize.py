@@ -3,10 +3,11 @@
 Ground states (positive, level alpha on the disk / c_lambda on sectors)
 descend along the pitch-metric gradient and re-project onto the Nehari set
 after every step; sign-changing solves (level beta) re-project both signed
-parts.  Backtracking halves the step whenever the projected energy rises and
-doubles it after five consecutive accepts, clamped to [1e-4, 1].  Every solve
-then hands over to a Newton polish of the full Euler-Lagrange system, solved
-matrix-free with the per-mode operator as preconditioner; that is what makes
+parts.  Backtracking halves the step whenever the projected energy rises or
+a signed part vanishes, and doubles it after five consecutive accepts,
+clamped to [1e-4, 1].  Every solve then hands over to a Newton polish of
+the full Euler-Lagrange system, solved matrix-free with the per-mode
+operator as preconditioner; that is what makes
 tight tolerances affordable when the energy landscape is flat (large pitch,
 translating bump).  Ground solves hand over once ||E'|| <= 1e-2 (1 + ||u||),
 so Newton, not the descent, carries the bump along that flat valley; nodal
@@ -228,8 +229,11 @@ def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, p
             trial = Field(grid, trial_vals)
             if lp_integral(trial, params.p) == 0.0:
                 raise SeedCollapsed("descent iterate vanished")
-            trial = project(trial)
-            if trial.energy <= cur.energy + 1e-12 * (1.0 + abs(cur.energy)):
+            try:
+                trial = project(trial)
+            except OnePhaseMissing:
+                trial = None     # the step wiped out one sign: too long, like a rise
+            if trial is not None and trial.energy <= cur.energy + 1e-12 * (1.0 + abs(cur.energy)):
                 break
             if step <= STEP_MIN:
                 # flat to round-off; nothing left for first-order steps
@@ -496,7 +500,7 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
                 ) -> SolveReport:
     """Least-energy sign-changing solution on the full disk (beta level).
 
-    Raises OnePhaseMissing if the seed or an iterate has only one sign.
+    Raises OnePhaseMissing if the seed has only one sign.
     """
     cfg = cfg or SolveConfig(seed_kind=SEED_DIPOLE)
     if not grid.sector.is_full:

@@ -131,12 +131,17 @@ def test_sector_large_pitch_energy_near_free_level():
     assert abs(rep.energy.total - oracle.energy) / oracle.energy < 0.02
 
 
-def test_dipole_solve_that_loses_a_sign_raises():
+def test_dipole_solve_that_would_lose_a_sign_ends_radial():
     # at small pitch the cold dipole iterate slides toward the radial-nodal
-    # state, and on this grid one of its signed parts vanishes on the way
+    # state; on this grid a full step on the way wipes out one signed part,
+    # and the descent halves such a step instead of giving up
     grid = build_grid(24.0, 320, 64, SectorKind.full_disk())
-    with pytest.raises(OnePhaseMissing):
-        solve_nodal(grid, ModelParams(p=4.0, q=1, lam=0.1), SolveConfig(seed_kind=SEED_DIPOLE))
+    params = ModelParams(p=4.0, q=1, lam=0.1)
+    dipole = solve_nodal(grid, params, SolveConfig(seed_kind=SEED_DIPOLE))
+    radial = solve_nodal(grid, params, SolveConfig(seed_kind=SEED_RADIAL_NODAL))
+    assert dipole.converged and radial.converged
+    assert dipole.nonradiality < 1e-6
+    assert abs(dipole.energy.total - radial.energy.total) <= 1e-12 * radial.energy.total
 
 
 def test_nodal_requires_full_disk():
