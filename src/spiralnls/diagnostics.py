@@ -62,7 +62,7 @@ def angular_l2_pieces(u: Field):
     U = grid.to_modes(u.values)
     st = grid.stencil
     _, dth2, l2 = st.forms(U, U)
-    avg2 = float(st.cm[0] * (st.wr @ np.abs(U[:, 0]) ** 2)) if grid.sector.is_full else 0.0
+    avg2 = float(st.cm[0] * (st.wr @ U[:, 0] ** 2)) if grid.sector.is_full else 0.0
     return l2, dth2, avg2
 
 

@@ -10,10 +10,11 @@ part of the operator is the conservative second-order finite-volume stencil
 with face radii R_f = f dr.  The inner face R_0 = 0 kills the ghost value, so
 the pole needs no special casing.  The angular direction is spectral: a real
 Fourier series on the full disk, a DST-I sine series on Dirichlet sectors.
-The sector DST-I is one product with a sine matrix built with the grid.  It
-costs O(n^2) per radius against an FFT's O(n log n), but it is faster at the
-sector sizes in use, whatever the factors of n + 1 (timings in the README).
-Per angular mode the operator
+Either transform is one product with a real (n, n) matrix built with the
+grid, so modes are real on every grid: on the disk rfft's cos and sin parts
+are separate mode columns.  The product costs O(n^2) per radius against an
+FFT's O(n log n), but it is faster at the sizes in use, whatever the factors
+of n or n + 1 (timings in the README).  Per angular mode the operator
 
     -d^2/dr^2 - (1/r) d/dr + (1/lambda^2 + 1/r^2) mu + q
 
@@ -26,10 +27,10 @@ matrix of the pitch inner product: symmetric positive definite for every lambda 
 L D L^T and solves with the factor, and evaluates the inner product as one
 weighted sum over node products plus one over face differences.  The sums
 are numpy loops and the factor and its solves are unthreaded LAPACK loops,
-so none of them depends on the BLAS thread count.  The sector transform is a
-BLAS dgemm; OpenBLAS splits it by blocks of the output, so every entry keeps
-one summation order, and tests/test_operator.py checks that its bits are
-the same at one and two threads.
+so none of them depends on the BLAS thread count.  The angular transform is
+a BLAS dgemm; OpenBLAS splits it by blocks of the output, so every entry
+keeps one summation order, and tests/test_operator.py checks that its bits
+are the same at one and two threads.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class PolarGrid:
     radii: np.ndarray = field(compare=False)     # (nr,) staggered nodes (j + 1/2) dr
     angles: np.ndarray = field(compare=False)    # (ntheta,) angular nodes, open at Dirichlet rays
     weights: np.ndarray = field(compare=False)   # (nr, ntheta) quadrature weights r dr dtheta
-    # sectors: (forward, inverse) DST-I matrices, (ntheta, ntheta); None on the disk
-    sines: tuple | None = field(compare=False, repr=False)
+    # (forward, inverse) angular transform matrices, (ntheta, ntheta)
+    transform: tuple = field(compare=False, repr=False)
 
     @property
     def dr(self) -> float:
@@ -143,49 +144,53 @@ class PolarGrid:
         return np.arange(self.nr + 1) * self.dr
 
     def _omega(self) -> np.ndarray:
-        """Angular frequencies per spectral mode (ascending)."""
+        """Angular frequency of each mode column."""
         if self.sector.is_full:
-            return np.arange(self.ntheta // 2 + 1, dtype=float)
+            return _disk_columns(self.ntheta)[0].astype(float)
         return np.arange(1, self.ntheta + 1) * np.pi / (2 * self.sector.half_angle)
 
     def mode_multipliers(self) -> np.ndarray:
-        """Squared angular frequencies mu per spectral mode (ascending)."""
+        """Squared angular frequency mu of each mode column."""
         return self._omega() ** 2
 
     def mode_quad_coeffs(self) -> np.ndarray:
-        """Coefficients c_m with sum_k u_k v_k dtheta = sum_m c_m Re(U_m conj(V_m))."""
+        """Coefficients c_m with sum_k u_k v_k dtheta = sum_m c_m U_m V_m, per mode column."""
         if self.sector.is_full:
-            return self._disk_pairs() * self.dtheta / self.ntheta
+            return _disk_columns(self.ntheta)[1] * self.dtheta / self.ntheta
         return np.full(self.ntheta, self.dtheta / (2 * (self.ntheta + 1)))
 
-    def _disk_pairs(self) -> np.ndarray:
-        """Nodal values each rfft mode stands for on the disk: c = (1, 2, ..., 2, 1)."""
-        c = np.full(self.ntheta // 2 + 1, 2.0)
-        c[[0, -1]] = 1.0
-        return c
-
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Angular transform: rfft on the full disk, DST-I on sectors."""
-        if self.sector.is_full:
-            return np.fft.rfft(values, axis=1)
-        return values @ self.sines[0]
+        """Angular transform: one product with the forward matrix.
+
+        On the disk a row's first value is kept out of the product and put
+        back into the mean mode, so a radial row's other modes are exactly 0.
+        """
+        if not self.sector.is_full:
+            return values @ self.transform[0]
+        first = values[:, :1]
+        modes = (values - first) @ self.transform[0]
+        modes[:, 0] += self.ntheta * first[:, 0]
+        return modes
 
     def from_modes(self, modes: np.ndarray) -> np.ndarray:
-        if self.sector.is_full:
-            return np.fft.irfft(modes, n=self.ntheta, axis=1)
-        return modes @ self.sines[1]
+        return modes @ self.transform[1]
 
     def angular_series(self, values: np.ndarray):
         """(omega, A) with values[j, k] = Re sum_m A[j, m] exp(i omega_m (angles[k] + half_angle)).
 
-        The only code that knows the transforms' normalization: on the disk A
-        is the rfft modes times c/n, c = (1, 2, ..., 2, 1); on sectors, -i
-        times the DST-I modes over n + 1 (a sine series from the lower ray).
+        The only code that knows the transforms' normalization: on the disk
+        A[:, m], m = 0, ..., n/2, is (cos column + i sin column) of frequency
+        m times c/n (_disk_columns); on sectors it is -i times the DST-I modes
+        over n + 1 (a sine series from the lower ray).
         """
         omega, modes = self._omega(), self.to_modes(values)
-        if self.sector.is_full:
-            return omega, modes * (self._disk_pairs() / self.ntheta)
-        return omega, -1j * (modes / (self.ntheta + 1))
+        if not self.sector.is_full:
+            return omega, -1j * (modes / (self.ntheta + 1))
+        h = self.ntheta // 2
+        scaled = modes * (_disk_columns(self.ntheta)[1] / self.ntheta)
+        A = scaled[:, :h + 1].astype(complex)
+        A.imag[:, 1:h] = scaled[:, h + 1:]
+        return omega[:h + 1], A
 
     def series_at(self, values: np.ndarray, angles) -> np.ndarray:
         """The angular series of values summed at any angles, (nr, *shape of angles).
@@ -265,41 +270,43 @@ def build_grid(R: float, nr: int, ntheta: int, sector: SectorKind) -> PolarGrid:
         dtheta = 2 * theta0 / (ntheta + 1)
         angles = -theta0 + dtheta * np.arange(1, ntheta + 1)
     weights = np.outer(radii * dr, np.full(ntheta, dtheta))
-    sines = None if sector.is_full else _sine_matrices(ntheta)
-    for arr in (radii, angles, weights, *(sines or ())):
+    transform = _transform_matrices(ntheta, sector.is_full)
+    for arr in (radii, angles, weights, *transform):
         arr.setflags(write=False)
-    return PolarGrid(float(R), int(nr), int(ntheta), sector, radii, angles, weights, sines)
+    return PolarGrid(float(R), int(nr), int(ntheta), sector, radii, angles, weights, transform)
 
 
-def _sine_matrices(n: int) -> tuple:
-    """scipy's DST-I of length n and its inverse, as symmetric (n, n) matrices.
+def _disk_columns(n: int) -> tuple:
+    """(m, c) per disk mode column: the frequencies m = 0, ..., n/2 of the cos
+    columns, then 1, ..., n/2 - 1 of the sin columns, and the nodal values c
+    each column stands for, 1 at m = 0 and m = n/2, else 2."""
+    h = n // 2
+    m = np.concatenate([np.arange(h + 1), np.arange(1, h)])
+    return m, np.where((m == 0) | (m == h), 1.0, 2.0)
 
-    S[k, m] = 2 sin(pi (k+1)(m+1) / (n+1)), with the integer product reduced
-    modulo the period 2(n+1) so the sine's argument stays below 2 pi; the
-    inverse is S / (2(n+1)).  values @ S is then dst(values, type=1, axis=1).
+
+def _transform_matrices(n: int, full: bool) -> tuple:
+    """The (forward, inverse) real (n, n) angular transform matrices.
+
+    Disk: cos(2 pi m k / n) and -sin columns, rfft's real and imaginary
+    parts, with the inverse F^T c / n.  Sectors: S[k, m] = 2 sin(pi (k+1)
+    (m+1) / (n+1)), scipy's DST-I, with the inverse S / (2(n+1)).  Integer
+    products are reduced modulo the period, so arguments stay below 2 pi.
     """
-    k = np.arange(1, n + 1)
-    forward = 2 * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
-    return forward, forward / (2 * (n + 1))
+    if not full:
+        k = np.arange(1, n + 1)
+        forward = 2 * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
+        return forward, forward / (2 * (n + 1))
+    m, c = _disk_columns(n)
+    h = n // 2
+    phase = (2 * np.pi / n) * (np.outer(np.arange(n), m) % n)
+    forward = np.concatenate([np.cos(phase[:, :h + 1]), -np.sin(phase[:, h + 1:])], axis=1)
+    return forward, np.ascontiguousarray(forward.T) * (c / n)[:, None]
 
 
 def check_same_grid(u: Field, v: Field) -> None:
     if u.grid != v.grid:
         raise GridMismatchError("fields live on different grids")
-
-
-def _re_prod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Re(conj(A) B) elementwise, for real (sector) or complex (disk) modes."""
-    if np.iscomplexobj(A):
-        return A.real * B.real + A.imag * B.imag
-    return A * B
-
-
-def _reals(modes: np.ndarray) -> np.ndarray:
-    """A mode array as reals: complex (nr, nm) reads as (nr, 2 nm), Re and Im interleaved."""
-    if np.iscomplexobj(modes):
-        return np.ascontiguousarray(modes).view(np.float64)
-    return modes
 
 
 class Stencil:
@@ -316,7 +323,6 @@ class Stencil:
         r, dr, faces = grid.radii, grid.dr, grid.face_radii
         self.mu = mu = grid.mode_multipliers()          # (nm,)
         self.cm = grid.mode_quad_coeffs()               # (nm,) Parseval coefficients
-        self.complex_modes = grid.sector.is_full        # rfft modes on the disk
         self.wr = wr = r * dr                           # (nr,) radial quadrature weights
         # quadratic-form weights: faces R_f / dr, closure 2 R / dr (the
         # Dirichlet ghost -u_last), nodes mu dr / r (centrifugal) and
@@ -334,8 +340,8 @@ class Stencil:
         """
         dU = U[1:] - U[:-1]
         dV = dU if V is U else V[1:] - V[:-1]
-        prod_faces = _re_prod(dU, dV)                             # (nr-1, nm)
-        prod_nodes = _re_prod(U, V)                               # (nr, nm)
+        prod_faces = dU * dV                                      # (nr-1, nm)
+        prod_nodes = U * V                                        # (nr, nm)
         # Dirichlet boundary: ghost = -u_last adds 2 R u_last v_last / dr
         bnd = self.bnd_w * prod_nodes[-1]
         dirichlet = float(self.cm @ ((self.face_w * prod_faces).sum(axis=0) + bnd
@@ -374,26 +380,17 @@ class PolarOperator:
         if info != 0:
             raise FloatingPointError(f"per-mode operator not positive definite (pttrf info={info})")
         self._factor = (d, e)
-        # inner-product weights with the Parseval coefficients folded in,
-        # repeated per (Re, Im) pair on the disk to match _reals
-        pair = 2 if st.complex_modes else 1
-        self.w_nodes = np.repeat(node * st.cm, pair, axis=1)
-        self.w_faces = np.repeat(st.face_w * st.cm, pair, axis=1)
+        # inner-product weights with the Parseval coefficients folded in
+        self.w_nodes = node * st.cm
+        self.w_faces = st.face_w * st.cm
 
     def solve(self, modes: np.ndarray) -> np.ndarray:
-        """L^{-1} of a mode array (nr, nmodes): K^{-1} of the r dr-scaled modes.
-
-        Real and imaginary parts of disk modes are two right-hand sides.
-        """
-        nr, nm = modes.shape
-        scaled = modes * self.stencil.wr[:, None]
-        parts = (scaled.real, scaled.imag) if np.iscomplexobj(scaled) else (scaled,)
-        rhs = np.stack([part.T for part in parts])    # (parts, nm, nr), mode-major
-        x, info = dpttrs(*self._factor, rhs.reshape(len(parts), -1).T, overwrite_b=True)
+        """L^{-1} of a mode array (nr, nmodes): K^{-1} of the r dr-scaled modes."""
+        rhs = (modes * self.stencil.wr[:, None]).T.reshape(-1, 1)   # mode-major
+        x, info = dpttrs(*self._factor, rhs, overwrite_b=True)
         if info != 0:
             raise FloatingPointError(f"per-mode solve failed (pttrs info={info})")
-        x = x.T.reshape(len(parts), nm, nr).transpose(0, 2, 1)
-        return x[0] if len(parts) == 1 else x[0] + 1j * x[1]
+        return x.reshape(modes.shape[::-1]).T
 
     def pieces(self, U: np.ndarray, V: np.ndarray):
         """(dirichlet, angular, mass) terms of <u, v>_{lam,q} from mode arrays."""
@@ -402,21 +399,19 @@ class PolarOperator:
 
     def inner(self, U: np.ndarray, V: np.ndarray) -> float:
         """<u, v>_{lam,q} from mode arrays: a weighted sum over nodes plus one over faces."""
-        u, v = _reals(U), _reals(V)
-        du = u[1:] - u[:-1]
-        dv = du if V is U else v[1:] - v[:-1]
-        return float(np.einsum("ij,ij,ij->", self.w_nodes, u, v)
-                     + np.einsum("ij,ij,ij->", self.w_faces, du, dv))
+        dU = U[1:] - U[:-1]
+        dV = dU if V is U else V[1:] - V[:-1]
+        return float(np.einsum("ij,ij,ij->", self.w_nodes, U, V)
+                     + np.einsum("ij,ij,ij->", self.w_faces, dU, dV))
 
     def gram(self, P: np.ndarray, M: np.ndarray):
         """(<p, p>, <p, m>, <m, m>) from mode arrays, sharing the weighted p terms."""
-        p, m = _reals(P), _reals(M)
-        dp, dm = p[1:] - p[:-1], m[1:] - m[:-1]
-        wp, wdp = self.w_nodes * p, self.w_faces * dp
-        pp = np.einsum("ij,ij->", wp, p) + np.einsum("ij,ij->", wdp, dp)
-        pm = np.einsum("ij,ij->", wp, m) + np.einsum("ij,ij->", wdp, dm)
-        mm = (np.einsum("ij,ij,ij->", self.w_nodes, m, m)
-              + np.einsum("ij,ij,ij->", self.w_faces, dm, dm))
+        dP, dM = P[1:] - P[:-1], M[1:] - M[:-1]
+        wP, wdP = self.w_nodes * P, self.w_faces * dP
+        pp = np.einsum("ij,ij->", wP, P) + np.einsum("ij,ij->", wdP, dP)
+        pm = np.einsum("ij,ij->", wP, M) + np.einsum("ij,ij->", wdP, dM)
+        mm = (np.einsum("ij,ij,ij->", self.w_nodes, M, M)
+              + np.einsum("ij,ij,ij->", self.w_faces, dM, dM))
         return float(pp), float(pm), float(mm)
 
 

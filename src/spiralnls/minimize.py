@@ -5,19 +5,18 @@ descend along the pitch-metric gradient and re-project onto the Nehari set
 after every step; sign-changing solves (level beta) re-project both signed
 parts.  Backtracking halves the step whenever the projected energy rises or
 a signed part vanishes, and doubles it after five consecutive accepts,
-clamped to [1e-4, 1].  Every solve then hands over to a Newton polish of
-the full Euler-Lagrange system, solved matrix-free with the per-mode
-operator as preconditioner; that is what makes
-tight tolerances affordable when the energy landscape is flat (large pitch,
-translating bump).  Ground solves hand over once ||E'|| <= 1e-2 (1 + ||u||),
-so Newton, not the descent, carries the bump along that flat valley; nodal
-solves descend to 1e-4 (1 + ||u||), because there the descent picks the
-branch (see _NODAL_HANDOVER).  The polish's linear solves are inexact, with
-forcing term 0.01 ||E'|| safeguarded against over-solving the last step
-(Kelley 1995, sec. 6.3).  A polish that stalls falls back to short
-first-order steps.  max_iters bounds descent steps and Newton solves
-together, and keep_trace records one row per descent step and per Newton
-solve.
+clamped to [1e-4, 1].  Every solve then hands over to a Newton polish of the
+full Euler-Lagrange system, solved matrix-free with the per-mode operator as
+preconditioner; that is what makes tight tolerances affordable when the
+energy landscape is flat (large pitch, translating bump).  Ground solves
+hand over once ||E'|| <= 1e-2 (1 + ||u||), so Newton, not the descent,
+carries the bump along that flat valley; nodal solves descend to 1e-4
+(1 + ||u||), because there the descent picks the branch (see
+_NODAL_HANDOVER).  The polish's linear solves are inexact, with forcing
+term 0.01 ||E'|| safeguarded against over-solving the last step (Kelley
+1995, sec. 6.3).  A polish that stalls falls back to short first-order
+steps.  max_iters bounds descent steps and Newton solves together, and
+keep_trace records one row per descent step and per Newton solve.
 
 The exact flow preserves the symmetries of its seed: a radial seed stays
 radial, a reflection-even seed stays even in theta.  Runs started from such

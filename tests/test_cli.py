@@ -241,13 +241,15 @@ def test_grid_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch)
 @pytest.mark.parametrize("argv", [
     ["solve-ground", "--sector", "half"],
     ["asympt-inf", "--lambdas", "5"],      # the full-disk config solved on the half disk
-], ids=["solve-ground", "asympt-inf"])
+    ["solve-nodal"],
+], ids=["solve-ground", "asympt-inf", "solve-nodal"])
 def test_sine_matrix_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # 30000 angular nodes fit on 8 radii, but the 30000 x 30000 sine matrix
-    # would take 7.2 GB; the fake keeps the test from asking for it
+    # 30000 angular nodes fit on 8 radii, but the 30000 x 30000 transform
+    # matrix of a sector or of the disk would take 7.2 GB; the fake keeps the
+    # test from asking for it
     def out_of_memory(*args):
         raise MemoryError
-    monkeypatch.setattr("spiralnls.grid._sine_matrices", out_of_memory)
+    monkeypatch.setattr("spiralnls.grid._transform_matrices", out_of_memory)
     code = run_cli(argv + ["--nr", "8", "--ntheta", "30000", "--out-dir", str(tmp_path)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err

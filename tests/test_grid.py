@@ -158,6 +158,30 @@ def test_sector_transform_matches_scipy_dst(sector, n):
     assert np.max(np.abs(back - v)) <= 2 * (n + 1) * np.finfo(float).eps * np.max(np.abs(v))
 
 
+@pytest.mark.parametrize("n", [2, 4, 16, 64, 96, 256])
+def test_disk_transform_matches_numpy_rfft(n):
+    # the cos columns are rfft's real parts for m = 0, ..., n/2 and the sin
+    # columns its imaginary parts for m = 1, ..., n/2 - 1
+    g = build_grid(3.0, 12, n, SectorKind.full_disk())
+    v = np.random.default_rng(n).standard_normal((12, n))
+    want = np.fft.rfft(v, axis=1)
+    modes = g.to_modes(v)
+    h = n // 2
+    for ours, part in ((modes[:, :h + 1], want.real), (modes[:, h + 1:], want.imag[:, 1:h])):
+        assert np.max(np.abs(ours - part), initial=0.0) <= 1e-13 * np.max(np.abs(want))
+    back = g.from_modes(modes)
+    assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
+
+
+def test_disk_modes_of_a_radial_row_are_exactly_zero(small_disk):
+    # the mean mode takes a constant row whole, so L keeps radial fields radial
+    v = np.outer(np.random.default_rng(7).standard_normal(small_disk.nr),
+                 np.ones(small_disk.ntheta))
+    modes = small_disk.to_modes(v)
+    assert np.all(modes[:, 1:] == 0.0)
+    assert np.all(np.ptp(small_disk.from_modes(modes), axis=1) == 0.0)
+
+
 def _dense_matrix(grid, params):
     n = grid.nr * grid.ntheta
     A = np.zeros((n, n))

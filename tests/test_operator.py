@@ -162,15 +162,6 @@ def test_solve_inverts_apply(sector, params, rng):
         assert np.max(np.abs(operator_apply(op, op.solve(X)) - X)) <= 1e-12 * np.max(np.abs(X))
 
 
-def test_complex_solve_is_two_real_solves(small_disk, params_q1, rng):
-    op = small_disk.operator(params_q1)
-    (X,) = _random_modes(small_disk, rng, 1)
-    assert np.iscomplexobj(X)
-    x = op.solve(X)
-    assert np.array_equal(x.real, op.solve(np.ascontiguousarray(X.real)))
-    assert np.array_equal(x.imag, op.solve(np.ascontiguousarray(X.imag)))
-
-
 def test_factorization_once_per_operator(monkeypatch):
     # a whole solve, descent and Newton polish, factors its operator once
     calls = [0]
@@ -215,8 +206,9 @@ rng = np.random.default_rng(20201)
 P, M = (grid.to_modes(rng.standard_normal((320, 64))) for _ in range(2))
 print([float(x).hex() for x in (op.inner(P, M), op.inner(P, P), *op.gram(P, M))])
 print(digest(op.solve(P)))
-# the sector transform is a BLAS dgemm, large enough here to thread at 2
-for sector, shape in ((SectorKind.half_disk(), (480, 96)), (SectorKind.cone(0.7), (320, 64))):
+# the angular transform is a BLAS dgemm, large enough here to thread at 2
+for sector, shape in ((SectorKind.full_disk(), (320, 64)), (SectorKind.half_disk(), (480, 96)),
+                      (SectorKind.cone(0.7), (320, 64))):
     grid = build_grid(14.0, *shape, sector)
     op = grid.operator(ModelParams(p=4.0, q=1, lam=10.0))
     values = rng.standard_normal(shape)
@@ -227,7 +219,7 @@ for sector, shape in ((SectorKind.half_disk(), (480, 96)), (SectorKind.cone(0.7)
 
 def test_kernels_do_not_depend_on_blas_threads():
     # the reductions stay off BLAS: 21120-long dot products would thread at 2;
-    # the sector transform's dgemm splits its output, not its sums, over threads
+    # the angular transform's dgemm splits its output, not its sums, over threads
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
