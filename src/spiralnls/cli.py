@@ -83,7 +83,10 @@ def _config_from(args) -> sio.RunConfig:
     text = ""
     if args.config:
         with open(args.config, encoding="ascii") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
@@ -125,6 +128,8 @@ def _run_solve(cfg: sio.RunConfig, command: str, out: str) -> int:
 
 
 def _run_radial(cfg: sio.RunConfig, nodes: int, out: str) -> int:
+    if nodes < 0:
+        raise ConfigError(f"--nodes must be at least 0, got {nodes}")
     p = cfg.model_params().p
     profile = shoot_ground(p) if nodes == 0 else shoot_nodal(p, nodes)
     ident = profile_identities(profile)
@@ -191,8 +196,8 @@ def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
     grid = cfg.grid()
     if grid.sector.is_full:
         grid = cfg.grid("half")
-    records = asymptotics_zero(cfg.model_params(), lambdas, grid,
-                               cfg.solve_config())
+    records, limit = asymptotics_zero(cfg.model_params(), lambdas, grid,
+                                      cfg.solve_config())
     base = os.path.join(out, "asympt_zero")
     sio.write_csv(base + ".csv",
                   ["lambda", "c_lambda", "j_lambda", "j_direct",
@@ -200,7 +205,7 @@ def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
                   [(r.lam, r.c_lambda, r.j_lambda, r.j_direct, r.identity_rel,
                     r.limit_gap) for r in records])
     # the limit problem has no known decay rate; report truncation sensitivity
-    e1, e2, rel = limit_radius_study(cfg.model_params(), grid, cfg.solve_config())
+    e1, e2, rel = limit_radius_study(cfg.model_params(), limit, cfg.solve_config())
     sio.write_json(base + ".json", {
         "limit_level": e1, "limit_level_wide_domain": e2,
         "radius_sensitivity_rel": rel,

@@ -45,13 +45,13 @@ def nonradiality_index(u: Field, params: ModelParams) -> float:
     """Pitch-metric distance to the radial average, relative to ||u||.
 
     Sector fields vanish on the boundary rays, so any nonzero one is
-    nonradial; the index is pinned to 1 there.
+    nonradial; the index is pinned to 1 there, with no transform.
     """
+    if not u.grid.sector.is_full:
+        return 1.0 if np.any(u.values) else 0.0
     norm = lambda_norm(u, params)
     if norm == 0.0:
         return 0.0
-    if not u.grid.sector.is_full:
-        return 1.0
     diff = Field(u.grid, u.values - radial_average(u).values)
     return lambda_norm(diff, params) / norm
 

@@ -25,9 +25,11 @@ import numpy as np
 import scipy
 
 from .diagnostics import SymmetryReport, symmetry_report
+from .energy import h1_norm_sq, lp_integral
 from .errors import ConfigError
 from .grid import Field, ModelParams, PolarGrid, build_grid, sector_from_label
 from .minimize import SolveConfig, SolveReport
+from .nehari import manifold_residual
 
 ENV_OUTDIR = "SPIRALNLS_OUTDIR"
 ARTIFACT_VERSION = "spiralnls 0.1.0"
@@ -214,13 +216,14 @@ def save_solution(path, field: Field, params: ModelParams) -> None:
 def load_solution(path):
     """Read a solution file back into (Field, ModelParams); bit-exact.
 
-    A header key that is missing or invalid, a malformed row, and a node
-    (j, k) that is out of range, repeated or absent are all ConfigErrors.
+    A byte that is not ASCII, a header key that is missing or invalid, a row
+    that is malformed or has other than three fields, and a node (j, k) that
+    is out of range, repeated or absent are all ConfigErrors.
     """
     meta = {}
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii") as fh, _as_config_error(f"{path}: "):
         if fh.readline().rstrip("\n") != SOLUTION_MAGIC:
-            raise ConfigError(f"{path}: not a solution file")
+            raise ConfigError("not a solution file")
         for raw in iter(fh.readline, ""):
             line = raw.strip()
             if line == "j,k,value":
@@ -229,21 +232,20 @@ def load_solution(path):
                 key, _, val = line[1:].partition("=")
                 meta[key.strip()] = val.strip()
             elif line:
-                raise ConfigError(f"{path}: unexpected header line {line!r}")
+                raise ConfigError(f"unexpected header line {line!r}")
         else:
-            raise ConfigError(f"{path}: missing value block")
+            raise ConfigError("missing value block")
         missing = [key for key in _HEADER_KEYS if key not in meta]
         if missing:
-            raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
-        with _as_config_error(f"{path}: "):
-            grid = _grid(float(meta["R"]), int(meta["nr"]), int(meta["ntheta"]),
-                         meta["sector"])
-            params = ModelParams(p=float(meta["p"]), q=int(meta["q"]),
-                                 lam=float(meta["lambda"]))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # empty value block
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(0, 1, 2))
-    j, k = rows[:, 0], rows[:, 1]
+            raise ConfigError(f"header lacks {', '.join(missing)}")
+        grid = _grid(float(meta["R"]), int(meta["nr"]), int(meta["ntheta"]), meta["sector"])
+        params = ModelParams(p=float(meta["p"]), q=int(meta["q"]), lam=float(meta["lambda"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # empty value block
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if rows.size and rows.shape[1] != 3:
+            raise ConfigError(f"rows have {rows.shape[1]} fields, expected j,k,value")
+    j, k, row_values = rows.reshape(-1, 3).T
     outside = (j != np.floor(j)) | (j < 0) | (j >= grid.nr) | (k != np.floor(k)) \
         | (k < 0) | (k >= grid.ntheta)
     if np.any(outside):
@@ -258,7 +260,7 @@ def load_solution(path):
             raise ConfigError(f"{path}: {int(mask.sum())} node(s) {what}, "
                               f"first ({j0}, {k0})")
     values = np.full(grid.nr * grid.ntheta, np.nan)
-    values[flat] = rows[:, 2]
+    values[flat] = row_values
     values = values.reshape(grid.nr, grid.ntheta)
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{path}: non-finite values")
@@ -292,24 +294,26 @@ def symmetry_dict(rep: SymmetryReport) -> dict:
 
 
 def report_dict(report: SolveReport, params: ModelParams) -> dict:
-    grid = report.field.grid
-    sym = symmetry_report(report.field, params)
+    """The report JSON: the solve's own numbers, plus the manifold residuals,
+    norms and symmetry diagnostics of its field, computed here."""
+    u = report.field
+    grid = u.grid
+    res = manifold_residual(u, params)
     out = {
         "params": {"p": params.p, "q": int(params.q), "lambda": params.lam},
         "grid": {"R": grid.R, "nr": grid.nr, "ntheta": grid.ntheta,
                  "sector": grid.sector.label()},
         "energy": breakdown_dict(report.energy),
-        "nehari": {"single": _clean(report.nehari.single),
-                   "plus": _clean(report.nehari.plus),
-                   "minus": _clean(report.nehari.minus)},
+        "nehari": {"single": _clean(res.single), "plus": _clean(res.plus),
+                   "minus": _clean(res.minus)},
         "linf": report.linf,
-        "h1": report.h1,
-        "lambda_norm": report.lnorm,
-        "lp_norm": report.lp,
+        "h1": math.sqrt(h1_norm_sq(u)),
+        "lambda_norm": math.sqrt(report.energy.norm_sq()),
+        "lp_norm": lp_integral(u, params.p) ** (1.0 / params.p),
         "iterations": report.iterations,
         "converged": report.converged,
         "nonradiality": report.nonradiality,
-        "symmetry": symmetry_dict(sym),
+        "symmetry": symmetry_dict(symmetry_report(u, params)),
     }
     if report.trace is not None:
         out["trace_tail"] = [list(row) for row in report.trace[-20:]]

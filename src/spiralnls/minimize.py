@@ -32,31 +32,17 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .diagnostics import nonradiality_index
-from .energy import (
-    EnergyBreakdown,
-    abs_power,
-    energy,
-    gradient_parts,
-    h1_norm_sq,
-    lambda_norm,
-    lp_integral,
-)
+from .energy import EnergyBreakdown, abs_power, energy, gradient_parts
 from .errors import ConfigError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
-from .nehari import (
-    NehariResidual,
-    Projected,
-    manifold_residual,
-    project_nodal_state,
-    project_ray,
-)
+from .nehari import Projected, project_nodal_state, project_ray
 from .radial import shoot_nodal
 
 log = logging.getLogger(__name__)
@@ -104,17 +90,15 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
+    """What a solve owes its callers; the report writer derives the rest from field."""
+
     field: Field
     energy: EnergyBreakdown
-    nehari: NehariResidual
     linf: float
-    h1: float
-    lnorm: float
-    lp: float
     iterations: int
     converged: bool
     nonradiality: float
-    trace: Optional[list] = dc_field(default=None)
+    trace: Optional[list] = None
 
 
 def _reflect_index(grid: PolarGrid) -> np.ndarray:
@@ -207,9 +191,10 @@ def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, p
     """Projected gradient descent with the spec'd backtracking policy.
 
     The iterate and each projected trial carry their modes and energy, so a
-    step transforms only the nonlinearity and the trial.  Trace rows are
-    numbered on from the spent iterations of the solve.  Returns (state,
-    gradient norm, iterations).
+    step transforms only the nonlinearity and the trial.  A trial that
+    vanished is reported by its projection (ZeroFieldError) and raises
+    SeedCollapsed.  Trace rows are numbered on from the spent iterations of
+    the solve.  Returns (state, gradient norm, iterations).
     """
     grid = cur.field.grid
     accepts_in_row = 0
@@ -225,11 +210,10 @@ def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, p
             trial_vals = cur.field.values - step * g.values
             if constrain is not None:
                 trial_vals = constrain(trial_vals)
-            trial = Field(grid, trial_vals)
-            if lp_integral(trial, params.p) == 0.0:
-                raise SeedCollapsed("descent iterate vanished")
             try:
-                trial = project(trial)
+                trial = project(Field(grid, trial_vals))
+            except ZeroFieldError:
+                raise SeedCollapsed("descent iterate vanished") from None
             except OnePhaseMissing:
                 trial = None     # the step wiped out one sign: too long, like a rise
             if trial is not None and trial.energy <= cur.energy + 1e-12 * (1.0 + abs(cur.energy)):
@@ -437,15 +421,10 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
 
 
 def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
-    eng = energy(u, params)
     return SolveReport(
         field=u,
-        energy=eng,
-        nehari=manifold_residual(u, params),
+        energy=energy(u, params),
         linf=u.linf(),
-        h1=math.sqrt(h1_norm_sq(u)),
-        lnorm=math.sqrt(eng.norm_sq()),
-        lp=lp_integral(u, params.p) ** (1.0 / params.p),
         iterations=iterations,
         converged=bool(converged),
         nonradiality=nonradiality_index(u, params),
@@ -461,7 +440,8 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project,
 
     # hand over to Newton once the iterate is merely in the neighborhood;
     # the energy line search makes the polish robust from moderate range
-    switch_tol = max(cfg.grad_tol, handover * (1.0 + lambda_norm(cur.field, params)))
+    norm = math.sqrt(max(seed.grid.operator(params).inner(cur.modes, cur.modes), 0.0))
+    switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
     cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), STEP_MAX,
                               project, switch_tol, trace, constrain)
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0

@@ -112,8 +112,8 @@ def project_nodal(u: Field, params: ModelParams) -> Field:
 
     The part scalings decouple up to the discrete interface cross term; the
     independent-scaling formula seeds a fixed-point iteration that drives both
-    indicator-convention residuals to round-off.  Raises OnePhaseMissing when
-    either part vanishes.
+    indicator-convention residuals to round-off.  Raises ZeroFieldError when
+    both parts vanish and OnePhaseMissing when one does.
     """
     return project_nodal_state(u, params).field
 
@@ -127,6 +127,8 @@ def project_nodal_state(u: Field, params: ModelParams) -> Projected:
     plus, minus, P, M = _parts_with_modes(u)
     pp = lp_integral(plus, params.p)
     pm = lp_integral(minus, params.p)
+    if pp == 0.0 and pm == 0.0:
+        raise ZeroFieldError("project_nodal of the zero field")
     if pp == 0.0 or pm == 0.0:
         raise OnePhaseMissing("field does not change sign")
 

@@ -245,13 +245,14 @@ def asymptotics_infinity(params: ModelParams, lambdas, grid: PolarGrid,
 
 
 def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
-                     cfg: SolveConfig | None = None) -> list[RescaleRecord]:
+                     cfg: SolveConfig | None = None):
     """Concentration limit: rescaled sector solutions against the q=0 ground.
 
     grid is the lam = 1 prototype; each pitch is solved on the radius-scaled
     copy (R -> lam R) so that v(x) = lam^{2/(p-2)} u(lam x) is an exact
     sample-for-sample rescale back onto the prototype, where the q=0 limit
     problem is solved once.  Pitches must not exceed 1 (concentration regime).
+    Returns the records and the limit problem's report.
     """
     if params.q != 1:
         raise ValueError("the concentration study rescales the q = 1 problem")
@@ -289,16 +290,18 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
             lam=lam, c_lambda=c_lam, j_lambda=j_lam, j_direct=j_direct,
             identity_rel=identity_rel, limit_gap=gap,
         ))
-    return out
+    return out, limit_rep
 
 
-def limit_radius_study(params: ModelParams, grid: PolarGrid,
+def limit_radius_study(params: ModelParams, limit: SolveReport,
                        cfg: SolveConfig | None = None):
     """Truncation-radius sensitivity of the q=0 limit level (no decay rate is
-    known a priori there): level at R and at 1.5 R, same resolution."""
+    known a priori there): the level of limit, asymptotics_zero's solve at R,
+    against a solve at 1.5 R, same resolution."""
     cfg = cfg or SolveConfig()
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
-    e1 = solve_ground(grid, limit_params, cfg).energy.total
+    e1 = limit.energy.total
+    grid = limit.field.grid
     wide = build_grid(_WIDE * grid.R, int(_WIDE * grid.nr), grid.ntheta, grid.sector)
     e2 = solve_ground(wide, limit_params, cfg).energy.total
     return e1, e2, abs(e2 - e1) / abs(e1)

@@ -79,8 +79,9 @@ def infinity_records():
 @pytest.fixture(scope="module")
 def zero_records():
     proto = build_grid(24.0, 384, 48, SectorKind.half_disk())
-    return asymptotics_zero(ModelParams(p=4.0, q=1, lam=1.0),
-                            [1.0, 0.5, 0.25, 0.125], proto, ACC_CFG)
+    records, _ = asymptotics_zero(ModelParams(p=4.0, q=1, lam=1.0),
+                                  [1.0, 0.5, 0.25, 0.125], proto, ACC_CFG)
+    return records
 
 
 def test_criterion_01_oracle_self_consistency():

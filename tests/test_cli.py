@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from reference import field_from_polar
 
-from spiralnls import cli
+from spiralnls import cli, studies
 from spiralnls.cli import (
     EXIT_CHECK,
     EXIT_IO,
@@ -109,8 +110,12 @@ def test_solve_nodal_default_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_asympt_cli_wiring(tmp_path, capsys):
+def test_asympt_cli_wiring(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
+    real = studies.solve_ground
+    solved_q = []
+    monkeypatch.setattr(studies, "solve_ground", lambda grid, params, cfg:
+                        solved_q.append(params.q) or real(grid, params, cfg))
     code = run_cli(["asympt-zero", "--p", "4", "--sector", "half",
                     "--lambdas", "1,0.5", "--R", "12", "--nr", "128",
                     "--ntheta", "16", "--grad_tol", "1e-6", "--out-dir", out])
@@ -119,6 +124,8 @@ def test_asympt_cli_wiring(tmp_path, capsys):
     assert len(rows) == 3
     summary = json.loads((tmp_path / "out" / "asympt_zero.json").read_text())
     assert summary["radius_sensitivity_rel"] < 1e-3
+    # one solve per pitch, then the q = 0 limit problem once at R and once at 1.5 R
+    assert solved_q == [0, 1, 1, 0]
 
     code = run_cli(["asympt-inf", "--p", "4", "--sector", "half",
                     "--lambdas", "3,6", "--R", "16", "--nr", "160",
@@ -350,3 +357,90 @@ def test_check_of_a_missing_file_is_io_error(tmp_path, capsys):
     assert run_cli(["check", str(tmp_path / "absent.csv")]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and err.count("\n") == 1
+
+
+def _usage_error(capsys, argv):
+    assert run_cli(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_non_ascii_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("p = 4.0 é\n".encode("utf-8"))
+    err = _usage_error(capsys, ["solve-radial", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert str(cfg) in err
+
+
+def _solution_bytes(tmp_path, nr=6):
+    grid = build_grid(4.0, nr, 4, SectorKind.full_disk())
+    path = tmp_path / "sol.csv"
+    save_solution(path, Field(grid, np.linspace(1.0, 2.0, nr * 4).reshape(nr, 4)),
+                  ModelParams(p=4.0, q=1, lam=1.0))
+    return path, path.read_bytes()
+
+
+def test_non_ascii_solution_header_is_usage_error(tmp_path, capsys):
+    path, data = _solution_bytes(tmp_path)
+    path.write_bytes(data.replace(b"# sector = full", "# sector = full é".encode("utf-8")))
+    assert str(path) in _usage_error(capsys, ["check", str(path)])
+
+
+def test_non_ascii_byte_deep_in_the_value_block_is_usage_error(tmp_path, capsys):
+    # past the first buffered read of the header loop
+    path, data = _solution_bytes(tmp_path, nr=2000)
+    at = data.index(b",", 200_000) + 2      # a digit of a value
+    path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+    assert str(path) in _usage_error(capsys, ["check", str(path)])
+
+
+@pytest.mark.parametrize("extra", ["junk", "1.0"])
+def test_solution_row_with_a_fourth_field_is_usage_error(tmp_path, capsys, extra):
+    path, data = _solution_bytes(tmp_path)
+    lines = data.decode("ascii").splitlines(keepends=True)
+    first = lines.index("j,k,value\n") + 1
+    if extra == "junk":
+        lines[first] = lines[first].rstrip("\n") + ",junk\n"
+    else:
+        lines[first:] = [line.rstrip("\n") + ",1.0\n" for line in lines[first:]]
+    path.write_text("".join(lines))
+    _usage_error(capsys, ["check", str(path)])
+
+
+def test_negative_node_count_is_usage_error(tmp_path, capsys):
+    assert "--nodes" in _usage_error(capsys, ["solve-radial", "--nodes", "-1",
+                                              "--out-dir", str(tmp_path)])
+    assert run_cli(["solve-radial", "--nodes", "0", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "k=0" in capsys.readouterr().out
+    assert (tmp_path / "radial_p4_k0.json").exists()
+
+
+_CHECK_DISK = build_grid(8.0, 48, 16, SectorKind.full_disk())
+_CHECK_HALF = build_grid(8.0, 48, 16, SectorKind.half_disk())
+
+
+def _two_signed_on_the_nehari_set(params):
+    # on N_lam as a whole, but neither signed part is on its own Nehari set
+    u = field_from_polar(_CHECK_DISK, lambda r, t: np.exp(-r**2)
+                         - 0.3 * np.exp(-(r - 2.0) ** 2) * np.cos(t) ** 2)
+    return Field(_CHECK_DISK, nehari_scale(u, params) * u.values)
+
+
+@pytest.mark.parametrize("make,lam,line", [
+    (_two_signed_on_the_nehari_set, 1.0, "nodal-nehari-residual"),
+    (lambda params: field_from_polar(
+        _CHECK_DISK, lambda r, t: 0.1 * np.exp(-r**2) * (1.0 + 0.5 * np.cos(t))),
+     1.0, "radiality-threshold"),
+    (lambda params: field_from_polar(
+        _CHECK_HALF, lambda r, t: np.exp(-r**2) * (1.2 + np.cos(4.0 * t)) * np.cos(t)),
+     2.0, "angular-monotonicity"),
+], ids=["nodal-nehari-residual", "radiality-threshold", "angular-monotonicity"])
+def test_check_fails_on_its_named_line(tmp_path, capsys, make, lam, line):
+    params = ModelParams(p=4.0, q=1, lam=lam)
+    path = tmp_path / "crafted.csv"
+    save_solution(path, make(params), params)
+    assert run_cli(["check", str(path)]) == EXIT_CHECK
+    out = capsys.readouterr().out
+    assert out.startswith("check: FAIL") and line in out

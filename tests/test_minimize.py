@@ -8,7 +8,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
-from spiralnls.errors import OnePhaseMissing, ZeroFieldError
+from spiralnls.errors import OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.minimize import (
     SEED_CUSTOM,
@@ -16,9 +16,11 @@ from spiralnls.minimize import (
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
+    make_seed,
     solve_ground,
     solve_nodal,
 )
+from spiralnls.nehari import manifold_residual, project_ray
 from spiralnls.radial import limit_levels, shoot_ground
 
 GRID = build_grid(20.0, 256, 32, SectorKind.full_disk())
@@ -63,8 +65,8 @@ def test_ground_criticality_weak_form(ground_run, rng):
 
 
 def test_ground_nehari_residual(ground_run):
-    report, _, cfg = ground_run
-    assert abs(report.nehari.single) <= 10 * cfg.grad_tol
+    report, params, cfg = ground_run
+    assert abs(manifold_residual(report.field, params).single) <= 10 * cfg.grad_tol
 
 
 def test_ground_descent_monotone(ground_run):
@@ -112,7 +114,7 @@ def test_nodal_large_pitch_below_radial_branch():
     assert rep.converged
     c_inf, _, eps_star = limit_levels(4.0)
     assert rep.energy.total < 2 * c_inf + eps_star
-    assert rep.nehari.plus == pytest.approx(0.0, abs=1e-10)
+    assert manifold_residual(rep.field, params).plus == pytest.approx(0.0, abs=1e-10)
 
 
 def test_level_ordering_beta_vs_alpha(ground_run, nodal_run):
@@ -154,6 +156,16 @@ def test_nodal_rejects_one_signed_seed():
     cfg = SolveConfig(seed_kind=SEED_CUSTOM, seed_field=seed)
     with pytest.raises(OnePhaseMissing):
         solve_nodal(GRID, ModelParams(p=4.0, q=1, lam=1.0), cfg)
+
+
+def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q1):
+    # the projection, which integrates |u|^p anyway, reports the vanished field
+    def vanished(v):
+        raise ZeroFieldError("trial vanished")
+
+    cur = project_ray(make_seed(small_disk, params_q1, SEED_RADIAL), params_q1)
+    with pytest.raises(SeedCollapsed):
+        minimize._descend(cur, params_q1, 5, 1.0, vanished, 0.0, None, None)
 
 
 def test_max_iters_returns_best_iterate():

@@ -9,6 +9,7 @@ from spiralnls.nehari import (
     manifold_residual,
     nehari_scale,
     project_nodal,
+    project_nodal_state,
     split_parts,
 )
 
@@ -45,6 +46,14 @@ def test_scale_rejects_zero(small_disk, params_q1):
     z = Field(small_disk, np.zeros((small_disk.nr, small_disk.ntheta)))
     with pytest.raises(ZeroFieldError):
         nehari_scale(z, params_q1)
+
+
+def test_nodal_projection_tells_a_zero_field_from_a_one_signed_one(small_disk, params_q1):
+    shape = (small_disk.nr, small_disk.ntheta)
+    with pytest.raises(ZeroFieldError):
+        project_nodal_state(Field(small_disk, np.zeros(shape)), params_q1)
+    with pytest.raises(OnePhaseMissing):
+        project_nodal_state(Field(small_disk, np.ones(shape)), params_q1)
 
 
 def test_energy_along_rays(small_disk, params_q1, rng):

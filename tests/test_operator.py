@@ -21,25 +21,34 @@ from spiralnls.grid import (
     build_grid,
 )
 import spiralnls.grid
-from spiralnls.minimize import SEED_DIPOLE, SolveConfig, solve_ground, solve_nodal
+from spiralnls.minimize import SEED_DIPOLE, SolveConfig, _finalize, solve_ground, solve_nodal
 from spiralnls.nehari import project_nodal, project_nodal_state, project_ray
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 
 
-@pytest.fixture
-def to_modes_calls(monkeypatch):
-    """Counts PolarGrid.to_modes calls; read with calls[0]."""
+def _counting(monkeypatch, name):
+    """Counts calls of the PolarGrid method name; read with calls[0]."""
     calls = [0]
-    original = PolarGrid.to_modes
+    original = getattr(PolarGrid, name)
 
     def counting(self, values):
         calls[0] += 1
         return original(self, values)
 
-    monkeypatch.setattr(PolarGrid, "to_modes", counting)
+    monkeypatch.setattr(PolarGrid, name, counting)
     return calls
+
+
+@pytest.fixture
+def to_modes_calls(monkeypatch):
+    return _counting(monkeypatch, "to_modes")
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    return _counting(monkeypatch, "quad")
 
 
 def _count(calls, fn):
@@ -66,6 +75,29 @@ def test_nodal_step_transforms(to_modes_calls):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
     assert _per_step(to_modes_calls, solve_nodal, grid, params, SEED_DIPOLE) <= 3
+
+
+def test_ground_step_integrates_once(quad_calls):
+    # |u|^p is integrated by the projection alone
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    assert _per_step(quad_calls, solve_ground, grid, params, "radial") == 1
+
+
+def test_nodal_step_integrates_once_per_part(quad_calls):
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    assert _per_step(quad_calls, solve_nodal, grid, params, SEED_DIPOLE) == 2
+
+
+@pytest.mark.parametrize("sector,most", [(SectorKind.full_disk(), 3),
+                                         (SectorKind.half_disk(), 1)], ids=["disk", "half"])
+def test_finalize_transforms(to_modes_calls, rng, sector, most):
+    # the energy, and on the disk the two norms of the nonradiality index
+    grid = build_grid(8.0, 48, 16, sector)
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
+    assert _count(to_modes_calls, lambda: _finalize(u, 1, True, params, None)) <= most
 
 
 def test_project_nodal_transforms(to_modes_calls, small_disk, params_q1, rng):

@@ -97,8 +97,9 @@ def test_asymptotics_infinity_peak_at_boundary():
 @pytest.fixture(scope="module")
 def zero_records():
     proto = build_grid(16.0, 256, 32, SectorKind.half_disk())
-    return asymptotics_zero(ModelParams(p=4.0, q=1, lam=1.0),
-                            [1.0, 0.5, 0.25], proto, CFG)
+    records, _ = asymptotics_zero(ModelParams(p=4.0, q=1, lam=1.0),
+                                  [1.0, 0.5, 0.25], proto, CFG)
+    return records
 
 
 def test_asymptotics_zero_identity(zero_records):
@@ -127,7 +128,9 @@ def test_asymptotics_zero_validation():
 
 def test_limit_radius_study():
     grid = build_grid(14.0, 160, 24, SectorKind.half_disk())
-    e1, e2, rel = limit_radius_study(ModelParams(p=4.0, q=1, lam=1.0), grid, CFG)
+    limit = solve_ground(grid, ModelParams(p=4.0, q=0, lam=1.0), CFG)
+    e1, e2, rel = limit_radius_study(ModelParams(p=4.0, q=1, lam=1.0), limit, CFG)
+    assert e1 == limit.energy.total
     assert rel < 1e-3
 
 
