@@ -41,8 +41,6 @@ EXIT_CHECK = 4
 EXIT_IO = 5
 CHECK_TOL = 1e-5   # bound of check's Nehari and Euler-Lagrange residuals
 
-_COMMANDS = ("solve-ground", "solve-nodal", "solve-radial", "sweep",
-             "asympt-inf", "asympt-zero", "reconstruct", "check")
 # config keys that also have a --key option
 _OPTION_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta", "seed",
                 "grad_tol", "max_iters", "lambdas", "nt", "nxy")
@@ -68,7 +66,7 @@ def _build_parser():
         for key in _OPTION_KEYS:
             p.add_argument(f"--{key}", dest=f"opt_{key}", default=None)
 
-    for name in _COMMANDS:
+    for name in _COMMANDS:   # the command table below
         p = sub.add_parser(name)
         common(p)
         if name == "solve-radial":
@@ -82,11 +80,8 @@ def _build_parser():
 def _config_from(args) -> sio.RunConfig:
     text = ""
     if args.config:
-        with open(args.config, encoding="ascii") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{args.config}: {exc}") from None
+        with open(args.config, encoding="ascii") as fh, sio.as_config_error(f"{args.config}: "):
+            text = fh.read()
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
@@ -102,17 +97,18 @@ def _config_from(args) -> sio.RunConfig:
     return sio.parse_config(text, overrides)
 
 
-def _run_solve(cfg: sio.RunConfig, command: str, out: str) -> int:
+def _run_solve(cfg: sio.RunConfig, args) -> int:
     params = cfg.model_params()
     grid = cfg.grid()
     scfg = cfg.solve_config()
-    if command == "solve-ground":
+    out = sio.resolve_out_dir(cfg)
+    if args.command == "solve-ground":
         report = solve_ground(grid, params, scfg)
     else:
         if scfg.seed_kind == SEED_RADIAL:   # positive seed cannot start a nodal run
             scfg = dataclasses.replace(scfg, seed_kind=SEED_RADIAL_NODAL)
         report = solve_nodal(grid, params, scfg)
-    tag = command.replace("solve-", "")
+    tag = args.command.replace("solve-", "")
     base = os.path.join(out, f"{tag}_p{params.p:g}_q{int(params.q)}_lam{params.lam:g}")
     sio.write_json(base + ".json", sio.report_dict(report, params))
     sio.save_solution(base + ".csv", report.field, params)
@@ -121,16 +117,18 @@ def _run_solve(cfg: sio.RunConfig, command: str, out: str) -> int:
         sio.write_csv(base + "_trace.csv", ["iter", "energy", "grad_norm"],
                       report.trace)
         outputs.append(base + "_trace.csv")
-    sio.write_manifest(base + "_manifest.json", command, cfg, outputs)
-    print(f"{command}: E={report.energy.total:.8g} converged={report.converged} "
+    sio.write_manifest(base + "_manifest.json", args.command, cfg, outputs)
+    print(f"{args.command}: E={report.energy.total:.8g} converged={report.converged} "
           f"iters={report.iterations} -> {base}.json")
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
-def _run_radial(cfg: sio.RunConfig, nodes: int, out: str) -> int:
+def _run_radial(cfg: sio.RunConfig, args) -> int:
+    nodes = args.nodes
     if nodes < 0:
         raise ConfigError(f"--nodes must be at least 0, got {nodes}")
     p = cfg.model_params().p
+    out = sio.resolve_out_dir(cfg)
     profile = shoot_ground(p) if nodes == 0 else shoot_nodal(p, nodes)
     ident = profile_identities(profile)
     base = os.path.join(out, f"radial_p{p:g}_k{nodes}")
@@ -148,8 +146,9 @@ def _run_radial(cfg: sio.RunConfig, nodes: int, out: str) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg: sio.RunConfig, out: str) -> int:
+def _run_sweep(cfg: sio.RunConfig, args) -> int:
     lambdas = cfg.pitches((0.05, 0.5, 5.0, 50.0), increasing=True)
+    out = sio.resolve_out_dir(cfg)
     records = sweep_lambda(cfg.model_params(), lambdas, cfg.grid(),
                            cfg.solve_config())
     lo, hi, crossings = transition_bracket(records)
@@ -173,11 +172,10 @@ def _run_sweep(cfg: sio.RunConfig, out: str) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def _run_asympt_inf(cfg: sio.RunConfig, out: str) -> int:
+def _run_asympt_inf(cfg: sio.RunConfig, args) -> int:
     lambdas = cfg.pitches((5.0, 10.0, 20.0, 40.0))
-    grid = cfg.grid()
-    if grid.sector.is_full:
-        grid = cfg.grid("half")
+    grid = cfg.sector_grid()   # both studies live on a sector
+    out = sio.resolve_out_dir(cfg)
     records = asymptotics_infinity(cfg.model_params(), lambdas, grid,
                                    cfg.solve_config())
     base = os.path.join(out, "asympt_inf")
@@ -191,11 +189,10 @@ def _run_asympt_inf(cfg: sio.RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
+def _run_asympt_zero(cfg: sio.RunConfig, args) -> int:
     lambdas = cfg.pitches((1.0, 0.5, 0.25, 0.125))
-    grid = cfg.grid()
-    if grid.sector.is_full:
-        grid = cfg.grid("half")
+    grid = cfg.sector_grid()   # both studies live on a sector
+    out = sio.resolve_out_dir(cfg)
     records, limit = asymptotics_zero(cfg.model_params(), lambdas, grid,
                                       cfg.solve_config())
     base = os.path.join(out, "asympt_zero")
@@ -217,14 +214,15 @@ def _run_asympt_zero(cfg: sio.RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _run_reconstruct(cfg: sio.RunConfig, solution_path: str, out: str) -> int:
+def _run_reconstruct(cfg: sio.RunConfig, args) -> int:
     nt, nxy = cfg.volume_samples()
-    field, params = sio.load_solution(solution_path)
+    field, params = sio.load_solution(args.solution)
     try:
         vol = reconstruct3d(field, params, nt=nt, nxy=nxy)
     except MemoryError:
         raise ConfigError(f"a {nxy}x{nxy}x{nt} volume does not fit in memory") from None
-    base = os.path.join(out, os.path.splitext(os.path.basename(solution_path))[0])
+    out = sio.resolve_out_dir(cfg)
+    base = os.path.join(out, os.path.splitext(os.path.basename(args.solution))[0])
     vtk_path = base + ".vtk"
     export_vtk(vol, vtk_path)
     sio.write_manifest(base + "_reconstruct_manifest.json", "reconstruct", cfg,
@@ -233,8 +231,8 @@ def _run_reconstruct(cfg: sio.RunConfig, solution_path: str, out: str) -> int:
     return EXIT_OK
 
 
-def _run_check(cfg: sio.RunConfig, solution_path: str) -> int:
-    field, params = sio.load_solution(solution_path)
+def _run_check(cfg: sio.RunConfig, args) -> int:
+    field, params = sio.load_solution(args.solution)
     failures = []
 
     res = manifold_residual(field, params)
@@ -258,47 +256,43 @@ def _run_check(cfg: sio.RunConfig, solution_path: str) -> int:
             failures.append("angular-monotonicity")
 
     if failures:
-        print(f"check: FAIL {solution_path}: " + "; ".join(failures))
+        print(f"check: FAIL {args.solution}: " + "; ".join(failures))
         return EXIT_CHECK
-    print(f"check: OK {solution_path} (E={energy(field, params).total:.8g}, "
+    print(f"check: OK {args.solution} (E={energy(field, params).total:.8g}, "
           f"residual={res.single:.2e}, euler-lagrange={el:.2e})")
     return EXIT_OK
 
 
+# command -> handler(config, parsed arguments) -> exit code, in help-text order
+_COMMANDS = {
+    "solve-ground": _run_solve,
+    "solve-nodal": _run_solve,
+    "solve-radial": _run_radial,
+    "sweep": _run_sweep,
+    "asympt-inf": _run_asympt_inf,
+    "asympt-zero": _run_asympt_zero,
+    "reconstruct": _run_reconstruct,
+    "check": _run_check,
+}
+
+
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; exit codes follow exception kinds, and any ValueError is bad input."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config_from(args)
-        out = sio.resolve_out_dir(cfg)
-        if args.command in ("solve-ground", "solve-nodal"):
-            return _run_solve(cfg, args.command, out)
-        if args.command == "solve-radial":
-            return _run_radial(cfg, args.nodes, out)
-        if args.command == "sweep":
-            return _run_sweep(cfg, out)
-        if args.command == "asympt-inf":
-            return _run_asympt_inf(cfg, out)
-        if args.command == "asympt-zero":
-            return _run_asympt_zero(cfg, out)
-        if args.command == "reconstruct":
-            return _run_reconstruct(cfg, args.solution, out)
-        if args.command == "check":
-            return _run_check(cfg, args.solution)
-        parser.error(f"unhandled command {args.command}")
-    except ConfigError as exc:
+        return _COMMANDS[args.command](_config_from(args), args)
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SpiralError, FloatingPointError, ValueError) as exc:
+    except (SpiralError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 def main() -> None:

@@ -108,12 +108,14 @@ def angular_monotone(u: Field) -> bool:
     return bool(ok_right and ok_left)
 
 
-def symmetry_report(u: Field, params: ModelParams) -> SymmetryReport:
-    linf = u.linf()
+def symmetry_report(u: Field, params: ModelParams, *, nonradiality: float | None = None,
+                    linf: float | None = None) -> SymmetryReport:
+    """nonradiality and linf, if given, are u's own, as a SolveReport carries them."""
+    linf = u.linf() if linf is None else linf
     threshold = radiality_threshold(linf, params.p)
     full = u.grid.sector.is_full
     return SymmetryReport(
-        nonradiality=nonradiality_index(u, params),
+        nonradiality=nonradiality_index(u, params) if nonradiality is None else nonradiality,
         linf=linf,
         radiality_threshold=threshold,
         # the threshold theorem concerns the whole-plane problem; on sectors

@@ -9,8 +9,8 @@ class GridMismatchError(SpiralError):
     """Fields live on different (or incompatible) grids."""
 
 
-class SectorError(SpiralError):
-    """Operation not defined for this sector kind."""
+class SectorError(SpiralError, ValueError):
+    """Operation not defined for this sector kind; the caller's input is at fault."""
 
 
 class ZeroFieldError(SpiralError):
@@ -33,5 +33,5 @@ class PeakAtBoundary(SpiralError):
     """Profile maximum sits on the grid boundary; truncation radius too small."""
 
 
-class ConfigError(SpiralError):
-    """Malformed run configuration."""
+class ConfigError(SpiralError, ValueError):
+    """Malformed run configuration; like any ValueError, bad input."""

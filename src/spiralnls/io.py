@@ -74,11 +74,11 @@ _SCHEMA = {
 
 
 @contextmanager
-def _as_config_error(where: str = ""):
-    """Turn the validation errors of a value or a constructor into ConfigError."""
+def as_config_error(where: str):
+    """Turn a ValueError, such as a failed validation, into a ConfigError prefixed by where."""
     try:
         yield
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
 
 
@@ -90,13 +90,15 @@ class RunConfig:
         return self.entries[key]
 
     def model_params(self) -> ModelParams:
-        with _as_config_error():
-            return ModelParams(p=self["p"], q=self["q"], lam=self["lambda"])
+        return ModelParams(p=self["p"], q=self["q"], lam=self["lambda"])
 
     def grid(self, sector: str = "") -> PolarGrid:
         """The configured grid, on the given sector label if one is named."""
-        with _as_config_error():
-            return _grid(self["R"], self["nr"], self["ntheta"], sector or self["sector"])
+        return _grid(self["R"], self["nr"], self["ntheta"], sector or self["sector"])
+
+    def sector_grid(self) -> PolarGrid:
+        """The configured grid, on the half disk if the configured sector is the full disk."""
+        return self.grid("half" if sector_from_label(self["sector"]).is_full else "")
 
     def volume_samples(self) -> tuple:
         """(nt, nxy) of a reconstructed volume, each at least 2."""
@@ -110,18 +112,17 @@ class RunConfig:
         lambdas = self["lambdas"] or default
         params = self.model_params()
         for lam in lambdas:
-            with _as_config_error("bad pitch in lambdas: "):
+            with as_config_error("bad pitch in lambdas: "):
                 dataclasses.replace(params, lam=lam)
         if increasing and any(b <= a for a, b in zip(lambdas, lambdas[1:])):
             raise ConfigError(f"lambdas must be strictly increasing, got {lambdas}")
         return lambdas
 
     def solve_config(self) -> SolveConfig:
-        with _as_config_error():
-            return SolveConfig(
-                max_iters=self["max_iters"], grad_tol=self["grad_tol"],
-                seed_kind=self["seed"], keep_trace=self["keep_trace"],
-            )
+        return SolveConfig(
+            max_iters=self["max_iters"], grad_tol=self["grad_tol"],
+            seed_kind=self["seed"], keep_trace=self["keep_trace"],
+        )
 
 
 def _grid(R: float, nr: int, ntheta: int, sector: str) -> PolarGrid:
@@ -144,13 +145,13 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        with _as_config_error(f"line {lineno}: bad value for {key}: "):
+        with as_config_error(f"line {lineno}: bad value for {key}: "):
             entries[key] = _SCHEMA[key][0](value)
     for key, value in (overrides or {}).items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown override key {key!r}")
         if isinstance(value, str):
-            with _as_config_error(f"bad value for {key}: "):
+            with as_config_error(f"bad value for {key}: "):
                 value = _SCHEMA[key][0](value)
         entries[key] = value
     return RunConfig(entries)
@@ -221,7 +222,7 @@ def load_solution(path):
     is out of range, repeated or absent are all ConfigErrors.
     """
     meta = {}
-    with open(path, encoding="ascii") as fh, _as_config_error(f"{path}: "):
+    with open(path, encoding="ascii") as fh, as_config_error(f"{path}: "):
         if fh.readline().rstrip("\n") != SOLUTION_MAGIC:
             raise ConfigError("not a solution file")
         for raw in iter(fh.readline, ""):
@@ -295,7 +296,7 @@ def symmetry_dict(rep: SymmetryReport) -> dict:
 
 def report_dict(report: SolveReport, params: ModelParams) -> dict:
     """The report JSON: the solve's own numbers, plus the manifold residuals,
-    norms and symmetry diagnostics of its field, computed here."""
+    norms and the rest of the symmetry diagnostics of its field, computed here."""
     u = report.field
     grid = u.grid
     res = manifold_residual(u, params)
@@ -313,7 +314,8 @@ def report_dict(report: SolveReport, params: ModelParams) -> dict:
         "iterations": report.iterations,
         "converged": report.converged,
         "nonradiality": report.nonradiality,
-        "symmetry": symmetry_dict(symmetry_report(u, params)),
+        "symmetry": symmetry_dict(symmetry_report(
+            u, params, nonradiality=report.nonradiality, linf=report.linf)),
     }
     if report.trace is not None:
         out["trace_tail"] = [list(row) for row in report.trace[-20:]]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .diagnostics import nonradiality_index
 from .energy import EnergyBreakdown, abs_power, energy, gradient_parts
-from .errors import ConfigError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
+from .errors import OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
 from .nehari import Projected, project_nodal_state, project_ray
 from .radial import shoot_nodal
@@ -466,8 +466,8 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
     cfg = cfg or SolveConfig()
     seed = make_seed(grid, params, cfg.seed_kind, cfg.seed_field)
     if np.any(seed.values < 0) and cfg.seed_kind != SEED_CUSTOM:
-        raise ConfigError(f"a ground solve needs a nonnegative seed; the {cfg.seed_kind} "
-                          f"seed changes sign on this domain")
+        raise ValueError(f"a ground solve needs a nonnegative seed; the {cfg.seed_kind} "
+                         f"seed changes sign on this domain")
 
     def project(v: Field) -> Projected:
         return project_ray(v, params)

@@ -5,6 +5,7 @@ import pytest
 from reference import field_from_polar
 
 from spiralnls import cli, studies
+from spiralnls import io as sio
 from spiralnls.cli import (
     EXIT_CHECK,
     EXIT_IO,
@@ -178,11 +179,13 @@ def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
     assert "nehari-residual" not in message
 
 
-# the last four: a seed kind that does not exist, a custom seed with no field,
-# and two seeds that change sign on the disk, where a ground solve needs one sign
+# after three bad values: a seed kind that does not exist, a custom seed with
+# no field, two seeds that change sign on the disk, where a ground solve needs
+# one sign, and a --set with no value
 @pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"],
                                  ["--seed", "bogus"], ["--seed", "custom"],
-                                 ["--seed", "dipole"], ["--seed", "radial-nodal"]])
+                                 ["--seed", "dipole"], ["--seed", "radial-nodal"],
+                                 ["--set", "foo"]])
 def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
     code = run_cli(["solve-ground", "--out-dir", str(tmp_path)] + bad)
     assert code == EXIT_USAGE
@@ -444,3 +447,69 @@ def test_check_fails_on_its_named_line(tmp_path, capsys, make, lam, line):
     assert run_cli(["check", str(path)]) == EXIT_CHECK
     out = capsys.readouterr().out
     assert out.startswith("check: FAIL") and line in out
+
+
+def _cone_solution(tmp_path):
+    grid = build_grid(8.0, 24, 8, SectorKind.cone(1.0))
+    path = tmp_path / "cone.csv"
+    save_solution(path, field_from_polar(grid, lambda r, t: np.exp(-r**2) * np.cos(t)),
+                  ModelParams(p=4.0, q=1, lam=2.0))
+    return str(path)
+
+
+# inputs outside a study's or a solve's scope, which the library rejects
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["solve-nodal", "--sector", "half"],
+    lambda tmp: ["solve-nodal", "--sector", "cone:0.5"],
+    lambda tmp: ["sweep", "--q", "0"],
+    lambda tmp: ["asympt-inf", "--q", "0"],
+    lambda tmp: ["asympt-zero", "--q", "0", "--sector", "half"],
+    lambda tmp: ["asympt-zero", "--sector", "half", "--lambdas", "2"],
+    lambda tmp: ["reconstruct", _cone_solution(tmp)],
+], ids=["nodal-half", "nodal-cone", "sweep-q0", "asympt-inf-q0", "asympt-zero-q0",
+        "asympt-zero-pitch-2", "reconstruct-cone"])
+def test_out_of_scope_inputs_are_usage_errors(tmp_path, capsys, argv):
+    _usage_error(capsys, argv(tmp_path) + ["--R", "8", "--nr", "24", "--ntheta", "8",
+                                           "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-radial", "--p", "200"],
+    ["asympt-inf", "--p", "200", "--sector", "half", "--lambdas", "5"],
+    ["solve-nodal", "--p", "200", "--seed", "radial-nodal"],
+], ids=["solve-radial", "asympt-inf", "solve-nodal"])
+def test_overflow_in_the_radial_oracle_is_numerical_failure(tmp_path, capsys, argv):
+    code = run_cli(argv + ["--R", "8", "--nr", "24", "--ntheta", "8",
+                           "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["asympt-inf", "--lambdas", "3", "--R", "16", "--nr", "64"],
+    ["asympt-zero", "--lambdas", "1", "--R", "8", "--nr", "32"],
+], ids=["asympt-inf", "asympt-zero"])
+def test_asymptotic_studies_of_the_full_disk_build_one_half_disk(
+        tmp_path, capsys, monkeypatch, argv):
+    real = sio.build_grid
+    built = []
+    monkeypatch.setattr(sio, "build_grid", lambda R, nr, ntheta, sector:
+                        built.append(sector.label()) or real(R, nr, ntheta, sector))
+    code = run_cli(argv + ["--ntheta", "8", "--grad_tol", "1e-6",
+                           "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert built == ["half"]
+    capsys.readouterr()
+
+
+def test_check_creates_no_output_directory(tmp_path, capsys, monkeypatch):
+    path, _ = _solution_bytes(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("SPIRALNLS_OUTDIR", raising=False)
+    assert run_cli(["check", str(path)]) == EXIT_CHECK    # not a solution, but read and checked
+    capsys.readouterr()
+    assert list(work.iterdir()) == []

@@ -104,6 +104,8 @@ def test_wirtinger_random_cone_fields(small_cone, rng):
 def test_nonradiality_zero_for_radial(small_disk):
     u = field_from_polar(small_disk, lambda r, t: np.exp(-r) + 0 * t)
     assert nonradiality_index(u, ModelParams(p=4.0, q=1, lam=1.0)) == 0.0
+    zero = Field(small_disk, np.zeros((small_disk.nr, small_disk.ntheta)))
+    assert nonradiality_index(zero, ModelParams(p=4.0, q=1, lam=1.0)) == 0.0
 
 
 def test_nonradiality_bounded(small_disk, rng):

@@ -6,6 +6,7 @@ from spiralnls.energy import (
     abs_power,
     energy,
     gradient,
+    h1_fd_norm_sq,
     h1_norm_sq,
     lambda_inner,
     lp_integral,
@@ -148,6 +149,21 @@ def test_h1_norm_on_sector_matches_pitch_form(small_half):
     u = field_from_polar(small_half, lambda r, t: np.exp(-r) * np.cos(t))
     big_lam = lambda_inner(u, u, ModelParams(p=4.0, q=1, lam=1e8))
     assert abs(h1_norm_sq(u) - big_lam) <= 1e-10 * big_lam
+
+
+@pytest.mark.parametrize("sector,fn", [
+    (SectorKind.full_disk(),
+     lambda r, t: np.exp(-r**2 / 2) * (1 + 0.3 * np.cos(t) + 0.2 * np.sin(2 * t))),
+    # vanishes to second order on the rays, whose faces the first differences leave out
+    (SectorKind.half_disk(), lambda r, t: np.exp(-r**2 / 2) * np.cos(t) ** 2),
+], ids=["disk", "half"])
+def test_h1_first_differences_converge_to_the_operator_form(sector, fn):
+    # O(dr^2 + dtheta^2): the gap falls at least threefold when both counts double
+    gaps = []
+    for nr, ntheta in ((48, 16), (96, 32)):
+        u = field_from_polar(build_grid(8.0, nr, ntheta, sector), fn)
+        gaps.append(abs(h1_fd_norm_sq(u) - h1_norm_sq(u)) / h1_norm_sq(u))
+    assert gaps[1] < 1e-2 and gaps[0] >= 3.0 * gaps[1]
 
 
 def test_lp_integral_constant(small_disk):

@@ -181,9 +181,10 @@ def test_solution_rejects_malformed_row(tmp_path, rng):
 def test_config_override_values_are_config_errors():
     with pytest.raises(ConfigError):
         parse_config("", overrides={"nr": "abc"})
-    with pytest.raises(ConfigError):
+    # the constructors' own ValueErrors, which the CLI reports as usage errors
+    with pytest.raises(ValueError, match="p must be"):
         parse_config("", overrides={"p": "1.5"}).model_params()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="ntheta must be even"):
         parse_config("", overrides={"ntheta": "7"}).grid()
 
 

@@ -168,6 +168,33 @@ def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q
         minimize._descend(cur, params_q1, 5, 1.0, vanished, 0.0, None, None)
 
 
+@pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
+def test_ground_solve_from_a_seed_with_no_symmetry(lam):
+    # an off-center bump: no symmetry to lock, yet the flow reaches the radial level
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=lam)
+    seed = field_from_polar(grid, lambda r, t: 2.0 * np.exp(
+        -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
+    assert minimize._constraint_for(seed) is None
+    rep = solve_ground(grid, params, SolveConfig(seed_kind=SEED_CUSTOM, seed_field=seed))
+    radial = solve_ground(grid, params)
+    assert rep.converged and radial.converged
+    assert abs(rep.energy.total - radial.energy.total) <= 1e-12 * radial.energy.total
+
+
+def test_newton_polish_stops_at_its_solve_budget(caplog):
+    # this solve descends 17 steps and converges with 4 Newton solves; a
+    # budget of 20 iterations leaves the polish 3 and no fallback descent
+    grid = build_grid(8.0, 48, 16, SectorKind.half_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    assert solve_ground(grid, params).converged
+    with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
+        rep = solve_ground(grid, params, SolveConfig(max_iters=20, keep_trace=True))
+    assert not rep.converged and rep.iterations == 20 and len(rep.trace) == 20
+    assert any(rec.getMessage().startswith("17 descent steps")
+               and "3 newton solves" in rec.getMessage() for rec in caplog.records)
+
+
 def test_max_iters_returns_best_iterate():
     cfg = SolveConfig(max_iters=3, grad_tol=1e-12)
     rep = solve_ground(GRID, ModelParams(p=4.0, q=1, lam=1.0), cfg)

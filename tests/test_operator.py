@@ -21,6 +21,8 @@ from spiralnls.grid import (
     build_grid,
 )
 import spiralnls.grid
+from spiralnls.diagnostics import symmetry_report
+from spiralnls.io import report_dict, symmetry_dict
 from spiralnls.minimize import SEED_DIPOLE, SolveConfig, _finalize, solve_ground, solve_nodal
 from spiralnls.nehari import project_nodal, project_nodal_state, project_ray
 
@@ -98,6 +100,18 @@ def test_finalize_transforms(to_modes_calls, rng, sector, most):
     params = ModelParams(p=4.0, q=1, lam=2.0)
     u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
     assert _count(to_modes_calls, lambda: _finalize(u, 1, True, params, None)) <= most
+
+
+def test_report_dict_transforms(to_modes_calls):
+    # the manifold residuals (3), the H1 norm and the Wirtinger pieces; the
+    # nonradiality index and |u|_inf are the solve's own
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    rep = solve_ground(grid, params)
+    assert rep.converged
+    payload = {}
+    assert _count(to_modes_calls, lambda: payload.update(report_dict(rep, params))) <= 5
+    assert payload["symmetry"] == symmetry_dict(symmetry_report(rep.field, params))
 
 
 def test_project_nodal_transforms(to_modes_calls, small_disk, params_q1, rng):
