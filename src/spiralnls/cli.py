@@ -105,8 +105,8 @@ def _run_solve(cfg: sio.RunConfig, args) -> int:
     if args.command == "solve-ground":
         report = solve_ground(grid, params, scfg)
     else:
-        if scfg.seed_kind == SEED_RADIAL:   # positive seed cannot start a nodal run
-            scfg = dataclasses.replace(scfg, seed_kind=SEED_RADIAL_NODAL)
+        if scfg.seed == SEED_RADIAL:   # positive seed cannot start a nodal run
+            scfg = dataclasses.replace(scfg, seed=SEED_RADIAL_NODAL)
         report = solve_nodal(grid, params, scfg)
     tag = args.command.replace("solve-", "")
     base = os.path.join(out, f"{tag}_p{params.p:g}_q{int(params.q)}_lam{params.lam:g}")

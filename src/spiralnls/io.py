@@ -121,7 +121,7 @@ class RunConfig:
     def solve_config(self) -> SolveConfig:
         return SolveConfig(
             max_iters=self["max_iters"], grad_tol=self["grad_tol"],
-            seed_kind=self["seed"], keep_trace=self["keep_trace"],
+            seed=self["seed"], keep_trace=self["keep_trace"],
         )
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .diagnostics import nonradiality_index
 from .energy import EnergyBreakdown, abs_power, energy, gradient_parts
-from .errors import OnePhaseMissing, SeedCollapsed, ZeroFieldError
+from .errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
 from .nehari import Projected, project_nodal_state, project_ray
 from .radial import shoot_nodal
@@ -65,16 +65,14 @@ _NODAL_HANDOVER = 1e-4
 SEED_RADIAL = "radial"
 SEED_DIPOLE = "dipole"
 SEED_RADIAL_NODAL = "radial-nodal"
-SEED_CUSTOM = "custom"
-_SEED_KINDS = (SEED_RADIAL, SEED_DIPOLE, SEED_RADIAL_NODAL, SEED_CUSTOM)
+_SEED_KINDS = (SEED_RADIAL, SEED_DIPOLE, SEED_RADIAL_NODAL)
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-8
-    seed_kind: str = SEED_RADIAL
-    seed_field: Optional[Field] = None
+    seed: str | Field = SEED_RADIAL    # a seed kind, or a Field on the solve's grid
     keep_trace: bool = False
 
     def __post_init__(self):
@@ -82,10 +80,8 @@ class SolveConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if self.seed_kind not in _SEED_KINDS:
-            raise ValueError(f"unknown seed kind {self.seed_kind!r}")
-        if self.seed_kind == SEED_CUSTOM and self.seed_field is None:
-            raise ValueError("custom seed requires a field")
+        if not isinstance(self.seed, Field) and self.seed not in _SEED_KINDS:
+            raise ValueError(f"unknown seed kind {self.seed!r}")
 
 
 @dataclass
@@ -114,23 +110,34 @@ def _evenized(vals: np.ndarray, reflect: np.ndarray) -> np.ndarray:
     return 0.5 * (vals + vals[:, reflect])
 
 
-def make_seed(grid: PolarGrid, params: ModelParams, kind: str,
-              custom: Optional[Field] = None) -> Field:
-    """Starting fields for the two candidate symmetry classes.
+def odd_extension(u: Field, disk: PolarGrid) -> Field:
+    """A half-disk field continued oddly across its rays onto a disk of the same radii.
+
+    The half disk's sine series is the Fourier series of that extension, so
+    it is summed at the disk's angles.  The result is symmetrized, so a
+    solve seeded with it keeps the reflection class of the cold dipole seed.
+    """
+    vals = u.grid.series_at(u.values, disk.angles)
+    return Field(disk, _evenized(vals, _reflect_index(disk)))
+
+
+def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
+    """Starting field on grid: a Field seed, which must live there, or a named kind.
 
     radial        positive bump (disk) / lowest-angular-mode bump (sector)
     dipole        w(r) cos(theta) with w a positive bump, disk only
     radial-nodal  the 1D oracle's one-node profile interpolated onto the disk
 
-    Built-in seeds are exactly reflection-even so the solver can lock the
-    symmetry class.  kind is one SolveConfig accepts, and custom is given for
-    SEED_CUSTOM.
+    Named seeds are exactly reflection-even so the solver can lock the
+    symmetry class.
     """
-    if kind == SEED_CUSTOM:
-        return custom
+    if isinstance(seed, Field):
+        if seed.grid != grid:
+            raise GridMismatchError("the seed field lives on another grid than the solve")
+        return seed
     r = grid.radii[:, None]
     th = grid.angles[None, :]
-    if kind == SEED_RADIAL:
+    if seed == SEED_RADIAL:
         if grid.sector.is_full:
             vals = 2.0 * np.exp(-0.5 * r**2) * np.ones_like(th)
         else:
@@ -148,7 +155,7 @@ def make_seed(grid: PolarGrid, params: ModelParams, kind: str,
             vals = _evenized(amp * np.exp(-0.5 * ((r - center) / width) ** 2) * lowest,
                              _reflect_index(grid))
         return Field(grid, vals)
-    if kind == SEED_DIPOLE:
+    if seed == SEED_DIPOLE:
         vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th),
                          _reflect_index(grid))
         return Field(grid, vals)
@@ -464,9 +471,9 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
                  ) -> SolveReport:
     """Least-energy positive solution: alpha level (disk) or c_lambda (sector)."""
     cfg = cfg or SolveConfig()
-    seed = make_seed(grid, params, cfg.seed_kind, cfg.seed_field)
-    if np.any(seed.values < 0) and cfg.seed_kind != SEED_CUSTOM:
-        raise ValueError(f"a ground solve needs a nonnegative seed; the {cfg.seed_kind} "
+    seed = make_seed(grid, params, cfg.seed)
+    if np.any(seed.values < 0) and not isinstance(cfg.seed, Field):
+        raise ValueError(f"a ground solve needs a nonnegative seed; the {cfg.seed} "
                          f"seed changes sign on this domain")
 
     def project(v: Field) -> Projected:
@@ -481,10 +488,10 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
 
     Raises OnePhaseMissing if the seed has only one sign.
     """
-    cfg = cfg or SolveConfig(seed_kind=SEED_DIPOLE)
+    cfg = cfg or SolveConfig(seed=SEED_DIPOLE)
     if not grid.sector.is_full:
         raise ValueError("nodal solves run on the full disk")
-    seed = make_seed(grid, params, cfg.seed_kind, cfg.seed_field)
+    seed = make_seed(grid, params, cfg.seed)
     if not (np.any(seed.values > 0) and np.any(seed.values < 0)):
         raise OnePhaseMissing("nodal solve needs a sign-changing seed")
 

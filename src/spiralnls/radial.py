@@ -391,8 +391,11 @@ def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
 
 @lru_cache(maxsize=32)
 def _shoot_cached(p: float, k: int, dr1d: float) -> RadialProfile:
-    a = _shoot_amplitude(p, k)    # cached apart: shared by every dr1d
-    return _assemble_profile(a, p, k, dr1d)
+    try:
+        a = _shoot_amplitude(p, k)    # cached apart: shared by every dr1d
+        return _assemble_profile(a, p, k, dr1d)
+    except OverflowError as exc:
+        raise OverflowError(f"radial shooting overflowed at p={p:g}, k={k}") from exc
 
 
 def shoot_ground(p: float, dr1d: float = 0.01) -> RadialProfile:

@@ -30,15 +30,13 @@ from .energy import energy, h1_fd_norm_sq, lambda_norm
 from .errors import PeakAtBoundary, SpiralError
 from .grid import Field, ModelParams, PolarGrid, SectorKind, build_grid
 from .minimize import (
-    SEED_CUSTOM,
     SEED_DIPOLE,
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
     SolveReport,
-    _evenized,
-    _reflect_index,
     make_seed,
+    odd_extension,
     solve_ground,
     solve_nodal,
 )
@@ -48,6 +46,7 @@ log = logging.getLogger(__name__)
 
 WINNER_RADIAL = "RadialNodal"
 WINNER_DIPOLE = "Dipole"
+WINNER_NONE = ""      # neither nodal row gave a level
 _WIDE = 1.5    # radius (and radial node) factor of limit_radius_study's second grid
 
 
@@ -58,7 +57,7 @@ class SweepRecord:
     beta_hat: float           # nodal level, min over seeds
     c_hat: float              # sector ground level
     nonradiality: float       # of the winning nodal minimizer
-    winner: str
+    winner: str               # WINNER_RADIAL, WINNER_DIPOLE or WINNER_NONE
     tau: float                # axis peak location of the sector ground state
     beta_dipole: float
     beta_radial: float
@@ -101,34 +100,25 @@ def _axis_peak(report: SolveReport) -> float:
     return float(grid.radii[j] + shift * grid.dr)
 
 
-def _odd_extension(u: Field, disk: PolarGrid) -> Field:
-    """A half-disk field continued oddly across its rays onto a disk of the same radii.
-
-    The half disk's sine series is the Fourier series of that extension, so
-    it is summed at the disk's angles.  The result is symmetrized, so a
-    solve seeded with it keeps the reflection class of the cold dipole seed.
-    """
-    vals = u.grid.series_at(u.values, disk.angles)
-    return Field(disk, _evenized(vals, _reflect_index(disk)))
-
-
 def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
                  cfg: SolveConfig | None = None) -> list[SweepRecord]:
     """Ground and nodal levels per pitch; locates the symmetry transition.
 
     Uses the supplied disk grid for all whole-disk solves and a half-disk grid
-    of the same shape for the sector level.  Requires q = 1 and an increasing
-    pitch list.  Per-pitch solver failures, unconverged rows among them, are
-    recorded and give no level; the sweep goes on.
-    A row with a radial seed whose converged field at the previous pitch is
-    radial starts from that field (natural-parameter continuation, exact for
-    radial states).  The dipole row starts from the odd extension of the same
-    pitch's sector ground state across the rays, a sign-changing critical
-    point of the disk problem, or from its cold seed if the sector row
-    failed.  The sector ground row starts from its cold seed.
+    of the same shape for the sector level.  Requires q = 1, the full disk
+    and an increasing pitch list.  Per-pitch solver failures, unconverged rows
+    among them, are recorded and give no level (no winner without a nodal
+    level); the sweep goes on.  A row whose seed is radial on its grid and
+    whose field at the previous pitch is radial starts from that field
+    (natural-parameter continuation, exact for radial states).  The dipole row starts from the odd extension
+    of the same pitch's sector ground state across the rays, a sign-changing
+    critical point of the disk problem, or from its cold seed if the sector
+    row failed.  The sector ground row starts from its cold seed.
     """
     if params_base.q != 1:
         raise ValueError("the sweep studies the q = 1 problem")
+    if not grid.sector.is_full:
+        raise ValueError("the sweep runs on the full disk")
     lambdas = list(lambdas)
     if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("need a nonempty, strictly increasing pitch list")
@@ -136,25 +126,21 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
     half = build_grid(grid.R, grid.nr, grid.ntheta, SectorKind.half_disk())
 
     records = []
-    previous = {}   # row tag -> that row's report at the previous pitch
+    previous = {}   # row tag -> that row's converged report at the previous pitch
     for lam in lambdas:
         params = replace(params_base, lam=float(lam))
         failures = []
 
-        def attempt(tag, fn, row_grid, seed_kind, seed_field=None):
+        def attempt(tag, fn, row_grid, seed):
             # a radial seed keeps its solve among radial fields, which have no
-            # angular energy: there the previous pitch's converged field is
-            # critical at this pitch too, and seeds the row exactly
+            # angular energy: there the previous pitch's field is critical at
+            # this pitch too, and seeds the row exactly
             prev = previous.pop(tag, None)
-            if seed_field is not None:
-                row_cfg = replace(cfg, seed_kind=SEED_CUSTOM, seed_field=seed_field)
-            elif (prev is not None and prev.converged and prev.field.is_radial()
-                    and make_seed(row_grid, params, seed_kind).is_radial()):
-                row_cfg = replace(cfg, seed_kind=SEED_CUSTOM, seed_field=prev.field)
-            else:
-                row_cfg = replace(cfg, seed_kind=seed_kind)
+            if (prev is not None and prev.field.is_radial()
+                    and make_seed(row_grid, params, seed).is_radial()):
+                seed = prev.field
             try:
-                rep = fn(row_grid, params, row_cfg)
+                rep = fn(row_grid, params, replace(cfg, seed=seed))
                 if not rep.converged:
                     raise SpiralError(f"not converged after {rep.iterations} iterations")
             except Exception as exc:  # per-pitch failures must not kill the sweep
@@ -166,8 +152,8 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
 
         rep_alpha = attempt("disk-ground", solve_ground, grid, SEED_RADIAL)
         rep_c = attempt("sector-ground", solve_ground, half, SEED_RADIAL)
-        rep_dip = attempt("nodal-dipole", solve_nodal, grid, SEED_DIPOLE,
-                          _odd_extension(rep_c.field, grid) if rep_c else None)
+        rep_dip = attempt("nodal-dipole", solve_nodal, grid,
+                          odd_extension(rep_c.field, grid) if rep_c else SEED_DIPOLE)
         rep_rad = attempt("nodal-radial", solve_nodal, grid, SEED_RADIAL_NODAL)
 
         beta_dip = rep_dip.energy.total if rep_dip else math.inf
@@ -175,7 +161,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
         if beta_dip < beta_rad * (1.0 - 1e-9):
             winner, best = WINNER_DIPOLE, rep_dip
         else:
-            winner, best = WINNER_RADIAL, rep_rad if rep_rad else rep_dip
+            winner, best = (WINNER_RADIAL, rep_rad) if rep_rad else (WINNER_NONE, None)
         records.append(SweepRecord(
             lam=float(lam),
             alpha_hat=rep_alpha.energy.total if rep_alpha else math.nan,
@@ -193,12 +179,14 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
 
 def transition_bracket(records: list[SweepRecord]):
     """[largest radial-winning pitch, smallest dipole-winning pitch] and the
-    crossing count (the theory fixes two regimes but not a single crossing)."""
+    crossing count among pitches with a winner (the theory fixes two regimes
+    but not a single crossing)."""
     radial_lams = [r.lam for r in records if r.winner == WINNER_RADIAL]
     dipole_lams = [r.lam for r in records if r.winner == WINNER_DIPOLE]
     lo = max(radial_lams) if radial_lams else math.nan
     hi = min(dipole_lams) if dipole_lams else math.nan
-    crossings = sum(1 for a, b in zip(records, records[1:]) if a.winner != b.winner)
+    won = [r for r in records if r.winner != WINNER_NONE]
+    crossings = sum(1 for a, b in zip(won, won[1:]) if a.winner != b.winner)
     return lo, hi, crossings
 
 
@@ -230,7 +218,7 @@ def asymptotics_infinity(params: ModelParams, lambdas, grid: PolarGrid,
     out = []
     for lam in lambdas:
         pars = replace(params, lam=float(lam))
-        rep = solve_ground(grid, pars, replace(cfg, seed_kind=SEED_RADIAL))
+        rep = solve_ground(grid, pars, replace(cfg, seed=SEED_RADIAL))
         tau = _axis_peak(rep)
         if tau > grid.R - 5.0:
             raise PeakAtBoundary(f"peak {tau:.2f} too close to R={grid.R}")
@@ -265,7 +253,7 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
     alpha = 2.0 / (params.p - 2.0)
 
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
-    limit_rep = solve_ground(grid, limit_params, replace(cfg, seed_kind=SEED_RADIAL))
+    limit_rep = solve_ground(grid, limit_params, replace(cfg, seed=SEED_RADIAL))
     vstar = limit_rep.field
     vstar_norm = lambda_norm(vstar, limit_params)
 
@@ -274,7 +262,7 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
         lam = float(lam)
         pars = replace(params, lam=lam)
         sub = build_grid(lam * grid.R, grid.nr, grid.ntheta, grid.sector)
-        rep = solve_ground(sub, pars, replace(cfg, seed_kind=SEED_RADIAL))
+        rep = solve_ground(sub, pars, replace(cfg, seed=SEED_RADIAL))
         c_lam = rep.energy.total
         j_lam = lam ** (2.0 * alpha) * c_lam
 

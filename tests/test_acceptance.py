@@ -146,7 +146,7 @@ def threshold_sample():
 
     def add(p, lam, seed):
         params = ModelParams(p=p, q=1, lam=lam)
-        cfg = SolveConfig(grad_tol=1e-8, seed_kind=seed)
+        cfg = SolveConfig(grad_tol=1e-8, seed=seed)
         rep = solve_nodal(grid, params, cfg) if seed != SEED_RADIAL \
             else solve_ground(grid, params, cfg)
         solves.append((params, rep, seed))

@@ -179,9 +179,9 @@ def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
     assert "nehari-residual" not in message
 
 
-# after three bad values: a seed kind that does not exist, a custom seed with
-# no field, two seeds that change sign on the disk, where a ground solve needs
-# one sign, and a --set with no value
+# after three bad values: two seed kinds that do not exist, two seeds that
+# change sign on the disk, where a ground solve needs one sign, and a --set
+# with no value
 @pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"],
                                  ["--seed", "bogus"], ["--seed", "custom"],
                                  ["--seed", "dipole"], ["--seed", "radial-nodal"],
@@ -462,11 +462,12 @@ def _cone_solution(tmp_path):
     lambda tmp: ["solve-nodal", "--sector", "half"],
     lambda tmp: ["solve-nodal", "--sector", "cone:0.5"],
     lambda tmp: ["sweep", "--q", "0"],
+    lambda tmp: ["sweep", "--sector", "half", "--lambdas", "1"],
     lambda tmp: ["asympt-inf", "--q", "0"],
     lambda tmp: ["asympt-zero", "--q", "0", "--sector", "half"],
     lambda tmp: ["asympt-zero", "--sector", "half", "--lambdas", "2"],
     lambda tmp: ["reconstruct", _cone_solution(tmp)],
-], ids=["nodal-half", "nodal-cone", "sweep-q0", "asympt-inf-q0", "asympt-zero-q0",
+], ids=["nodal-half", "nodal-cone", "sweep-q0", "sweep-half", "asympt-inf-q0", "asympt-zero-q0",
         "asympt-zero-pitch-2", "reconstruct-cone"])
 def test_out_of_scope_inputs_are_usage_errors(tmp_path, capsys, argv):
     _usage_error(capsys, argv(tmp_path) + ["--R", "8", "--nr", "24", "--ntheta", "8",
@@ -485,6 +486,7 @@ def test_overflow_in_the_radial_oracle_is_numerical_failure(tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "p=200" in err
 
 
 @pytest.mark.parametrize("argv", [

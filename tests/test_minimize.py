@@ -8,10 +8,9 @@ from scipy.sparse.linalg import LinearOperator
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
-from spiralnls.errors import OnePhaseMissing, SeedCollapsed, ZeroFieldError
+from spiralnls.errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.minimize import (
-    SEED_CUSTOM,
     SEED_DIPOLE,
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
@@ -37,7 +36,7 @@ def ground_run():
 @pytest.fixture(scope="module")
 def nodal_run():
     params = ModelParams(p=4.0, q=1, lam=0.1)
-    cfg = SolveConfig(seed_kind=SEED_DIPOLE, grad_tol=1e-7)
+    cfg = SolveConfig(seed=SEED_DIPOLE, grad_tol=1e-7)
     return solve_nodal(GRID, params, cfg), params
 
 
@@ -96,7 +95,7 @@ def test_sector_level_monotone_in_lambda():
 
 def test_nodal_small_pitch_both_seeds_radial(nodal_run):
     report_dip, params = nodal_run
-    cfg = SolveConfig(seed_kind=SEED_RADIAL_NODAL, grad_tol=1e-7)
+    cfg = SolveConfig(seed=SEED_RADIAL_NODAL, grad_tol=1e-7)
     report_rad = solve_nodal(GRID, params, cfg)
     for rep in (report_dip, report_rad):
         assert rep.converged
@@ -109,7 +108,7 @@ def test_nodal_small_pitch_both_seeds_radial(nodal_run):
 
 def test_nodal_large_pitch_below_radial_branch():
     params = ModelParams(p=4.0, q=1, lam=50.0)
-    cfg = SolveConfig(seed_kind=SEED_DIPOLE, grad_tol=1e-7)
+    cfg = SolveConfig(seed=SEED_DIPOLE, grad_tol=1e-7)
     rep = solve_nodal(GRID, params, cfg)
     assert rep.converged
     c_inf, _, eps_star = limit_levels(4.0)
@@ -139,8 +138,8 @@ def test_dipole_solve_that_would_lose_a_sign_ends_radial():
     # and the descent halves such a step instead of giving up
     grid = build_grid(24.0, 320, 64, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=0.1)
-    dipole = solve_nodal(grid, params, SolveConfig(seed_kind=SEED_DIPOLE))
-    radial = solve_nodal(grid, params, SolveConfig(seed_kind=SEED_RADIAL_NODAL))
+    dipole = solve_nodal(grid, params, SolveConfig(seed=SEED_DIPOLE))
+    radial = solve_nodal(grid, params, SolveConfig(seed=SEED_RADIAL_NODAL))
     assert dipole.converged and radial.converged
     assert dipole.nonradiality < 1e-6
     assert abs(dipole.energy.total - radial.energy.total) <= 1e-12 * radial.energy.total
@@ -153,9 +152,19 @@ def test_nodal_requires_full_disk():
 
 def test_nodal_rejects_one_signed_seed():
     seed = field_from_polar(GRID, lambda r, t: np.exp(-r) + 0 * t)
-    cfg = SolveConfig(seed_kind=SEED_CUSTOM, seed_field=seed)
+    cfg = SolveConfig(seed=seed)
     with pytest.raises(OnePhaseMissing):
         solve_nodal(GRID, ModelParams(p=4.0, q=1, lam=1.0), cfg)
+
+
+@pytest.mark.parametrize("solve", [solve_ground, solve_nodal])
+def test_a_field_seed_on_another_grid_is_refused(solve):
+    # the solve runs on its grid argument, never on the seed's
+    seed_grid = build_grid(8.0, 32, 16, SectorKind.full_disk())
+    seed = make_seed(seed_grid, ModelParams(p=4.0, q=1, lam=1.0), SEED_DIPOLE)
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    with pytest.raises(GridMismatchError):
+        solve(grid, ModelParams(p=4.0, q=1, lam=1.0), SolveConfig(seed=seed))
 
 
 def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q1):
@@ -176,7 +185,7 @@ def test_ground_solve_from_a_seed_with_no_symmetry(lam):
     seed = field_from_polar(grid, lambda r, t: 2.0 * np.exp(
         -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
     assert minimize._constraint_for(seed) is None
-    rep = solve_ground(grid, params, SolveConfig(seed_kind=SEED_CUSTOM, seed_field=seed))
+    rep = solve_ground(grid, params, SolveConfig(seed=seed))
     radial = solve_ground(grid, params)
     assert rep.converged and radial.converged
     assert abs(rep.energy.total - radial.energy.total) <= 1e-12 * radial.energy.total

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,10 +60,10 @@ def _count(calls, fn):
     return calls[0]
 
 
-def _per_step(calls, solve, grid, params, seed_kind):
+def _per_step(calls, solve, grid, params, seed):
     """Forward transforms of one accepted descent step: run k + 1 steps minus k."""
     def run(k):
-        cfg = SolveConfig(max_iters=k, seed_kind=seed_kind)
+        cfg = SolveConfig(max_iters=k, seed=seed)
         return _count(calls, lambda: solve(grid, params, cfg))
     return run(3) - run(2)
 
@@ -364,3 +365,12 @@ def test_package_exports_resolve():
     package = importlib.import_module("spiralnls")
     for name in package.__all__:
         assert hasattr(package, name), f"spiralnls.{name} does not resolve"
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert namespace["report"].converged
+    assert capsys.readouterr().out.count("\n") == 1

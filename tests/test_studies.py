@@ -8,20 +8,21 @@ from reference import field_from_polar
 from spiralnls import studies
 from spiralnls.energy import energy
 from spiralnls.errors import PeakAtBoundary
-from spiralnls.grid import ModelParams, SectorKind, build_grid
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.minimize import (
-    SEED_CUSTOM,
     SEED_DIPOLE,
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
     _reflect_index,
+    odd_extension,
     solve_ground,
     solve_nodal,
 )
 from spiralnls.studies import (
     SweepRecord,
     WINNER_DIPOLE,
+    WINNER_NONE,
     WINNER_RADIAL,
     asymptotics_infinity,
     asymptotics_zero,
@@ -66,6 +67,9 @@ def test_sweep_validation():
         sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [], grid, CFG)
     with pytest.raises(ValueError):
         sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [2.0, 1.0], grid, CFG)
+    half = build_grid(6.0, 24, 16, SectorKind.half_disk())
+    with pytest.raises(ValueError):
+        sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [1.0], half, CFG)
 
 
 def test_transition_bracket_synthetic():
@@ -74,7 +78,7 @@ def test_transition_bracket_synthetic():
                            nonradiality=0, winner=winner, tau=1,
                            beta_dipole=2, beta_radial=2)
     records = [rec(0.1, WINNER_RADIAL), rec(1.0, WINNER_RADIAL),
-               rec(10.0, WINNER_DIPOLE)]
+               rec(5.0, WINNER_NONE), rec(10.0, WINNER_DIPOLE)]
     lo, hi, crossings = transition_bracket(records)
     assert (lo, hi, crossings) == (1.0, 10.0, 1)
 
@@ -145,7 +149,7 @@ def test_sweep_continues_radial_rows(monkeypatch):
 
         def recording(row_grid, pars, cfg, _real=real):
             rep = _real(row_grid, pars, cfg)
-            solves.append((cfg.seed_kind, rep))
+            solves.append(("field" if isinstance(cfg.seed, Field) else cfg.seed, rep))
             return rep
 
         monkeypatch.setattr(studies, name, recording)
@@ -154,11 +158,10 @@ def test_sweep_continues_radial_rows(monkeypatch):
 
     # the dipole row starts from the odd extension of the sector ground state
     later = solves[4:]
-    assert [kind for kind, _ in later] == [SEED_CUSTOM, SEED_RADIAL, SEED_CUSTOM,
-                                           SEED_CUSTOM]
+    assert [kind for kind, _ in later] == ["field", SEED_RADIAL, "field", "field"]
     pars = ModelParams(p=4.0, q=1, lam=8.0)
-    colds = {0: solve_ground(grid, pars, replace(CFG, seed_kind=SEED_RADIAL)),
-             3: solve_nodal(grid, pars, replace(CFG, seed_kind=SEED_RADIAL_NODAL))}
+    colds = {0: solve_ground(grid, pars, replace(CFG, seed=SEED_RADIAL)),
+             3: solve_nodal(grid, pars, replace(CFG, seed=SEED_RADIAL_NODAL))}
     for row, cold in colds.items():
         continued = later[row][1]
         assert continued.converged and continued.iterations == 1
@@ -166,7 +169,7 @@ def test_sweep_continues_radial_rows(monkeypatch):
         rel = abs(continued.energy.total - cold.energy.total) / cold.energy.total
         assert rel <= 1e-12
     seeded = later[2][1]
-    cold = solve_nodal(grid, pars, replace(CFG, seed_kind=SEED_DIPOLE))
+    cold = solve_nodal(grid, pars, replace(CFG, seed=SEED_DIPOLE))
     assert seeded.converged and cold.converged
     assert abs(seeded.energy.total - cold.energy.total) <= 1e-12 * cold.energy.total
 
@@ -185,7 +188,7 @@ def test_sweep_records_a_failed_sector_row(monkeypatch):
 
     def nodal(row_grid, pars, cfg):
         rep = real_nodal(row_grid, pars, cfg)
-        nodal_rows.append((cfg.seed_kind, rep))
+        nodal_rows.append(("field" if isinstance(cfg.seed, Field) else cfg.seed, rep))
         return rep
 
     monkeypatch.setattr(studies, "solve_ground", ground)
@@ -195,11 +198,33 @@ def test_sweep_records_a_failed_sector_row(monkeypatch):
     assert failed.failures == ("sector-ground: injected sector failure",)
     assert math.isnan(failed.c_hat) and math.isnan(failed.tau)
     dipole_rows = nodal_rows[::2]
-    assert [kind for kind, _ in dipole_rows] == [SEED_DIPOLE, SEED_CUSTOM]
+    assert [kind for kind, _ in dipole_rows] == [SEED_DIPOLE, "field"]
     assert failed.beta_dipole == dipole_rows[0][1].energy.total
     assert math.isfinite(failed.beta_dipole)
     assert not after.failures and math.isfinite(after.c_hat)
     assert after.beta_dipole == dipole_rows[1][1].energy.total
+
+
+def test_sweep_without_a_nodal_level_has_no_winner(monkeypatch):
+    # both nodal rows fail at the larger pitch: no level, so no winning class,
+    # and that pitch counts toward neither end of the bracket
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    real_nodal = studies.solve_nodal
+
+    def nodal(row_grid, pars, cfg):
+        if pars.lam == 8.0:
+            raise FloatingPointError("injected nodal failure")
+        return real_nodal(row_grid, pars, cfg)
+
+    monkeypatch.setattr(studies, "solve_nodal", nodal)
+    won, failed = sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.2, 8.0], grid, CFG)
+    assert won.winner == WINNER_RADIAL and not won.failures
+    assert failed.failures == ("nodal-dipole: injected nodal failure",
+                               "nodal-radial: injected nodal failure")
+    assert failed.winner == WINNER_NONE and math.isnan(failed.nonradiality)
+    assert failed.beta_hat == failed.beta_dipole == failed.beta_radial == math.inf
+    lo, hi, crossings = transition_bracket([won, failed])
+    assert lo == 0.2 and math.isnan(hi) and crossings == 0
 
 
 def test_sweep_records_unconverged_rows():
@@ -226,7 +251,7 @@ def test_odd_extension_of_a_half_disk_field():
                                           + 0.1 * np.cos(5 * t))
 
     u = field_from_polar(half, profile)
-    ext = studies._odd_extension(u, disk)
+    ext = odd_extension(u, disk)
     reflect = _reflect_index(disk)
     assert np.array_equal(ext.values, ext.values[:, reflect])
     scale = ext.linf()
