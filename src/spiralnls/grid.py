@@ -23,20 +23,27 @@ which is what makes preconditioned solves cheap.  Scaled by the radial
 quadrature weight r_j dr its rows become symmetric, since the face weight
 R_{j+1}/dr couples nodes j and j+1 both ways, and that r-weighted form is the
 matrix of the pitch inner product: symmetric positive definite for every lambda > 0 and q in
-{0, 1}.  PolarOperator therefore factors it once per (grid, params) as
-L D L^T and solves with the factor, and evaluates the inner product as one
-weighted sum over node products plus one over face differences.  The sums
+{0, 1}.  PolarOperator therefore factors it once per (grid, params), on its
+first solve, as L D L^T and solves with the factor, and evaluates the inner
+product as one weighted sum over node products plus one over face
+differences.  The sums
 are numpy loops and the factor and its solves are unthreaded LAPACK loops,
 so none of them depends on the BLAS thread count.  The angular transform is
 a BLAS dgemm; OpenBLAS splits it by blocks of the output, so every entry
 keeps one summation order, and tests/test_operator.py checks that its bits
 are the same at one and two threads.
+
+A restricted view (PolarGrid.restricted) keeps some mode columns only, the
+ones a symmetry class excites: the disk's mean column for radial fields, the
+even columns for fields even in theta.  It has the grid's nodes and compares
+equal to it, and its stencil and operator are built on the kept columns, so
+a solve within one class transforms, solves and sums over those alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -126,8 +133,10 @@ class PolarGrid:
     radii: np.ndarray = field(compare=False)     # (nr,) staggered nodes (j + 1/2) dr
     angles: np.ndarray = field(compare=False)    # (ntheta,) angular nodes, open at Dirichlet rays
     weights: np.ndarray = field(compare=False)   # (nr, ntheta) quadrature weights r dr dtheta
-    # (forward, inverse) angular transform matrices, (ntheta, ntheta)
+    # (forward, inverse) angular transform matrices, (ntheta, nmodes) and (nmodes, ntheta)
     transform: tuple = field(compare=False, repr=False)
+    # the mode columns a restricted view keeps (see restricted); None keeps all
+    columns: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def dr(self) -> float:
@@ -143,11 +152,19 @@ class PolarGrid:
     def face_radii(self) -> np.ndarray:
         return np.arange(self.nr + 1) * self.dr
 
+    @property
+    def nmodes(self) -> int:
+        """Mode columns the transforms keep: ntheta, or fewer on a restricted view."""
+        return self.transform[0].shape[1]
+
+    def _kept(self, per_column: np.ndarray) -> np.ndarray:
+        return per_column if self.columns is None else per_column[list(self.columns)]
+
     def _omega(self) -> np.ndarray:
         """Angular frequency of each mode column."""
         if self.sector.is_full:
-            return _disk_columns(self.ntheta)[0].astype(float)
-        return np.arange(1, self.ntheta + 1) * np.pi / (2 * self.sector.half_angle)
+            return self._kept(_disk_columns(self.ntheta)[0].astype(float))
+        return self._kept(np.arange(1, self.ntheta + 1) * np.pi / (2 * self.sector.half_angle))
 
     def mode_multipliers(self) -> np.ndarray:
         """Squared angular frequency mu of each mode column."""
@@ -156,8 +173,37 @@ class PolarGrid:
     def mode_quad_coeffs(self) -> np.ndarray:
         """Coefficients c_m with sum_k u_k v_k dtheta = sum_m c_m U_m V_m, per mode column."""
         if self.sector.is_full:
-            return _disk_columns(self.ntheta)[1] * self.dtheta / self.ntheta
-        return np.full(self.ntheta, self.dtheta / (2 * (self.ntheta + 1)))
+            return self._kept(_disk_columns(self.ntheta)[1] * self.dtheta / self.ntheta)
+        return np.full(self.nmodes, self.dtheta / (2 * (self.ntheta + 1)))
+
+    def even_columns(self) -> tuple:
+        """The mode columns of theta-even fields: the disk's cos columns 0, ..., n/2,
+        a sector's odd sine frequencies (columns 0, 2, 4, ...)."""
+        if self.sector.is_full:
+            return tuple(range(self.ntheta // 2 + 1))
+        return tuple(range(0, self.ntheta, 2))
+
+    def restricted(self, columns: tuple) -> "PolarGrid":
+        """This grid with its mode space cut to columns, built once per column set.
+
+        The view has the same nodes and compares equal to the grid.  Its
+        transforms keep the forward matrix's columns and the inverse's rows
+        in columns, and _omega and mode_quad_coeffs their entries, so its
+        stencil, operator and forms follow.  A field of a symmetry class,
+        whose other modes vanish to round-off, transforms and solves there at
+        a fraction of the cost.  On the disk columns start at the mean mode
+        0, which to_modes fills apart.
+        """
+        if self.columns is not None or (self.sector.is_full and columns[0] != 0):
+            raise ValueError(f"cannot restrict this grid to mode columns {columns}")
+        views = self.__dict__.setdefault("_views", {})
+        if columns not in views:
+            forward, inverse = self.transform
+            kept = (np.ascontiguousarray(forward[:, list(columns)]), inverse[list(columns)])
+            for arr in kept:
+                arr.setflags(write=False)
+            views[columns] = replace(self, transform=kept, columns=columns)
+        return views[columns]
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Angular transform: one product with the forward matrix.
@@ -181,8 +227,11 @@ class PolarGrid:
         The only code that knows the transforms' normalization: on the disk
         A[:, m], m = 0, ..., n/2, is (cos column + i sin column) of frequency
         m times c/n (_disk_columns); on sectors it is -i times the DST-I modes
-        over n + 1 (a sine series from the lower ray).
+        over n + 1 (a sine series from the lower ray).  It needs the whole
+        grid, not a restricted view.
         """
+        if self.columns is not None:
+            raise ValueError("the angular series needs the whole grid, not a restricted view")
         omega, modes = self._omega(), self.to_modes(values)
         if not self.sector.is_full:
             return omega, -1j * (modes / (self.ntheta + 1))
@@ -361,17 +410,29 @@ class PolarOperator:
     matrix of <., .>_{lam,q} per mode: off-diagonals -R_f / dr, diagonal the
     two adjacent face weights plus the node weight, the only part that
     depends on (lam, q).  The modes stack mode-major into one tridiagonal K,
-    factored once here.  PolarGrid.operator builds one per parameters.
+    factored once, on the first solve: an operator that only evaluates forms,
+    as the whole grid's does after a solve on a restricted view, never
+    factors.  PolarGrid.operator builds one per parameters.
     """
 
     def __init__(self, stencil: Stencil, params: ModelParams):
         self.stencil = stencil
         self.params = params
-        st = stencil
-        node = st.cent_w + st.ang_w / params.lam**2 + params.q * st.wr[:, None]   # (nr, nm)
-        node[-1] += st.bnd_w                                    # K's node weights
-        faces = st.face_w[:, 0]
-        diag = node.T.copy()                                    # (nm, nr), mode-major
+        # inner-product weights with the Parseval coefficients folded in
+        self.w_nodes = self._node_weights() * stencil.cm
+        self.w_faces = stencil.face_w * stencil.cm
+
+    def _node_weights(self) -> np.ndarray:
+        """K's node weights, (nr, nm)."""
+        st, params = self.stencil, self.params
+        node = st.cent_w + st.ang_w / params.lam**2 + params.q * st.wr[:, None]
+        node[-1] += st.bnd_w
+        return node
+
+    @cached_property
+    def _factor(self):
+        faces = self.stencil.face_w[:, 0]
+        diag = self._node_weights().T.copy()                    # (nm, nr), mode-major
         diag[:, 1:] += faces
         diag[:, :-1] += faces
         off = np.zeros_like(diag)
@@ -379,10 +440,7 @@ class PolarOperator:
         d, e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
         if info != 0:
             raise FloatingPointError(f"per-mode operator not positive definite (pttrf info={info})")
-        self._factor = (d, e)
-        # inner-product weights with the Parseval coefficients folded in
-        self.w_nodes = node * st.cm
-        self.w_faces = st.face_w * st.cm
+        return d, e
 
     def solve(self, modes: np.ndarray) -> np.ndarray:
         """L^{-1} of a mode array (nr, nmodes): K^{-1} of the r dr-scaled modes."""

@@ -18,13 +18,19 @@ term 0.01 ||E'|| safeguarded against over-solving the last step (Kelley
 steps.  max_iters bounds descent steps and Newton solves together, and
 keep_trace records one row per descent step and per Newton solve.
 
-The exact flow preserves the symmetries of its seed: a radial seed stays
-radial, a reflection-even seed stays even in theta.  Runs started from such
+The exact flow preserves the symmetries of its seed: on the disk a radial
+seed stays radial, and on every grid a reflection-even seed stays even in
+theta.  (On a sector a theta-constant seed is even but does not stay
+constant, since the Dirichlet rays pull it down.)  Runs started from such
 seeds re-impose the symmetry on each iterate, which costs nothing in exact
 arithmetic but deletes round-off excitation of the broken modes.  For the
 radial seed this keeps the radial branch of the nodal problem computable on
 its own; for even seeds it removes the rotational null direction that
-otherwise stalls the Newton polish on the full disk.
+otherwise stalls the Newton polish on the full disk.  They also run on the
+class's angular modes alone (PolarGrid.restricted): the mean column for a
+radial seed, the even columns (PolarGrid.even_columns) for an even one,
+about half of them.  Transforms, per-mode solves and forms shrink with the
+mode count; the report comes back on the caller's grid.
 """
 
 from __future__ import annotations
@@ -164,21 +170,23 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
 
 
 def _constraint_for(seed: Field):
-    """Symmetry projector preserved by the flow, inferred from the seed.
+    """The symmetry class preserved by the flow, inferred from the seed.
 
-    Returns a values -> values map: angular mean for radial seeds, reflection
-    symmetrization for theta-even seeds, identity otherwise.
+    Returns (projector, columns), the projector a values -> values map and
+    columns the mode columns the class excites: the angular mean and the
+    mean column for radial seeds on the disk, reflection symmetrization and
+    the even columns for theta-even seeds, None for a seed of neither class.
     """
     grid = seed.grid
     ntheta = grid.ntheta
     reflect = _reflect_index(grid)
 
-    if seed.is_radial():
+    if grid.sector.is_full and seed.is_radial():
         def radial_mean(values):
             return values.mean(axis=1, keepdims=True) * np.ones((1, ntheta))
-        return radial_mean
+        return radial_mean, (0,)
     if np.array_equal(seed.values, seed.values[:, reflect]):
-        return functools.partial(_evenized, reflect=reflect)
+        return functools.partial(_evenized, reflect=reflect), grid.even_columns()
     return None
 
 
@@ -439,15 +447,17 @@ def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
     )
 
 
-def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project,
+def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, project,
          handover: float) -> SolveReport:
+    """Descend and polish on the modes of the seed's class; report on grid."""
     trace = [] if cfg.keep_trace else None
-    constrain = _constraint_for(seed)
-    cur = project(seed)
+    constrain, columns = _constraint_for(seed) or (None, None)
+    work = grid if columns is None else grid.restricted(columns)
+    cur = project(Field(work, seed.values))
 
     # hand over to Newton once the iterate is merely in the neighborhood;
     # the energy line search makes the polish robust from moderate range
-    norm = math.sqrt(max(seed.grid.operator(params).inner(cur.modes, cur.modes), 0.0))
+    norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
     cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), STEP_MAX,
                               project, switch_tol, trace, constrain)
@@ -462,9 +472,9 @@ def _run(seed: Field, params: ModelParams, cfg: SolveConfig, project,
             cur, gn, extra = _descend(cur, params, cfg.max_iters - iters, _FALLBACK_STEP,
                                       project, cfg.grad_tol, trace, constrain, iters)
             iters += extra
-    log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs",
-              steps, handover_gn, solves, matvecs)
-    return _finalize(cur.field, iters, gn <= cfg.grad_tol, params, trace)
+    log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, on %d of %d modes",
+              steps, handover_gn, solves, matvecs, work.nmodes, grid.ntheta)
+    return _finalize(Field(grid, cur.field.values), iters, gn <= cfg.grad_tol, params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
@@ -479,7 +489,7 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
     def project(v: Field) -> Projected:
         return project_ray(v, params)
 
-    return _run(seed, params, cfg, project, _GROUND_HANDOVER)
+    return _run(grid, seed, params, cfg, project, _GROUND_HANDOVER)
 
 
 def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
@@ -498,4 +508,4 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
     def project(v: Field) -> Projected:
         return project_nodal_state(v, params)
 
-    return _run(seed, params, cfg, project, _NODAL_HANDOVER)
+    return _run(grid, seed, params, cfg, project, _NODAL_HANDOVER)

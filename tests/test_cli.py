@@ -399,6 +399,25 @@ def test_non_ascii_byte_deep_in_the_value_block_is_usage_error(tmp_path, capsys)
     assert str(path) in _usage_error(capsys, ["check", str(path)])
 
 
+def test_stray_solution_header_line_is_usage_error(tmp_path, capsys):
+    path, data = _solution_bytes(tmp_path)
+    path.write_bytes(data.replace(b"# p = ", b"bogus line\n# p = ", 1))
+    err = _usage_error(capsys, ["check", str(path)])
+    assert err.startswith(f"config error: {path}: unexpected header line 'bogus line'")
+
+
+def test_solution_without_value_block_is_usage_error(tmp_path, capsys):
+    path, data = _solution_bytes(tmp_path)
+    path.write_bytes(data[:data.index(b"j,k,value")])
+    assert _usage_error(capsys, ["check", str(path)]).endswith(f"{path}: missing value block\n")
+
+
+def test_unknown_sector_is_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, ["solve-ground", "--sector", "wedge", "--out-dir", str(tmp_path)])
+    assert err == "config error: unknown sector 'wedge'\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("extra", ["junk", "1.0"])
 def test_solution_row_with_a_fourth_field_is_usage_error(tmp_path, capsys, extra):
     path, data = _solution_bytes(tmp_path)

@@ -191,6 +191,21 @@ def test_ground_solve_from_a_seed_with_no_symmetry(lam):
     assert abs(rep.energy.total - radial.energy.total) <= 1e-12 * radial.energy.total
 
 
+def test_a_theta_constant_seed_on_a_sector_is_even_not_radial():
+    # the Dirichlet rays pull a theta-constant seed down at the sector's
+    # edges, so the flow cannot keep it constant; held to constant fields,
+    # this solve stalled unconverged at E = 49.37 after 311 iterations
+    grid = build_grid(8.0, 48, 16, SectorKind.half_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    seed = field_from_polar(grid, lambda r, t: 2.0 * np.exp(-0.5 * r**2) + 0 * t)
+    assert seed.is_radial()
+    rep = solve_ground(grid, params, SolveConfig(seed=seed))
+    named = solve_ground(grid, params)
+    assert rep.converged and named.converged
+    assert abs(rep.energy.total - named.energy.total) <= 1e-12 * named.energy.total
+    assert minimize._constraint_for(seed)[1] == grid.even_columns()
+
+
 def test_newton_polish_stops_at_its_solve_budget(caplog):
     # this solve descends 17 steps and converges with 4 Newton solves; a
     # budget of 20 iterations leaves the polish 3 and no fallback descent

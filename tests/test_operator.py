@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import logging
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import apply_operator, operator_apply
+from reference import apply_operator, field_from_polar, operator_apply
 
 from spiralnls.energy import energy, lambda_inner
 from spiralnls.grid import (
@@ -24,7 +25,9 @@ from spiralnls.grid import (
 import spiralnls.grid
 from spiralnls.diagnostics import symmetry_report
 from spiralnls.io import report_dict, symmetry_dict
-from spiralnls.minimize import SEED_DIPOLE, SolveConfig, _finalize, solve_ground, solve_nodal
+from spiralnls import minimize
+from spiralnls.minimize import (SEED_DIPOLE, SEED_RADIAL, SolveConfig, _finalize, solve_ground,
+                                solve_nodal)
 from spiralnls.nehari import project_nodal, project_nodal_state, project_ray
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,6 +116,55 @@ def test_report_dict_transforms(to_modes_calls):
     payload = {}
     assert _count(to_modes_calls, lambda: payload.update(report_dict(rep, params))) <= 5
     assert payload["symmetry"] == symmetry_dict(symmetry_report(rep.field, params))
+
+
+@pytest.fixture
+def mode_widths(monkeypatch):
+    """The mode count of every forward transform, with None where _finalize begins."""
+    widths = []
+    to_modes, finalize = PolarGrid.to_modes, minimize._finalize
+
+    def recording(self, values):
+        modes = to_modes(self, values)
+        widths.append(modes.shape[1])
+        return modes
+
+    def marking(*args):
+        widths.append(None)
+        return finalize(*args)
+
+    monkeypatch.setattr(PolarGrid, "to_modes", recording)
+    monkeypatch.setattr(minimize, "_finalize", marking)
+    return widths
+
+
+@pytest.mark.parametrize("sector,seed,width", [
+    (SectorKind.full_disk(), SEED_RADIAL, 1),
+    (SectorKind.full_disk(), SEED_DIPOLE, 9),
+    (SectorKind.half_disk(), SEED_RADIAL, 8),
+], ids=["disk-radial", "disk-dipole", "half-even"])
+def test_a_symmetric_solve_transforms_on_its_class_modes(mode_widths, caplog, sector, seed, width):
+    # the report is evaluated on the caller's grid, at full width
+    grid = build_grid(8.0, 48, 16, sector)
+    solve = solve_nodal if seed == SEED_DIPOLE else solve_ground
+    with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
+        report = solve(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(seed=seed))
+    assert report.converged and report.field.grid is grid
+    end = mode_widths.index(None)
+    assert end > 0 and set(mode_widths[:end]) == {width}
+    assert set(mode_widths[end + 1:]) == {16}
+    assert caplog.records[-1].getMessage().endswith(f"on {width} of 16 modes")
+
+
+def test_a_solve_without_symmetry_transforms_at_full_width(mode_widths):
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    twin = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    seed = field_from_polar(twin, lambda r, t: 2.0 * np.exp(
+        -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
+    report = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(seed=seed))
+    # on the grid object passed in, not on the seed's equal one
+    assert report.converged and report.field.grid is grid
+    assert set(mode_widths) - {None} == {16}
 
 
 def test_project_nodal_transforms(to_modes_calls, small_disk, params_q1, rng):

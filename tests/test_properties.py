@@ -1,10 +1,15 @@
 """Property tests of the discrete identities on small random grids and fields."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from reference import operator_apply
 
-from spiralnls.grid import ModelParams, SectorKind, build_grid
+from spiralnls import minimize
+from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
+from spiralnls.io import load_solution, save_solution
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -61,3 +66,59 @@ def test_mass_form_is_quadrature(grid, seed):
     u, v = _fields(grid, seed, 2)
     mass2 = grid.stencil.forms(grid.to_modes(u), grid.to_modes(v))[2]
     assert abs(mass2 - grid.quad(u * v)) <= 1e-13 * np.sqrt(grid.quad(u * u) * grid.quad(v * v))
+
+
+def _class_fields(grid, seed, count):
+    """(columns, fields) per symmetry class of the grid: random fields projected onto it."""
+    reflect = minimize._reflect_index(grid)
+    fields = _fields(grid, seed, count)
+    classes = [(grid.even_columns(), [0.5 * (f + f[:, reflect]) for f in fields])]
+    if grid.sector.is_full:
+        classes.append(((0,), [np.repeat(f.mean(axis=1, keepdims=True), grid.ntheta, axis=1)
+                               for f in fields]))
+    return classes
+
+
+@PROPERTY
+@given(grids(), params, st.integers(0, 2**32 - 1))
+def test_restricted_kernels_match_the_whole_grid(grid, par, seed):
+    op = grid.operator(par)
+    for columns, fields in _class_fields(grid, seed, 2):
+        view = grid.restricted(columns)
+        assert view == grid and grid.restricted(columns) is view
+        view_op = view.operator(par)
+        kept = list(columns)
+        dropped = np.ones(grid.ntheta, bool)
+        dropped[kept] = False
+        U, V = (grid.to_modes(f) for f in fields)
+        Ur, Vr = (view.to_modes(f) for f in fields)
+        for full, cut, values in ((U, Ur, fields[0]), (V, Vr, fields[1])):
+            scale = np.max(np.abs(full))
+            assert np.max(np.abs(cut - full[:, kept])) <= 1e-13 * scale
+            assert np.max(np.abs(full[:, dropped]), initial=0.0) <= 1e-13 * scale
+            back = view.from_modes(cut)
+            assert np.max(np.abs(back - grid.from_modes(full))) <= 1e-13 * np.max(np.abs(values))
+            solved = op.solve(full)[:, kept]
+            assert np.max(np.abs(view_op.solve(cut) - solved)) <= 1e-13 * np.max(np.abs(solved))
+        scale = np.sqrt(op.inner(U, U) * op.inner(V, V))
+        assert abs(view_op.inner(Ur, Vr) - op.inner(U, V)) <= 1e-13 * scale
+        for got, want in zip(view_op.gram(Ur, Vr), op.gram(U, V)):
+            assert abs(got - want) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(grids(), st.floats(2.1, 10.0), st.sampled_from([0, 1]), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_save_load_round_trip_is_bit_exact(grid, p, q, e, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.nr, grid.ntheta)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values.flat[0], values.flat[-1] = -0.0, 5e-324
+    params_in = ModelParams(p=p, q=q, lam=10.0 ** e)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sol.csv"
+        save_solution(path, Field(grid, values), params_in)
+        field, params_out = load_solution(path)
+    assert field.grid == grid and field.grid.sector == grid.sector
+    assert params_out == params_in
+    assert field.values.tobytes() == values.tobytes()
