@@ -33,11 +33,10 @@ a BLAS dgemm; OpenBLAS splits it by blocks of the output, so every entry
 keeps one summation order, and tests/test_operator.py checks that its bits
 are the same at one and two threads.
 
-A restricted view (PolarGrid.restricted) keeps some mode columns only, the
-ones a symmetry class excites: the disk's mean column for radial fields, the
-even columns for fields even in theta.  It has the grid's nodes and compares
-equal to it, and its stencil and operator are built on the kept columns, so
-a solve within one class transforms, solves and sums over those alone.
+A folded view (PolarGrid.folded) holds one symmetry class, the disk's radial
+fields or the fields even in theta: the class's mode columns and one angular
+node per orbit, so a solve in the class works on those alone (the parity
+reduction of Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 8).
 """
 
 from __future__ import annotations
@@ -135,8 +134,9 @@ class PolarGrid:
     weights: np.ndarray = field(compare=False)   # (nr, ntheta) quadrature weights r dr dtheta
     # (forward, inverse) angular transform matrices, (ntheta, nmodes) and (nmodes, ntheta)
     transform: tuple = field(compare=False, repr=False)
-    # the mode columns a restricted view keeps (see restricted); None keeps all
-    columns: tuple | None = field(default=None, compare=False, repr=False)
+    # a folded view's mode columns and each node's fundamental node; None on a whole grid
+    columns: tuple | None = field(default=None, repr=False)
+    orbit: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dr(self) -> float:
@@ -154,8 +154,13 @@ class PolarGrid:
 
     @property
     def nmodes(self) -> int:
-        """Mode columns the transforms keep: ntheta, or fewer on a restricted view."""
+        """Mode columns the transforms keep: ntheta, or fewer on a folded view."""
         return self.transform[0].shape[1]
+
+    @property
+    def nnodes(self) -> int:
+        """Angular nodes per ring: ntheta, or fewer on a folded view."""
+        return len(self.angles)
 
     def _kept(self, per_column: np.ndarray) -> np.ndarray:
         return per_column if self.columns is None else per_column[list(self.columns)]
@@ -183,26 +188,38 @@ class PolarGrid:
             return tuple(range(self.ntheta // 2 + 1))
         return tuple(range(0, self.ntheta, 2))
 
-    def restricted(self, columns: tuple) -> "PolarGrid":
-        """This grid with its mode space cut to columns, built once per column set.
+    def folded(self, columns: tuple) -> "PolarGrid":
+        """This grid cut to one symmetry class, built once per class.
 
-        The view has the same nodes and compares equal to the grid.  Its
-        transforms keep the forward matrix's columns and the inverse's rows
-        in columns, and _omega and mode_quad_coeffs their entries, so its
-        stencil, operator and forms follow.  A field of a symmetry class,
-        whose other modes vanish to round-off, transforms and solves there at
-        a fraction of the cost.  On the disk columns start at the mean mode
-        0, which to_modes fills apart.
+        columns names the class: (0,), radial fields on the disk, or
+        even_columns(), fields even in theta.  The view keeps those mode
+        columns and the fundamental nodes, one per orbit: one per ring
+        (radial), k = 0, ..., n/2 (even, disk) or the ceil(n/2) nodes up to
+        the bisector (even, sector).  They come first, so a class field folds
+        to values[:, :nnodes] and unfolds by values[:, orbit].  The forward
+        matrix sums the kept columns' rows over each orbit, the inverse reads
+        the kept rows at the fundamental nodes and the weights carry the orbit
+        sizes, which add up to ntheta, so to_modes's mean-mode fill stays
+        exact.  A view compares equal to no whole grid.
         """
-        if self.columns is not None or (self.sector.is_full and columns[0] != 0):
-            raise ValueError(f"cannot restrict this grid to mode columns {columns}")
+        radial = self.sector.is_full and columns == (0,)
+        if self.columns is not None or not (radial or columns == self.even_columns()):
+            raise ValueError(f"no symmetry class of this grid has the mode columns {columns}")
         views = self.__dict__.setdefault("_views", {})
         if columns not in views:
+            k = np.arange(self.ntheta)
+            mirror = (-k) % self.ntheta if self.sector.is_full else self.ntheta - 1 - k
+            orbit = np.zeros_like(k) if radial else np.minimum(k, mirror)
+            nodes = int(orbit.max()) + 1
             forward, inverse = self.transform
-            kept = (np.ascontiguousarray(forward[:, list(columns)]), inverse[list(columns)])
-            for arr in kept:
+            folded = np.zeros((nodes, len(columns)))
+            np.add.at(folded, orbit, forward[:, list(columns)])
+            kept = (folded, np.ascontiguousarray(inverse[list(columns), :nodes]))
+            weights = self.weights[:, :nodes] * np.bincount(orbit)
+            for arr in (orbit, weights, *kept):
                 arr.setflags(write=False)
-            views[columns] = replace(self, transform=kept, columns=columns)
+            views[columns] = replace(self, angles=self.angles[:nodes], weights=weights,
+                                     transform=kept, columns=columns, orbit=orbit)
         return views[columns]
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
@@ -228,10 +245,10 @@ class PolarGrid:
         A[:, m], m = 0, ..., n/2, is (cos column + i sin column) of frequency
         m times c/n (_disk_columns); on sectors it is -i times the DST-I modes
         over n + 1 (a sine series from the lower ray).  It needs the whole
-        grid, not a restricted view.
+        grid, not a folded view.
         """
         if self.columns is not None:
-            raise ValueError("the angular series needs the whole grid, not a restricted view")
+            raise ValueError("the angular series needs the whole grid, not a folded view")
         omega, modes = self._omega(), self.to_modes(values)
         if not self.sector.is_full:
             return omega, -1j * (modes / (self.ntheta + 1))
@@ -278,11 +295,9 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.grid.nr, self.grid.ntheta):
-            raise GridMismatchError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.nr}, {self.grid.ntheta})"
-            )
+        if self.values.shape != (self.grid.nr, self.grid.nnodes):
+            raise GridMismatchError(f"values shape {self.values.shape} does not match grid "
+                                    f"({self.grid.nr}, {self.grid.nnodes})")
 
     def is_radial(self) -> bool:
         """True when every radius holds one value at all its angular nodes."""
@@ -411,7 +426,7 @@ class PolarOperator:
     two adjacent face weights plus the node weight, the only part that
     depends on (lam, q).  The modes stack mode-major into one tridiagonal K,
     factored once, on the first solve: an operator that only evaluates forms,
-    as the whole grid's does after a solve on a restricted view, never
+    as the whole grid's does after a solve on a folded view, never
     factors.  PolarGrid.operator builds one per parameters.
     """
 

@@ -22,20 +22,18 @@ The exact flow preserves the symmetries of its seed: on the disk a radial
 seed stays radial, and on every grid a reflection-even seed stays even in
 theta.  (On a sector a theta-constant seed is even but does not stay
 constant, since the Dirichlet rays pull it down.)  Runs started from such
-seeds re-impose the symmetry on each iterate, which costs nothing in exact
-arithmetic but deletes round-off excitation of the broken modes.  For the
-radial seed this keeps the radial branch of the nodal problem computable on
-its own; for even seeds it removes the rotational null direction that
-otherwise stalls the Newton polish on the full disk.  They also run on the
-class's angular modes alone (PolarGrid.restricted): the mean column for a
-radial seed, the even columns (PolarGrid.even_columns) for an even one,
-about half of them.  Transforms, per-mode solves and forms shrink with the
-mode count; the report comes back on the caller's grid.
+seeds solve on the class's folded view (PolarGrid.folded), whose critical
+points are the whole grid's in the class (Palais, Comm. Math. Phys. 69,
+1979): the mean mode and one node per ring for a radial seed, about half
+the modes and nodes for an even one.  The class then holds bit for bit, so
+round-off cannot excite the broken modes: the radial branch of the nodal
+problem stays computable on its own, and the rotational null direction that
+stalls the Newton polish on the full disk stays out.  The result is unfolded
+onto the caller's grid and reported there.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -170,23 +168,14 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
 
 
 def _constraint_for(seed: Field):
-    """The symmetry class preserved by the flow, inferred from the seed.
-
-    Returns (projector, columns), the projector a values -> values map and
-    columns the mode columns the class excites: the angular mean and the
-    mean column for radial seeds on the disk, reflection symmetrization and
-    the even columns for theta-even seeds, None for a seed of neither class.
-    """
+    """The folded view of the seed's symmetry class, which the flow preserves:
+    radial for radial seeds on the disk, theta-even for reflection-even seeds,
+    None for a seed of neither class."""
     grid = seed.grid
-    ntheta = grid.ntheta
-    reflect = _reflect_index(grid)
-
     if grid.sector.is_full and seed.is_radial():
-        def radial_mean(values):
-            return values.mean(axis=1, keepdims=True) * np.ones((1, ntheta))
-        return radial_mean, (0,)
-    if np.array_equal(seed.values, seed.values[:, reflect]):
-        return functools.partial(_evenized, reflect=reflect), grid.even_columns()
+        return grid.folded((0,))
+    if np.array_equal(seed.values, seed.values[:, _reflect_index(grid)]):
+        return grid.folded(grid.even_columns())
     return None
 
 
@@ -202,7 +191,7 @@ def _gradient_of(state: Projected, params: ModelParams):
 
 
 def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, project,
-             tol: float, trace: Optional[list], constrain, spent: int = 0):
+             tol: float, trace: Optional[list], spent: int = 0):
     """Projected gradient descent with the spec'd backtracking policy.
 
     The iterate and each projected trial carry their modes and energy, so a
@@ -222,11 +211,8 @@ def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, p
         if gn <= tol:
             return cur, gn, iterations
         while True:
-            trial_vals = cur.field.values - step * g.values
-            if constrain is not None:
-                trial_vals = constrain(trial_vals)
             try:
-                trial = project(Field(grid, trial_vals))
+                trial = project(Field(grid, cur.field.values - step * g.values))
             except ZeroFieldError:
                 raise SeedCollapsed("descent iterate vanished") from None
             except OnePhaseMissing:
@@ -333,7 +319,7 @@ def gmres(op, b: np.ndarray, *, rtol: float, atol: float = 0.0, restart: int = 2
     return x, maxiter
 
 
-def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain,
+def _newton_polish(u: Field, params: ModelParams, tol: float, project,
                    max_solves: int = _NEWTON_SOLVES, trace: Optional[list] = None,
                    spent: int = 0):
     """Newton polish of E'(u) = 0 along the manifold's energy valley.
@@ -345,10 +331,10 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
     along a productive step while the constrained energy keeps falling.  Once
     energy differences sink below round-off the residual itself decides, which
     is where quadratic convergence takes over.  mu grows only when a step
-    fails both tests.  project maps a field to its Projected state, and
-    constrain is the symmetry projector of _constraint_for or None.  A failed
-    linear solve (GMRES breakdown or a non-finite step) ends the polish, as
-    do max_solves linear solves.
+    fails both tests.  project maps a field to its Projected state.  The
+    unknowns are u's node values, so on a folded view GMRES works on the
+    class's fundamental nodes.  A failed linear solve (GMRES breakdown or a
+    non-finite step) ends the polish, as do max_solves linear solves.
 
     The forcing term, GMRES's relative tolerance, is 0.01 |g| within
     [1e-10, 0.1], with Kelley's safeguard against over-solving (Iterative
@@ -359,8 +345,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
     search appends (spent + solves, energy, |g|) to trace.  Returns (state,
     residual_norm, succeeded, solves, matvecs).
     """
-    grid = u.grid
-    n = grid.nr * grid.ntheta
+    grid, shape = u.grid, u.values.shape
     cur = project(u)
     g, gn = _gradient_of(cur, params)
     mu = 0.0
@@ -375,12 +360,12 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
         def matvec(x):
             nonlocal matvecs
             matvecs += 1
-            vals = x.reshape(grid.nr, grid.ntheta)
+            vals = x.reshape(shape)
             out = shift * vals - solve_operator(grid, params, weight * vals)
             return out.ravel()
 
         # shape and dtype describe the operator to wrappers such as a tracer's
-        lin = SimpleNamespace(shape=(n, n), dtype=np.dtype(float), matvec=matvec)
+        lin = SimpleNamespace(shape=(u.values.size,) * 2, dtype=np.dtype(float), matvec=matvec)
         rhs = -g.values.ravel()
         rtol = min(0.1, max(1e-10, 0.01 * gn, 0.1 * tol / gn))
         delta, info = gmres(lin, rhs, rtol=rtol, atol=0.0, restart=80, maxiter=600)
@@ -392,17 +377,14 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project, constrain
             res = rhs - lin.matvec(delta)
             log.debug("gmres stopped at its iteration cap (info=%d), relative residual %.3e",
                       info, math.sqrt(_dot(res, res) / _dot(rhs, rhs)))
-        dvals = delta.reshape(grid.nr, grid.ntheta)
+        dvals = delta.reshape(shape)
 
         # keep the modes of the lowest-energy candidate only: seven mode
         # arrays held at once would raise the solve's memory peak
         by_energy, candidates = None, []
         for t in (2.0, 1.5, 1.0, 0.75, 0.5, 0.25, 0.1):
-            cand_vals = cur.field.values + t * dvals
-            if constrain is not None:
-                cand_vals = constrain(cand_vals)
             try:
-                cand = project(Field(grid, cand_vals))
+                cand = project(Field(grid, cur.field.values + t * dvals))
             except (OnePhaseMissing, ZeroFieldError):
                 continue
             candidates.append((cand.field, cand.energy))
@@ -449,32 +431,33 @@ def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
 
 def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, project,
          handover: float) -> SolveReport:
-    """Descend and polish on the modes of the seed's class; report on grid."""
+    """Descend and polish on the folded view of the seed's class; report on grid."""
     trace = [] if cfg.keep_trace else None
-    constrain, columns = _constraint_for(seed) or (None, None)
-    work = grid if columns is None else grid.restricted(columns)
-    cur = project(Field(work, seed.values))
+    work = _constraint_for(seed) or grid
+    cur = project(Field(work, seed.values[:, :work.nnodes]))
 
     # hand over to Newton once the iterate is merely in the neighborhood;
     # the energy line search makes the polish robust from moderate range
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
     cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), STEP_MAX,
-                              project, switch_tol, trace, constrain)
+                              project, switch_tol, trace)
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0
     if gn > cfg.grad_tol and iters < cfg.max_iters:
         cur, gn, ok, solves, matvecs = _newton_polish(
-            cur.field, params, cfg.grad_tol, project, constrain,
+            cur.field, params, cfg.grad_tol, project,
             min(_NEWTON_SOLVES, cfg.max_iters - iters), trace, iters)
         iters += solves
         if not ok and iters < cfg.max_iters:
             # stall: fall back to first-order steps for the remaining budget
             cur, gn, extra = _descend(cur, params, cfg.max_iters - iters, _FALLBACK_STEP,
-                                      project, cfg.grad_tol, trace, constrain, iters)
+                                      project, cfg.grad_tol, trace, iters)
             iters += extra
-    log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, on %d of %d modes",
-              steps, handover_gn, solves, matvecs, work.nmodes, grid.ntheta)
-    return _finalize(Field(grid, cur.field.values), iters, gn <= cfg.grad_tol, params, trace)
+    log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
+              "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,
+              grid.ntheta)
+    values = cur.field.values if work is grid else cur.field.values[:, work.orbit]
+    return _finalize(Field(grid, values), iters, gn <= cfg.grad_tol, params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None

@@ -81,7 +81,7 @@ def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
     gn = lambda_norm(gradient(u, params), params)
     if gn > 1e-3 * (1.0 + norm):
         raise ValueError(f"not near a critical point: |grad| = {gn:.3e}")
-    refined, _, ok, _, _ = minimize._newton_polish(u, params, tol, unprojected(params), None)
+    refined, _, ok, _, _ = minimize._newton_polish(u, params, tol, unprojected(params))
     if not ok:
         log.warning("newton_refine returned the best iterate without reaching %.1e", tol)
     return refined.field

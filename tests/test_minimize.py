@@ -174,7 +174,7 @@ def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q
 
     cur = project_ray(make_seed(small_disk, params_q1, SEED_RADIAL), params_q1)
     with pytest.raises(SeedCollapsed):
-        minimize._descend(cur, params_q1, 5, 1.0, vanished, 0.0, None, None)
+        minimize._descend(cur, params_q1, 5, 1.0, vanished, 0.0, None)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
@@ -203,7 +203,9 @@ def test_a_theta_constant_seed_on_a_sector_is_even_not_radial():
     named = solve_ground(grid, params)
     assert rep.converged and named.converged
     assert abs(rep.energy.total - named.energy.total) <= 1e-12 * named.energy.total
-    assert minimize._constraint_for(seed)[1] == grid.even_columns()
+    # the even class, folded onto the ceil(16/2) nodes below the bisector
+    view = minimize._constraint_for(seed)
+    assert view.columns == grid.even_columns() and view.nnodes == 8
 
 
 def test_newton_polish_stops_at_its_solve_budget(caplog):
@@ -282,7 +284,7 @@ def test_newton_polish_stops_on_gmres_breakdown(monkeypatch):
     u = _near_critical(params)
     monkeypatch.setattr(minimize, "gmres",
                         lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    state, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
+    state, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
     assert not ok and solves == 1
     assert np.array_equal(state.field.values, u.values)
     assert gn > 1e-12
@@ -299,7 +301,7 @@ def test_newton_polish_logs_gmres_iteration_cap(monkeypatch, caplog):
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
-        _, gn, ok, _, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
+        _, gn, ok, _, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
     assert ok and gn <= 1e-12
     assert any("iteration cap" in rec.getMessage() and rec.levelno == logging.DEBUG
                for rec in caplog.records)
@@ -382,7 +384,7 @@ def test_newton_forcing_term_does_not_over_solve(monkeypatch):
 
     monkeypatch.setattr(minimize, "gmres", recording)
     tol, trace = 1e-12, []
-    _, gn, ok, solves, _ = minimize._newton_polish(u, params, tol, project, None, trace=trace)
+    _, gn, ok, solves, _ = minimize._newton_polish(u, params, tol, project, trace=trace)
     assert ok and gn <= tol and len(rtols) == solves >= 1
     # the residual norm at each solve: the polish's start, then each solve's row
     gns = [minimize._gradient_of(project(u), params)[1]] + [row[2] for row in trace]
@@ -405,7 +407,7 @@ def test_gmres_cap_residual_is_computed_only_for_debug(monkeypatch, caplog, leve
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(level, logger="spiralnls.minimize"):
-        minimize._newton_polish(u, params, 1e-12, unprojected(params), None)
+        minimize._newton_polish(u, params, 1e-12, unprojected(params))
     assert bool(outside) == (level == logging.DEBUG)
 
 
@@ -459,3 +461,41 @@ def test_gmres_takes_a_scipy_linear_operator():
     assert info == 0
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     assert 0 < len(calls) <= 41
+
+
+@pytest.mark.parametrize("finite_calls", [0, 5])
+def test_gmres_stops_on_a_non_finite_matvec(finite_calls):
+    # NaN in the Arnoldi step, at once or in the second cycle: the last
+    # finite iterate comes back with info -1
+    A, b = _nonsymmetric(60, 11)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v if len(calls) <= finite_calls else np.full_like(v, np.nan)
+
+    x, info = minimize.gmres(SimpleNamespace(matvec=matvec), b, rtol=1e-12, restart=3,
+                             maxiter=10)
+    assert info == -1 and np.all(np.isfinite(x))
+    assert np.any(x) == (finite_calls > 0)
+
+
+def test_gmres_tightens_its_estimate_after_a_false_convergence():
+    # a slightly nonlinear operator: the Arnoldi relation holds for the basis
+    # vectors but not for their combination x, so a cycle's Givens estimate
+    # meets its target while the true residual ||b - op(x)|| does not
+    A, b = _nonsymmetric(60, 12)
+    unit = []   # per matvec: is the argument an Arnoldi basis vector?
+
+    def matvec(v):
+        unit.append(abs(np.linalg.norm(v) - 1.0) < 1e-12)
+        return A @ v + 1e-3 * v**3
+
+    x, info = minimize.gmres(SimpleNamespace(matvec=matvec), b, rtol=1e-10, restart=50,
+                             maxiter=50)
+    assert info == 0
+    assert np.linalg.norm(b - matvec(x)) <= 1e-10 * np.linalg.norm(b)
+    first_cycle = unit.index(False)
+    # the first cycle stopped on its estimate, short of the restart length,
+    # and the solve went on with the tightened estimate target
+    assert first_cycle < 50 and unit[first_cycle + 1:].count(False) >= 1

@@ -120,13 +120,13 @@ def test_report_dict_transforms(to_modes_calls):
 
 @pytest.fixture
 def mode_widths(monkeypatch):
-    """The mode count of every forward transform, with None where _finalize begins."""
+    """(nodes, modes) per ring of every forward transform, with None where _finalize begins."""
     widths = []
     to_modes, finalize = PolarGrid.to_modes, minimize._finalize
 
     def recording(self, values):
         modes = to_modes(self, values)
-        widths.append(modes.shape[1])
+        widths.append((values.shape[1], modes.shape[1]))
         return modes
 
     def marking(*args):
@@ -144,16 +144,18 @@ def mode_widths(monkeypatch):
     (SectorKind.half_disk(), SEED_RADIAL, 8),
 ], ids=["disk-radial", "disk-dipole", "half-even"])
 def test_a_symmetric_solve_transforms_on_its_class_modes(mode_widths, caplog, sector, seed, width):
-    # the report is evaluated on the caller's grid, at full width
+    # as many fundamental nodes as class modes; the report is evaluated on
+    # the caller's grid, at full width
     grid = build_grid(8.0, 48, 16, sector)
     solve = solve_nodal if seed == SEED_DIPOLE else solve_ground
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
         report = solve(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(seed=seed))
     assert report.converged and report.field.grid is grid
     end = mode_widths.index(None)
-    assert end > 0 and set(mode_widths[:end]) == {width}
-    assert set(mode_widths[end + 1:]) == {16}
-    assert caplog.records[-1].getMessage().endswith(f"on {width} of 16 modes")
+    assert end > 0 and set(mode_widths[:end]) == {(width, width)}
+    assert set(mode_widths[end + 1:]) == {(16, 16)}
+    message = caplog.records[-1].getMessage()
+    assert f"{width} nodes per ring" in message and message.endswith(f"on {width} of 16 modes")
 
 
 def test_a_solve_without_symmetry_transforms_at_full_width(mode_widths):
@@ -164,7 +166,7 @@ def test_a_solve_without_symmetry_transforms_at_full_width(mode_widths):
     report = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(seed=seed))
     # on the grid object passed in, not on the seed's equal one
     assert report.converged and report.field.grid is grid
-    assert set(mode_widths) - {None} == {16}
+    assert set(mode_widths) - {None} == {(16, 16)}
 
 
 def test_project_nodal_transforms(to_modes_calls, small_disk, params_q1, rng):

@@ -4,12 +4,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference import operator_apply
 
 from spiralnls import minimize
+from spiralnls.energy import lambda_inner, lp_integral
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.io import load_solution, save_solution
+from spiralnls.nehari import split_parts
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -79,31 +81,68 @@ def _class_fields(grid, seed, count):
     return classes
 
 
+# odd and even n on sectors: an odd n has a fixed node on the bisector
+FOLDED_EXAMPLES = [
+    (build_grid(3.0, 12, 16, SectorKind.full_disk()), ModelParams(p=4.0, q=1, lam=2.0), 1),
+    (build_grid(3.0, 12, 15, SectorKind.half_disk()), ModelParams(p=4.0, q=0, lam=0.5), 2),
+    (build_grid(3.0, 12, 16, SectorKind.half_disk()), ModelParams(p=4.0, q=1, lam=2.0), 3),
+    (build_grid(3.0, 12, 7, SectorKind.cone(0.7)), ModelParams(p=4.0, q=1, lam=20.0), 4),
+    (build_grid(3.0, 12, 8, SectorKind.cone(0.7)), ModelParams(p=4.0, q=0, lam=0.1), 5),
+]
+
+
+def folded_examples(test):
+    for args in FOLDED_EXAMPLES:
+        test = example(*args)(test)
+    return test
+
+
 @PROPERTY
 @given(grids(), params, st.integers(0, 2**32 - 1))
-def test_restricted_kernels_match_the_whole_grid(grid, par, seed):
+@folded_examples
+def test_folded_kernels_match_the_whole_grid(grid, par, seed):
     op = grid.operator(par)
     for columns, fields in _class_fields(grid, seed, 2):
-        view = grid.restricted(columns)
-        assert view == grid and grid.restricted(columns) is view
+        view = grid.folded(columns)
+        assert grid.folded(columns) is view and view != grid
+        nodes = view.nnodes
+        assert view.orbit[0] == 0 and np.bincount(view.orbit).size == nodes
         view_op = view.operator(par)
         kept = list(columns)
         dropped = np.ones(grid.ntheta, bool)
         dropped[kept] = False
         U, V = (grid.to_modes(f) for f in fields)
-        Ur, Vr = (view.to_modes(f) for f in fields)
-        for full, cut, values in ((U, Ur, fields[0]), (V, Vr, fields[1])):
+        Uf, Vf = (view.to_modes(f[:, :nodes]) for f in fields)
+        for full, cut, values in ((U, Uf, fields[0]), (V, Vf, fields[1])):
+            assert np.array_equal(values[:, :nodes][:, view.orbit], values)
             scale = np.max(np.abs(full))
             assert np.max(np.abs(cut - full[:, kept])) <= 1e-13 * scale
             assert np.max(np.abs(full[:, dropped]), initial=0.0) <= 1e-13 * scale
-            back = view.from_modes(cut)
+            back = view.from_modes(cut)[:, view.orbit]
             assert np.max(np.abs(back - grid.from_modes(full))) <= 1e-13 * np.max(np.abs(values))
             solved = op.solve(full)[:, kept]
             assert np.max(np.abs(view_op.solve(cut) - solved)) <= 1e-13 * np.max(np.abs(solved))
+        u, v = fields
+        assert (abs(view.quad((u * v)[:, :nodes]) - grid.quad(u * v))
+                <= 1e-13 * np.sqrt(grid.quad(u * u) * grid.quad(v * v)))
         scale = np.sqrt(op.inner(U, U) * op.inner(V, V))
-        assert abs(view_op.inner(Ur, Vr) - op.inner(U, V)) <= 1e-13 * scale
-        for got, want in zip(view_op.gram(Ur, Vr), op.gram(U, V)):
+        assert abs(view_op.inner(Uf, Vf) - op.inner(U, V)) <= 1e-13 * scale
+        for got, want in zip(view_op.gram(Uf, Vf), op.gram(U, V)):
             assert abs(got - want) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(grids(), params, st.integers(0, 2**32 - 1))
+@folded_examples
+def test_nodal_splitting_on_a_folded_view(grid, par, seed):
+    for columns, (values,) in _class_fields(grid, seed, 1):
+        view = grid.folded(columns)
+        u = Field(view, values[:, :view.nnodes])
+        plus, minus = split_parts(u)
+        lp = lp_integral(u, par.p)
+        assert abs(lp_integral(plus, par.p) + lp_integral(minus, par.p) - lp) <= 1e-13 * lp
+        up, um = lambda_inner(u, plus, par), lambda_inner(u, minus, par)
+        assert abs(up + um - lambda_inner(u, u, par)) <= 1e-13 * (abs(up) + abs(um))
 
 
 @PROPERTY
