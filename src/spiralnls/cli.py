@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .diagnostics import symmetry_report
+from .diagnostics import RADIAL_TOL, symmetry_report
 from .energy import energy, gradient, lambda_norm
 from .errors import ConfigError, SpiralError
 from .minimize import SEED_RADIAL, SEED_RADIAL_NODAL, solve_ground, solve_nodal
@@ -248,7 +248,7 @@ def _run_check(cfg: sio.RunConfig, args) -> int:
     sym = symmetry_report(field, params)
     if not sym.wirtinger_ok:
         failures.append("wirtinger")
-    if sym.below_threshold and sym.nonradiality >= 1e-6:
+    if sym.below_threshold and sym.nonradiality >= RADIAL_TOL:
         failures.append(f"radiality-threshold (nonradiality {sym.nonradiality:.2e})")
     if not field.grid.sector.is_full and field.grid.quad(
             np.abs(field.values)) > 0 and np.all(field.values >= 0):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import lambda_norm
 from .errors import SectorError
 from .grid import Field, ModelParams
 
@@ -44,16 +43,20 @@ def radial_average(u: Field) -> Field:
 def nonradiality_index(u: Field, params: ModelParams) -> float:
     """Pitch-metric distance to the radial average, relative to ||u||.
 
-    Sector fields vanish on the boundary rays, so any nonzero one is
-    nonradial; the index is pinned to 1 there, with no transform.
+    On the disk the radial average is the mean mode column, so one transform
+    gives both norms, and a radial field, whose other columns to_modes leaves
+    exactly 0, reads exactly 0.  Sector fields vanish on the boundary rays, so
+    any nonzero one is nonradial; the index is pinned to 1 there.
     """
     if not u.grid.sector.is_full:
         return 1.0 if np.any(u.values) else 0.0
-    norm = lambda_norm(u, params)
-    if norm == 0.0:
+    U = u.grid.to_modes(u.values)
+    op = u.grid.operator(params)
+    norm2 = op.inner(U, U)
+    if norm2 == 0.0:
         return 0.0
-    diff = Field(u.grid, u.values - radial_average(u).values)
-    return lambda_norm(diff, params) / norm
+    U[:, 0] = 0.0
+    return math.sqrt(op.inner(U, U) / norm2)
 
 
 def angular_l2_pieces(u: Field):

@@ -134,9 +134,12 @@ class PolarGrid:
     weights: np.ndarray = field(compare=False)   # (nr, ntheta) quadrature weights r dr dtheta
     # (forward, inverse) angular transform matrices, (ntheta, nmodes) and (nmodes, ntheta)
     transform: tuple = field(compare=False, repr=False)
-    # a folded view's mode columns and each node's fundamental node; None on a whole grid
+    # each node's fundamental node, the identity on a whole grid
+    orbit: np.ndarray = field(compare=False, repr=False)
+    # the whole grid's node permutation realizing theta -> -theta exactly
+    mirror: np.ndarray = field(compare=False, repr=False)
+    # a folded view's mode columns; None on a whole grid
     columns: tuple | None = field(default=None, repr=False)
-    orbit: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dr(self) -> float:
@@ -188,6 +191,15 @@ class PolarGrid:
             return tuple(range(self.ntheta // 2 + 1))
         return tuple(range(0, self.ntheta, 2))
 
+    def class_view(self, values: np.ndarray) -> "PolarGrid":
+        """The folded view of the symmetry class values lie in, bit for bit:
+        radial on the disk, else even in theta; the grid itself for neither."""
+        if self.sector.is_full and Field(self, values).is_radial():
+            return self.folded((0,))
+        if np.array_equal(values, values[:, self.mirror]):
+            return self.folded(self.even_columns())
+        return self
+
     def folded(self, columns: tuple) -> "PolarGrid":
         """This grid cut to one symmetry class, built once per class.
 
@@ -207,9 +219,7 @@ class PolarGrid:
             raise ValueError(f"no symmetry class of this grid has the mode columns {columns}")
         views = self.__dict__.setdefault("_views", {})
         if columns not in views:
-            k = np.arange(self.ntheta)
-            mirror = (-k) % self.ntheta if self.sector.is_full else self.ntheta - 1 - k
-            orbit = np.zeros_like(k) if radial else np.minimum(k, mirror)
+            orbit = np.zeros_like(self.orbit) if radial else np.minimum(self.orbit, self.mirror)
             nodes = int(orbit.max()) + 1
             forward, inverse = self.transform
             folded = np.zeros((nodes, len(columns)))
@@ -335,9 +345,12 @@ def build_grid(R: float, nr: int, ntheta: int, sector: SectorKind) -> PolarGrid:
         angles = -theta0 + dtheta * np.arange(1, ntheta + 1)
     weights = np.outer(radii * dr, np.full(ntheta, dtheta))
     transform = _transform_matrices(ntheta, sector.is_full)
-    for arr in (radii, angles, weights, *transform):
+    k = np.arange(ntheta)
+    mirror = (-k) % ntheta if sector.is_full else ntheta - 1 - k
+    for arr in (radii, angles, weights, k, mirror, *transform):
         arr.setflags(write=False)
-    return PolarGrid(float(R), int(nr), int(ntheta), sector, radii, angles, weights, transform)
+    return PolarGrid(float(R), int(nr), int(ntheta), sector, radii, angles, weights, transform,
+                     k, mirror)
 
 
 def _disk_columns(n: int) -> tuple:

@@ -22,7 +22,7 @@ The exact flow preserves the symmetries of its seed: on the disk a radial
 seed stays radial, and on every grid a reflection-even seed stays even in
 theta.  (On a sector a theta-constant seed is even but does not stay
 constant, since the Dirichlet rays pull it down.)  Runs started from such
-seeds solve on the class's folded view (PolarGrid.folded), whose critical
+seeds solve on the class's folded view (PolarGrid.class_view), whose critical
 points are the whole grid's in the class (Palais, Comm. Math. Phys. 69,
 1979): the mean mode and one node per ring for a radial seed, about half
 the modes and nodes for an even one.  The class then holds bit for bit, so
@@ -101,17 +101,9 @@ class SolveReport:
     trace: Optional[list] = None
 
 
-def _reflect_index(grid: PolarGrid) -> np.ndarray:
-    """Node permutation realizing theta -> -theta exactly on the grid."""
-    n = grid.ntheta
-    if grid.sector.is_full:
-        return (n - np.arange(n)) % n
-    return n - 1 - np.arange(n)
-
-
-def _evenized(vals: np.ndarray, reflect: np.ndarray) -> np.ndarray:
-    """Bit-exact reflection symmetrization by _reflect_index (trig sampling alone is not)."""
-    return 0.5 * (vals + vals[:, reflect])
+def _evenized(vals: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """Bit-exact reflection symmetrization by PolarGrid.mirror (trig sampling alone is not)."""
+    return 0.5 * (vals + vals[:, mirror])
 
 
 def odd_extension(u: Field, disk: PolarGrid) -> Field:
@@ -122,7 +114,7 @@ def odd_extension(u: Field, disk: PolarGrid) -> Field:
     solve seeded with it keeps the reflection class of the cold dipole seed.
     """
     vals = u.grid.series_at(u.values, disk.angles)
-    return Field(disk, _evenized(vals, _reflect_index(disk)))
+    return Field(disk, _evenized(vals, disk.mirror))
 
 
 def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
@@ -157,26 +149,13 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
             theta0 = grid.sector.half_angle
             lowest = np.sin(np.pi * (th + theta0) / (2 * theta0))
             vals = _evenized(amp * np.exp(-0.5 * ((r - center) / width) ** 2) * lowest,
-                             _reflect_index(grid))
+                             grid.mirror)
         return Field(grid, vals)
     if seed == SEED_DIPOLE:
-        vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th),
-                         _reflect_index(grid))
+        vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th), grid.mirror)
         return Field(grid, vals)
     profile = shoot_nodal(params.p, 1)   # SEED_RADIAL_NODAL
     return Field(grid, profile(grid.radii)[:, None] * np.ones_like(th))
-
-
-def _constraint_for(seed: Field):
-    """The folded view of the seed's symmetry class, which the flow preserves:
-    radial for radial seeds on the disk, theta-even for reflection-even seeds,
-    None for a seed of neither class."""
-    grid = seed.grid
-    if grid.sector.is_full and seed.is_radial():
-        return grid.folded((0,))
-    if np.array_equal(seed.values, seed.values[:, _reflect_index(grid)]):
-        return grid.folded(grid.even_columns())
-    return None
 
 
 def _gradient_of(state: Projected, params: ModelParams):
@@ -241,27 +220,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def gmres(op, b: np.ndarray, *, rtol: float, atol: float = 0.0, restart: int = 20,
-          maxiter: Optional[int] = None):
+def gmres(op, b: np.ndarray, *, rtol: float, restart: int = 20, maxiter: Optional[int] = None):
     """Restarted GMRES (Saad & Schultz 1986) for op x = b, started from x = 0.
 
     op is used only through op.matvec.  A cycle runs at most restart Arnoldi
     steps (modified Gram-Schmidt) and stops early once the Givens estimate of
     the residual meets its target; the true residual ||b - op x|| is then
-    checked against max(atol, rtol ||b||).  After a cycle whose estimate met
-    its target but whose true residual did not, the estimate's target
-    tightens, as in scipy's gmres.  Returns (x, info): info 0 on
-    convergence, maxiter after maxiter cycles, -1 when the Krylov space closes
-    (or a value turns non-finite) short of the target.  The rotations run
-    on Python floats and every vector reduction goes through _dot, so the
-    bits do not depend on the BLAS thread count.
+    checked against rtol ||b||.  After a cycle whose estimate met its target
+    but whose true residual did not, the estimate's target tightens, as in
+    scipy's gmres.  Returns (x, info): info 0 on convergence, maxiter after
+    maxiter cycles, -1 when the Krylov space closes (or a value turns
+    non-finite) short of the target.  The rotations run on Python floats and
+    every vector reduction goes through _dot, so the bits do not depend on
+    the BLAS thread count.
     """
     n = b.size
     x = np.zeros(n)
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return x, 0
-    target = max(atol, rtol * bnorm)
+    target = rtol * bnorm
     restart = min(restart, n)
     maxiter = 10 * n if maxiter is None else maxiter
     eps = np.finfo(float).eps
@@ -368,7 +346,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
         lin = SimpleNamespace(shape=(u.values.size,) * 2, dtype=np.dtype(float), matvec=matvec)
         rhs = -g.values.ravel()
         rtol = min(0.1, max(1e-10, 0.01 * gn, 0.1 * tol / gn))
-        delta, info = gmres(lin, rhs, rtol=rtol, atol=0.0, restart=80, maxiter=600)
+        delta, info = gmres(lin, rhs, rtol=rtol, restart=80, maxiter=600)
         solves += 1
         if info < 0 or not np.all(np.isfinite(delta)):
             log.warning("newton linear solve failed (gmres info=%d)", info)
@@ -431,9 +409,10 @@ def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
 
 def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, project,
          handover: float) -> SolveReport:
-    """Descend and polish on the folded view of the seed's class; report on grid."""
+    """Descend and polish on the folded view of the seed's class, which the flow
+    preserves (the whole grid for a seed of neither class); report on grid."""
     trace = [] if cfg.keep_trace else None
-    work = _constraint_for(seed) or grid
+    work = grid.class_view(seed.values)
     cur = project(Field(work, seed.values[:, :work.nnodes]))
 
     # hand over to Newton once the iterate is merely in the neighborhood;
@@ -456,8 +435,8 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
               "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,
               grid.ntheta)
-    values = cur.field.values if work is grid else cur.field.values[:, work.orbit]
-    return _finalize(Field(grid, values), iters, gn <= cfg.grad_tol, params, trace)
+    return _finalize(Field(grid, cur.field.values[:, work.orbit]), iters, gn <= cfg.grad_tol,
+                     params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None

@@ -284,6 +284,30 @@ def test_field_is_radial_flag(small_disk):
     assert not v.is_radial()
 
 
+@pytest.mark.parametrize("sector,n", [(SectorKind.full_disk(), 16), (SectorKind.half_disk(), 15),
+                                      (SectorKind.cone(0.7), 8)])
+def test_mirror_maps_theta_to_minus_theta(sector, n):
+    g = build_grid(3.0, 4, n, sector)
+    assert np.array_equal(g.mirror[g.mirror], np.arange(n))
+    # on the disk node 0 sits at -pi, its own mirror image
+    assert np.allclose(np.sin(g.angles[g.mirror]), -np.sin(g.angles), rtol=0, atol=1e-15)
+    assert np.allclose(np.cos(g.angles[g.mirror]), np.cos(g.angles), rtol=0, atol=1e-15)
+
+
+def test_class_view_picks_the_class_the_values_lie_in(small_disk, small_half):
+    radial = field_from_polar(small_disk, lambda r, t: np.cos(r) + 0 * t).values
+    even = field_from_polar(small_disk, lambda r, t: np.cos(r) * np.cos(t)).values
+    even = 0.5 * (even + even[:, small_disk.mirror])
+    odd = field_from_polar(small_disk, lambda r, t: np.cos(r) * np.sin(t)).values
+    assert small_disk.class_view(radial) is small_disk.folded((0,))
+    assert small_disk.class_view(even) is small_disk.folded(small_disk.even_columns())
+    assert small_disk.class_view(odd) is small_disk
+    assert np.array_equal(small_disk.orbit, np.arange(small_disk.ntheta))
+    # a theta-constant field on a sector is even, not radial
+    flat = np.ones((small_half.nr, small_half.ntheta))
+    assert small_half.class_view(flat) is small_half.folded(small_half.even_columns())
+
+
 def test_grids_compare_and_hash_by_shape():
     a = build_grid(3.0, 8, 8, SectorKind.full_disk())
     b = build_grid(3.0, 8, 8, SectorKind.full_disk())

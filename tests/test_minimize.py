@@ -19,7 +19,7 @@ from spiralnls.minimize import (
     solve_ground,
     solve_nodal,
 )
-from spiralnls.nehari import manifold_residual, project_ray
+from spiralnls.nehari import Projected, manifold_residual, project_ray
 from spiralnls.radial import limit_levels, shoot_ground
 
 GRID = build_grid(20.0, 256, 32, SectorKind.full_disk())
@@ -177,6 +177,24 @@ def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q
         minimize._descend(cur, params_q1, 5, 1.0, vanished, 0.0, None)
 
 
+def test_descent_gives_up_once_its_step_reaches_the_floor(small_disk, params_q1):
+    # every trial raises the energy: the step halves from 1 to STEP_MIN
+    # (1, 1/2, ..., 2**-13, then 1e-4: 15 trials) and the iterate stays
+    cur = project_ray(make_seed(small_disk, params_q1, SEED_RADIAL), params_q1)
+    trials = []
+
+    def rising(v):
+        trials.append(v)
+        return Projected(v, None, cur.energy + 1.0)
+
+    state, gn, iterations = minimize._descend(cur, params_q1, 5, 1.0, rising, 0.0, None)
+    assert state is cur and gn > 0.0 and iterations == 1
+    assert len(trials) == 15
+    g = minimize._gradient_of(cur, params_q1)[0].values
+    assert np.allclose(trials[-1].values, cur.field.values - minimize.STEP_MIN * g,
+                       rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
 def test_ground_solve_from_a_seed_with_no_symmetry(lam):
     # an off-center bump: no symmetry to lock, yet the flow reaches the radial level
@@ -184,7 +202,7 @@ def test_ground_solve_from_a_seed_with_no_symmetry(lam):
     params = ModelParams(p=4.0, q=1, lam=lam)
     seed = field_from_polar(grid, lambda r, t: 2.0 * np.exp(
         -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
-    assert minimize._constraint_for(seed) is None
+    assert grid.class_view(seed.values) is grid
     rep = solve_ground(grid, params, SolveConfig(seed=seed))
     radial = solve_ground(grid, params)
     assert rep.converged and radial.converged
@@ -204,7 +222,7 @@ def test_a_theta_constant_seed_on_a_sector_is_even_not_radial():
     assert rep.converged and named.converged
     assert abs(rep.energy.total - named.energy.total) <= 1e-12 * named.energy.total
     # the even class, folded onto the ceil(16/2) nodes below the bisector
-    view = minimize._constraint_for(seed)
+    view = grid.class_view(seed.values)
     assert view.columns == grid.even_columns() and view.nnodes == 8
 
 
@@ -392,6 +410,28 @@ def test_newton_forcing_term_does_not_over_solve(monkeypatch):
         assert rtol >= min(0.1, 0.1 * tol / g)
 
 
+def test_newton_line_search_skips_candidates_whose_projection_fails():
+    # the two longest steps of every line search, t = 2 and 1.5, lose a sign
+    # or vanish; the shorter ones still carry the polish to its tolerance
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = _near_critical(params)
+    carry = unprojected(params)
+    calls = []
+
+    def project(v):
+        calls.append(v)
+        position = (len(calls) - 2) % 7   # within a line search, after the start
+        if len(calls) > 1 and position == 0:
+            raise OnePhaseMissing("one sign lost")
+        if len(calls) > 1 and position == 1:
+            raise ZeroFieldError("vanished")
+        return carry(v)
+
+    _, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, project)
+    assert ok and gn <= 1e-12 and solves >= 1
+    assert len(calls) == 1 + 7 * solves
+
+
 @pytest.mark.parametrize("level", [logging.DEBUG, logging.INFO], ids=["debug", "info"])
 def test_gmres_cap_residual_is_computed_only_for_debug(monkeypatch, caplog, level):
     params = ModelParams(p=4.0, q=1, lam=1.0)
@@ -457,7 +497,7 @@ def test_gmres_takes_a_scipy_linear_operator():
         return A @ v
 
     op = LinearOperator(A.shape, matvec=matvec, dtype=float)
-    x, info = minimize.gmres(op, b, rtol=1e-10, atol=0.0, restart=80, maxiter=600)
+    x, info = minimize.gmres(op, b, rtol=1e-10, restart=80, maxiter=600)
     assert info == 0
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     assert 0 < len(calls) <= 41

@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from reference import operator_apply
 
-from spiralnls import minimize
 from spiralnls.energy import lambda_inner, lp_integral
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
 from spiralnls.io import load_solution, save_solution
@@ -72,9 +71,8 @@ def test_mass_form_is_quadrature(grid, seed):
 
 def _class_fields(grid, seed, count):
     """(columns, fields) per symmetry class of the grid: random fields projected onto it."""
-    reflect = minimize._reflect_index(grid)
     fields = _fields(grid, seed, count)
-    classes = [(grid.even_columns(), [0.5 * (f + f[:, reflect]) for f in fields])]
+    classes = [(grid.even_columns(), [0.5 * (f + f[:, grid.mirror]) for f in fields])]
     if grid.sector.is_full:
         classes.append(((0,), [np.repeat(f.mean(axis=1, keepdims=True), grid.ntheta, axis=1)
                                for f in fields]))
