@@ -32,11 +32,16 @@ class SymmetryReport:
 
 
 def radial_average(u: Field) -> Field:
-    """Angular mean at each radius; a projection onto radial fields."""
+    """Angular mean at each radius; a projection onto radial fields.
+
+    The mean is taken about each row's first value, as to_modes takes the
+    mean mode, so a radial row is its own mean bit for bit.
+    """
     if not u.grid.sector.is_full:
         raise SectorError("radial average needs the full disk (sectors have "
                           "Dirichlet rays; the angular mean is not admissible)")
-    mean = u.values.mean(axis=1, keepdims=True)
+    first = u.values[:, :1]
+    mean = first + (u.values - first).mean(axis=1, keepdims=True)
     return Field(u.grid, np.broadcast_to(mean, u.values.shape).copy())
 
 

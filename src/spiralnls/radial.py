@@ -160,10 +160,10 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, ends=None):
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(x, r, "right") - 1, 0, n - 2)
+        i = np.minimum(np.maximum(np.searchsorted(x, r, "right") - 1, 0), n - 2)
         h = (r - x[i]).reshape(r.shape + (1,) * (y.ndim - 1))
         # scipy's power sum 0 + c3 + c2 h + c1 h^2 + c0 h^3, the powers of h
-        # built up term by term; in place, since volumes evaluate large blocks
+        # built up term by term; in place, sparing a temporary per term
         out, z = coef[0][i], h
         out += 0.0
         for c in coef[1:]:

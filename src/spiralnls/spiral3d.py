@@ -61,7 +61,7 @@ class SpiralEvaluator:
     def modes_at(self, radius: np.ndarray) -> np.ndarray:
         """Radially interpolated series coefficients; zero outside the disk."""
         radius = np.asarray(radius, dtype=float)
-        vals = self.spline(np.clip(radius, None, self.R))
+        vals = self.spline(np.minimum(radius, self.R))
         vals[radius > self.R] = 0.0
         return vals
 
@@ -81,7 +81,9 @@ class SpiralEvaluator:
 def reconstruct3d(u: Field, params: ModelParams, nt: int, nxy: int = 64) -> SpiralField3D:
     """Sample the spiraling field over one turn period t in [0, 2 pi lambda).
 
-    The volume spans [-0.75 R, 0.75 R] in both plane coordinates.
+    The volume spans [-0.75 R, 0.75 R] in both plane coordinates.  It is
+    filled one lattice row (fixed x1) at a time, so memory is the volume
+    plus one row's (nxy, modes) complex block.
 
     Radial profiles (no angular content) give t-independent volumes; half-disk
     solutions vanish on the helicoid swept by the zero rays.
@@ -92,8 +94,10 @@ def reconstruct3d(u: Field, params: ModelParams, nt: int, nxy: int = 64) -> Spir
     extent = 0.75 * u.grid.R
     xs = np.linspace(-extent, extent, nxy)
     ts = np.arange(nt) * (2 * math.pi * params.lam / nt)
-    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-    values = (ev.base(x1, x2) @ ev.twist(ts).T).real.reshape(nxy, nxy, nt)
+    twist = ev.twist(ts).T
+    values = np.empty((nxy, nxy, nt))
+    for row, x1 in zip(values, xs):
+        row[...] = (ev.base(x1, xs) @ twist).real
 
     dx = xs[1] - xs[0]
     dt = ts[1] - ts[0]

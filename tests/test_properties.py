@@ -144,6 +144,20 @@ def test_nodal_splitting_on_a_folded_view(grid, par, seed):
 
 
 @PROPERTY
+@given(grids(), params, st.integers(0, 2**32 - 1))
+@folded_examples
+def test_nodal_splitting_on_a_whole_grid(grid, par, seed):
+    # |u|_p^p = |u+|_p^p + |u-|_p^p and <u, u+> + <u, u-> = <u, u>
+    (values,) = _fields(grid, seed, 1)
+    u = Field(grid, values)
+    plus, minus = split_parts(u)
+    lp = lp_integral(u, par.p)
+    assert abs(lp_integral(plus, par.p) + lp_integral(minus, par.p) - lp) <= 1e-13 * lp
+    up, um = lambda_inner(u, plus, par), lambda_inner(u, minus, par)
+    assert abs(up + um - lambda_inner(u, u, par)) <= 1e-13 * (abs(up) + abs(um))
+
+
+@PROPERTY
 @given(grids(), st.floats(2.1, 10.0), st.sampled_from([0, 1]), st.floats(-3.0, 3.0),
        st.integers(0, 2**32 - 1))
 def test_save_load_round_trip_is_bit_exact(grid, p, q, e, seed):

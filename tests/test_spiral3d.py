@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,48 @@ def test_evaluator_base_operand_order(rng):
     r, phi = np.hypot(x1, x2).ravel(), np.arctan2(x2, x1).ravel()
     expected = np.exp(1j * np.outer(phi + ev.half_angle, ev.omega)) * ev.modes_at(r)
     assert np.array_equal(ev.base(x1, x2), expected)
+
+
+@pytest.mark.parametrize("sector,n", [
+    (SectorKind.full_disk(), 64), (SectorKind.full_disk(), 30),
+    (SectorKind.half_disk(), 96), (SectorKind.half_disk(), 15),
+], ids=["disk64", "disk30", "half96", "half15"])
+def test_volume_rows_match_the_one_block_product(rng, sector, n):
+    # the row-by-row fill gives the bits of one (points x modes) product;
+    # the lattice's corners lie outside R, where the series is 0
+    grid = build_grid(4.0, 40, n, sector)
+    u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
+    params = ModelParams(p=4.0, q=1, lam=1.3)
+    ev = SpiralEvaluator(u, params)
+    for nxy in (2, 13, 49):
+        xs = np.linspace(-0.75 * grid.R, 0.75 * grid.R, nxy)
+        x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+        assert np.hypot(x1, x2).max() > grid.R
+        for nt in (2, 5):
+            ts = np.arange(nt) * (2 * math.pi * params.lam / nt)
+            block = (ev.base(x1, x2) @ ev.twist(ts).T).real.reshape(nxy, nxy, nt)
+            assert np.array_equal(reconstruct3d(u, params, nt=nt, nxy=nxy).values, block)
+
+
+def test_volume_memory_is_the_volume_plus_one_row():
+    # bound from array sizes: the volume, the spline's four coefficient
+    # blocks and one row's complex (nxy, modes) block, with a factor 2 for
+    # temporaries (19.5 MB); one (points x modes) product took 162 MB
+    grid = build_grid(30.0, 480, 96, SectorKind.half_disk())
+    u = field_from_polar(grid, lambda r, t: np.exp(-r) * np.cos(t) * (1 + 0.5 * np.cos(3 * t)))
+    params = ModelParams(p=4.0, q=1, lam=10.0)
+    nxy, nt = 160, 32
+    modes = len(SpiralEvaluator(u, params).omega)
+    volume = nxy * nxy * nt * 8
+    coefficients = 4 * (grid.nr - 1) * modes * 16
+    row = nxy * modes * 16
+    tracemalloc.start()
+    try:
+        reconstruct3d(u, params, nt=nt, nxy=nxy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (volume + coefficients + row)
 
 
 def test_helicoid_nodal_set(half_ground):
