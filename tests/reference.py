@@ -4,6 +4,7 @@ import logging
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm, nonlinearity
@@ -13,6 +14,9 @@ from spiralnls.io import SOLUTION_MAGIC, RunConfig, _format_value
 from spiralnls.nehari import Projected, split_parts
 from spiralnls.radial import RadialProfile
 from spiralnls.spiral3d import _HEADER, SpiralEvaluator, SpiralField3D
+
+# settings of every property test: fixed examples, bounded count, no deadline
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
 log = logging.getLogger(__name__)
 

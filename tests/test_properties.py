@@ -4,15 +4,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
-from reference import operator_apply
+from hypothesis import example, given, strategies as st
+from reference import PROPERTY, operator_apply, serialize_config
 
 from spiralnls.energy import lambda_inner, lp_integral
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
-from spiralnls.io import load_solution, save_solution
+from spiralnls.io import _BOOL, _SCHEMA, load_solution, parse_config, save_solution
 from spiralnls.nehari import split_parts
-
-PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 @st.composite
@@ -173,3 +171,41 @@ def test_save_load_round_trip_is_bit_exact(grid, p, q, e, seed):
     assert field.grid == grid and field.grid.sector == grid.sector
     assert params_out == params_in
     assert field.values.tobytes() == values.tobytes()
+
+
+# config values as a config file can spell them: printable ASCII, no "#", no
+# whitespace at either end (the parser strips it), several spellings each
+_CONFIG_STRINGS = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                        blacklist_characters="#"), max_size=12
+                          ).filter(lambda s: s == s.strip())
+_CONFIG_FLOATS = st.floats().flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:.17e}", f"  {x!r}"]))
+_CONFIG_INTS = st.integers(-10**18, 10**18).flatmap(
+    lambda n: st.sampled_from([str(n), f"{n:+d}", f"{n:+05d}"]))
+_CONFIG_BOOLS = st.sampled_from(sorted(_BOOL)).flatmap(
+    lambda b: st.sampled_from([b, b.upper(), b.capitalize()]))
+_CONFIG_LISTS = st.lists(_CONFIG_FLOATS, max_size=4).flatmap(
+    lambda xs: st.sampled_from([", ".join(xs), " ".join(xs), ",".join(xs)]))
+_BY_PARSER = {float: _CONFIG_FLOATS, int: _CONFIG_INTS, str: _CONFIG_STRINGS}
+_CONFIG_VALUES = {"lambdas": _CONFIG_LISTS, "keep_trace": _CONFIG_BOOLS} | {
+    key: _BY_PARSER[parser] for key, (parser, _) in _SCHEMA.items() if parser in _BY_PARSER}
+
+
+@st.composite
+def config_texts(draw):
+    lines = [f"{key} = {draw(_CONFIG_VALUES[key])}"
+             for key in _SCHEMA if draw(st.booleans())]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@PROPERTY
+@given(config_texts())
+@example("lambdas = \nout_dir = \nseed = a = b\n")
+def test_config_through_the_manifest_text_is_idempotent(text):
+    # parse -> the manifest's config text (io._format_value) -> parse
+    first = parse_config(text)
+    manifest = serialize_config(first)
+    again = parse_config(manifest)
+    assert serialize_config(again) == manifest
+    assert {k: type(v) for k, v in again.entries.items()} == \
+        {k: type(v) for k, v in first.entries.items()}

@@ -1,9 +1,19 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import field_from_polar, helicoid_deviation, read_vtk, spiral_value, vtk_text
+from hypothesis import given, strategies as st
+from reference import (
+    PROPERTY,
+    field_from_polar,
+    helicoid_deviation,
+    read_vtk,
+    spiral_value,
+    vtk_text,
+)
 
 from spiralnls.errors import SectorError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
@@ -11,6 +21,7 @@ from spiralnls.minimize import SolveConfig, solve_ground
 from spiralnls.spiral3d import (
     SpiralEvaluator,
     SpiralField3D,
+    _digit_words,
     export_vtk,
     reconstruct3d,
 )
@@ -200,6 +211,70 @@ def test_vtk_matches_per_value_writer(tmp_path, rng, small_half):
         path = tmp_path / "vol.vtk"
         export_vtk(vol, path)
         assert path.read_bytes() == vtk_text(vol).encode("ascii")
+
+
+def _exported_as_per_value_text(values) -> bool:
+    """export_vtk of a (len, 1, 1) volume gives vtk_text's bytes."""
+    vol = SpiralField3D(nx=len(values), ny=1, nt=1, origin=(0.0, 0.0, 0.0),
+                        spacing=(1.0, 1.0, 1.0), values=values.reshape(-1, 1, 1), lam=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vol.vtk"
+        export_vtk(vol, path)
+        return path.read_bytes() == vtk_text(vol).encode("ascii")
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_vtk_matches_per_value_writer_on_any_bits(bits):
+    assert _exported_as_per_value_text(np.array(bits, np.uint64).view(np.float64))
+
+
+def _near_ties():
+    # (n + 0.5) 10^(e - 11): the scaled mantissa lies within 1e-3 of a half
+    ns = (100000000000, 123456789012, 500000000000, 987654321098, 999999999998)
+    return np.array([float(f"{n}.5e{e - 11}") for n in ns for e in (-99, -12, -1, 0, 11, 99)])
+
+
+def _boundary_values():
+    powers = np.array([float(f"1e{k}") for k in range(-100, 101)])
+    carries = np.array([float(f"9.999999999995e{k}") for k in range(-100, 101)])
+    near = [powers, carries]
+    for x in (powers, carries):
+        up = down = x
+        for _ in range(2):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            near += [up, down]
+    extremes = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    values = np.concatenate([*near, _near_ties(), extremes])
+    return np.concatenate([values, -values])
+
+
+def test_vtk_matches_per_value_writer_on_boundary_values():
+    values = _boundary_values()
+    assert _exported_as_per_value_text(values)
+    # both paths are taken: the digits and the "%.11e" fallback
+    exact = _digit_words(values)[1]
+    assert exact.any() and not exact.all()
+
+
+def test_vtk_near_ties_take_the_fallback(tmp_path):
+    ties = _near_ties()
+    values = np.concatenate([ties, -ties]).reshape(5, 3, 4)
+    scaled = np.abs(values) / 10.0 ** np.floor(np.log10(np.abs(values))) * 1e11
+    assert np.all(np.abs(scaled % 1 - 0.5) < 1e-3)
+    assert not _digit_words(values.ravel())[1].any()
+    vol = SpiralField3D(nx=5, ny=3, nt=4, origin=(0.0, 0.0, 0.0),
+                        spacing=(1.0, 1.0, 1.0), values=values, lam=1.0)
+    path = tmp_path / "ties.vtk"
+    export_vtk(vol, path)
+    assert path.read_bytes() == vtk_text(vol).encode("ascii")
+
+
+def test_vtk_digits_cover_a_reconstructed_volume(small_half):
+    # all but the near-ties of a smooth field take the digit path
+    u = field_from_polar(small_half, lambda r, t: np.exp(-r**2) * np.cos(t))
+    vol = reconstruct3d(u, ModelParams(p=4.0, q=1, lam=1.5), nt=6, nxy=10)
+    assert _digit_words(vol.values.ravel())[1].mean() > 0.99
 
 
 class _DiskFull:
