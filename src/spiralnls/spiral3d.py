@@ -113,7 +113,10 @@ def reconstruct3d(u: Field, params: ModelParams, nt: int, nxy: int = 64) -> Spir
 # |e| <= 99.  A line is three little-endian 8-byte words, "-d.dddd",
 # "dddddde+" and "EE\n" padded with NULs; the sign byte is a NUL too where the
 # sign bit is clear, and the NULs are deleted.  _ASCII3[n] packs the three
-# ASCII digits of n = 0..999; the other tables place them in a word.
+# ASCII digits of n = 0..999; the other tables place them in a word.  A plain
+# (values, 20) uint8 block, one column per byte, writes the same lines but
+# took 18.7 ms per 48x48x32 volume against 12.7 ms for the words (x86-64,
+# one thread; 28 ms with one division per digit instead of the table).
 _POW10 = np.array([10.0 ** k for k in range(-88, 111)])
 _ASCII3 = ((np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0"))
            << [0, 8, 16]).sum(axis=1).astype(np.uint64)

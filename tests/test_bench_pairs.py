@@ -56,6 +56,10 @@ def test_seed_lists_and_run_verdicts():
     assert not bench_pairs.run_ok({**good, "failed": 1})
     assert not bench_pairs.run_ok({**good, "correct": False})
     assert not bench_pairs.run_ok({"exit": 2, "correct": False, "failed": None})
+    # a traced run whose work counts differ between its passes fails too
+    assert bench_pairs.run_ok({**good, "counts_repeat": True})
+    assert bench_pairs.run_ok({**good, "counts_repeat": None})
+    assert not bench_pairs.run_ok({**good, "counts_repeat": False})
 
 
 def test_vtk_digests_must_repeat_on_each_side():

@@ -197,36 +197,10 @@ def test_vtk_x_fastest_order(tmp_path):
     assert data == expected
 
 
-def test_vtk_matches_per_value_writer(tmp_path, rng, small_half):
-    values = rng.standard_normal((3, 4, 5)) * 10.0 ** rng.integers(-300, 300, (3, 4, 5))
-    values[0, 0, 0] = -0.0
-    values[1, 2, 3] = np.nan
-    values[2, 3, 4] = np.inf
-    values[2, 0, 1] = -np.inf
-    synthetic = SpiralField3D(nx=3, ny=4, nt=5, origin=(-1.0, -1.0, 0.0),
-                              spacing=(0.5, 0.25, 0.1), values=values, lam=2.0)
-    u = field_from_polar(small_half, lambda r, t: np.exp(-r**2) * np.cos(t))
-    reconstructed = reconstruct3d(u, ModelParams(p=4.0, q=1, lam=1.5), nt=6, nxy=10)
-    for vol in (synthetic, reconstructed):
-        path = tmp_path / "vol.vtk"
-        export_vtk(vol, path)
-        assert path.read_bytes() == vtk_text(vol).encode("ascii")
-
-
-def _exported_as_per_value_text(values) -> bool:
-    """export_vtk of a (len, 1, 1) volume gives vtk_text's bytes."""
-    vol = SpiralField3D(nx=len(values), ny=1, nt=1, origin=(0.0, 0.0, 0.0),
-                        spacing=(1.0, 1.0, 1.0), values=values.reshape(-1, 1, 1), lam=1.0)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "vol.vtk"
-        export_vtk(vol, path)
-        return path.read_bytes() == vtk_text(vol).encode("ascii")
-
-
-@PROPERTY
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
-def test_vtk_matches_per_value_writer_on_any_bits(bits):
-    assert _exported_as_per_value_text(np.array(bits, np.uint64).view(np.float64))
+def _line_volume(values) -> SpiralField3D:
+    """A (len, 1, 1) volume of a 1-D array."""
+    return SpiralField3D(nx=len(values), ny=1, nt=1, origin=(0.0, 0.0, 0.0),
+                         spacing=(1.0, 1.0, 1.0), values=values.reshape(-1, 1, 1), lam=1.0)
 
 
 def _near_ties():
@@ -249,25 +223,37 @@ def _boundary_values():
     return np.concatenate([values, -values])
 
 
-def test_vtk_matches_per_value_writer_on_boundary_values():
-    values = _boundary_values()
-    assert _exported_as_per_value_text(values)
-    # both paths are taken: the digits and the "%.11e" fallback
-    exact = _digit_words(values)[1]
+def test_vtk_matches_per_value_writer(tmp_path, rng, small_half):
+    values = rng.standard_normal((3, 4, 5)) * 10.0 ** rng.integers(-300, 300, (3, 4, 5))
+    values[0, 0, 0] = -0.0
+    values[1, 2, 3] = np.nan
+    values[2, 3, 4] = np.inf
+    values[2, 0, 1] = -np.inf
+    synthetic = SpiralField3D(nx=3, ny=4, nt=5, origin=(-1.0, -1.0, 0.0),
+                              spacing=(0.5, 0.25, 0.1), values=values, lam=2.0)
+    u = field_from_polar(small_half, lambda r, t: np.exp(-r**2) * np.cos(t))
+    reconstructed = reconstruct3d(u, ModelParams(p=4.0, q=1, lam=1.5), nt=6, nxy=10)
+    for vol in (synthetic, reconstructed, _line_volume(_boundary_values())):
+        path = tmp_path / "vol.vtk"
+        export_vtk(vol, path)
+        assert path.read_bytes() == vtk_text(vol).encode("ascii")
+
+
+def test_vtk_boundary_values_take_both_paths():
+    # the digits, and the "%.11e" fallback for every near-tie
+    exact = _digit_words(_boundary_values())[1]
     assert exact.any() and not exact.all()
+    assert not _digit_words(_near_ties())[1].any()
 
 
-def test_vtk_near_ties_take_the_fallback(tmp_path):
-    ties = _near_ties()
-    values = np.concatenate([ties, -ties]).reshape(5, 3, 4)
-    scaled = np.abs(values) / 10.0 ** np.floor(np.log10(np.abs(values))) * 1e11
-    assert np.all(np.abs(scaled % 1 - 0.5) < 1e-3)
-    assert not _digit_words(values.ravel())[1].any()
-    vol = SpiralField3D(nx=5, ny=3, nt=4, origin=(0.0, 0.0, 0.0),
-                        spacing=(1.0, 1.0, 1.0), values=values, lam=1.0)
-    path = tmp_path / "ties.vtk"
-    export_vtk(vol, path)
-    assert path.read_bytes() == vtk_text(vol).encode("ascii")
+@PROPERTY
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_vtk_matches_per_value_writer_on_any_bits(bits):
+    vol = _line_volume(np.array(bits, np.uint64).view(np.float64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vol.vtk"
+        export_vtk(vol, path)
+        assert path.read_bytes() == vtk_text(vol).encode("ascii")
 
 
 def test_vtk_digits_cover_a_reconstructed_volume(small_half):

@@ -2,21 +2,23 @@
 
 usage: python3 tools/bench_pairs.py PARENT CHANGE OUT.json --what TEXT
            --pairs WORKLOAD=SEEDS [--pairs ...] [--traced WORKLOAD=SEEDS ...]
-           [--claim WORKLOAD.METRIC] [--seconds S]
+           [--claim WORKLOAD.METRIC]
 
 Each pair runs `bench/run.py --workload W --seed N --seconds S --trace 0|1`
 once in each tree, the parent first on odd pairs and the change first on even
 ones, so that a drift of the host's speed falls on both sides.  SEEDS is a
-range (9001-9010) or a list (9001,9003).  S defaults to BENCHMARK.json's
-run_seconds.  Per workload and end-to-end metric of BENCHMARK.json the file
+range (9001-9010) or a list (9001,9003); S is BENCHMARK.json's run_seconds.
+Per workload and end-to-end metric of BENCHMARK.json the file
 holds each side's runs, median and quartiles, the pairs in which the change
 is lower, the relative change of the medians and the parent's interquartile
 range; traced pairs keep every nonzero per-layer value.  A claim is met when
 the change is lower in at least 9 of every 10 pairs, over at least 10 pairs,
 and its median is lower by more than the parent's interquartile range.
-Postprocess runs also record the sha256 of the VTK volumes they write.  The
-exit code is 1 when a run fails, is not correct or reports failed operations,
-or when one side's VTK bytes differ between its runs.
+Postprocess runs also record the sha256 of the VTK volumes they write, and
+the file says whether the change's are the parent's.  The exit code is 1 when
+a run fails, is not correct, reports failed operations or (traced) work counts
+that differ between its passes, or when one side's VTK bytes differ between
+its runs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = SPEC["run_seconds"]
 SIDES = ("parent", "change")
 ORDER = "pairs alternate which side runs first: the parent on odd pairs, the change on even ones"
 RUN_TIMEOUT_S = 1800
@@ -80,7 +83,8 @@ def claim(workload: str, metric: str, summary: dict) -> dict:
 
 
 def run_ok(result: dict) -> bool:
-    return result["exit"] == 0 and result["correct"] is True and result["failed"] == 0
+    return (result["exit"] == 0 and result["correct"] is True and result["failed"] == 0
+            and result.get("counts_repeat") is not False)
 
 
 def value(result: dict, key: str):
@@ -88,10 +92,11 @@ def value(result: dict, key: str):
     return result.get("metrics", {}).get(key, {}).get("value")
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One bench/run.py process in tree: its last line, env line and VTK digests."""
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One bench/run.py process in tree: its last line, env line, whether its
+    traced passes repeated their work counts (None untraced) and VTK digests."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
@@ -100,19 +105,22 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         return {"exit": done.returncode or 1, "correct": False, "failed": None}
     result = json.loads(lines[-1])
     env = [json.loads(ln[len("env: "):]) for ln in lines if ln.startswith("env: ")]
-    work = tree / "bench" / "out" / "work" / workload
-    result.update(exit=0, env=env[0] if env else {}, vtk={
+    out = tree / "bench" / "out"
+    record = json.loads((out / "runs" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    work = out / "work" / workload
+    result.update(exit=0, env=env[0] if env else {},
+                  counts_repeat=record["counts_repeat_across_traced_passes"], vtk={
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(work.glob("*.vtk"))})
     return result
 
 
-def run_pairs(trees: dict, workload: str, seeds: list, seconds: float, trace: int) -> list:
+def run_pairs(trees: dict, workload: str, seeds: list, trace: int) -> list:
     """[(parent result, change result)] per seed, alternating which runs first."""
     pairs = []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {side: run_bench(trees[side], workload, seed, seconds, trace) for side in order}
+        pair = {side: run_bench(trees[side], workload, seed, trace) for side in order}
         for side in SIDES:
             res = pair[side]
             print(f"{workload} seed {seed} trace {trace} {side}: ok={run_ok(res)} " + " ".join(
@@ -142,8 +150,10 @@ def workload_summary(seeds: list, pairs: list) -> dict:
 def traced_summary(seeds: list, pairs: list) -> dict:
     keys = [m["name"] for m in SPEC["per_layer"]
             if any(value(r, m["name"]) for pair in pairs for r in pair)]
-    return {"seeds": seeds, "metrics": {
-        k: {s: [value(p[i], k) for p in pairs] for i, s in enumerate(SIDES)} for k in keys}}
+    metrics = {k: {s: [value(p[i], k) for p in pairs] for i, s in enumerate(SIDES)}
+               for k in keys}
+    repeat = all(r.get("counts_repeat") for pair in pairs for r in pair)
+    return {"seeds": seeds, "counts_repeat": repeat, "metrics": metrics}
 
 
 def vtk_digests(results: list) -> tuple:
@@ -170,14 +180,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=_workload_seeds, action="append", default=[])
     ap.add_argument("--traced", type=_workload_seeds, action="append", default=[])
     ap.add_argument("--claim", help="WORKLOAD.METRIC")
-    ap.add_argument("--seconds", type=float, default=float(SPEC["run_seconds"]))
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    untraced = {w: (seeds, run_pairs(trees, w, seeds, args.seconds, 0))
-                for w, seeds in args.pairs}
-    traced = {w: (seeds, run_pairs(trees, w, seeds, args.seconds, 1))
-              for w, seeds in args.traced}
+    untraced = {w: (seeds, run_pairs(trees, w, seeds, 0)) for w, seeds in args.pairs}
+    traced = {w: (seeds, run_pairs(trees, w, seeds, 1)) for w, seeds in args.traced}
     all_pairs = [p for _, pairs in [*untraced.values(), *traced.values()] for p in pairs]
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=trees["parent"],
                             capture_output=True, text=True)
@@ -188,7 +195,7 @@ def main(argv=None) -> int:
     report = {
         "what": args.what,
         "parent_commit": commit.stdout.strip() or None,
-        "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0|1",
+        "command": f"python3 bench/run.py --workload W --seed N --seconds {SECONDS} --trace 0|1",
         "order": ORDER,
     }
     if args.claim:
@@ -201,9 +208,12 @@ def main(argv=None) -> int:
                                  if w == "postprocess" for p in pairs])
     if any(digests.values()):
         report["postprocess_vtk_sha256"] = digests
+        report["postprocess_vtk_same_as_parent"] = digests["parent"] == digests["change"]
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     ok = all(run_ok(r) for p in all_pairs for r in p) and same
-    print(f"wrote {args.out}; every run correct with 0 failed and VTK bytes repeated: {ok}")
+    print(f"wrote {args.out}; every run correct with 0 failed, work counts and VTK bytes"
+          f" repeated: {ok}; postprocess VTK bytes same as parent:"
+          f" {report.get('postprocess_vtk_same_as_parent')}")
     if report.get("claim"):
         print("claim: " + json.dumps(report["claim"]))
     return 0 if ok else 1
