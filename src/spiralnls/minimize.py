@@ -47,7 +47,6 @@ from .energy import EnergyBreakdown, abs_power, energy, gradient_parts
 from .errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
 from .nehari import Projected, project_nodal_state, project_ray
-from .radial import shoot_nodal
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +121,7 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
 
     radial        positive bump (disk) / lowest-angular-mode bump (sector)
     dipole        w(r) cos(theta) with w a positive bump, disk only
-    radial-nodal  the 1D oracle's one-node profile interpolated onto the disk
+    radial-nodal  3 (1 - r^2/1.5^2) exp(-r^2/4), one sign change at r = 1.5
 
     Named seeds are exactly reflection-even so the solver can lock the
     symmetry class.
@@ -154,8 +153,8 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
     if seed == SEED_DIPOLE:
         vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th), grid.mirror)
         return Field(grid, vals)
-    profile = shoot_nodal(params.p, 1)   # SEED_RADIAL_NODAL
-    return Field(grid, profile(grid.radii)[:, None] * np.ones_like(th))
+    # SEED_RADIAL_NODAL; a closed form, so the 1D oracle only checks the radial branch
+    return Field(grid, 3.0 * (1.0 - r**2 / 1.5**2) * np.exp(-0.25 * r**2) * np.ones_like(th))
 
 
 def _gradient_of(state: Projected, params: ModelParams):

@@ -496,8 +496,7 @@ def test_out_of_scope_inputs_are_usage_errors(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["solve-radial", "--p", "200"],
     ["asympt-inf", "--p", "200", "--sector", "half", "--lambdas", "5"],
-    ["solve-nodal", "--p", "200", "--seed", "radial-nodal"],
-], ids=["solve-radial", "asympt-inf", "solve-nodal"])
+], ids=["solve-radial", "asympt-inf"])
 def test_overflow_in_the_radial_oracle_is_numerical_failure(tmp_path, capsys, argv):
     code = run_cli(argv + ["--R", "8", "--nr", "24", "--ntheta", "8",
                            "--out-dir", str(tmp_path)])

@@ -6,7 +6,7 @@ import pytest
 from reference import field_from_polar, newton_refine, unprojected
 from scipy.sparse.linalg import LinearOperator
 
-from spiralnls import minimize
+from spiralnls import minimize, radial
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
 from spiralnls.errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
@@ -143,6 +143,31 @@ def test_dipole_solve_that_would_lose_a_sign_ends_radial():
     assert dipole.converged and radial.converged
     assert dipole.nonradiality < 1e-6
     assert abs(dipole.energy.total - radial.energy.total) <= 1e-12 * radial.energy.total
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_radial_nodal_seed_never_shoots_the_oracle(monkeypatch, p):
+    # the named seed is a closed form, so the 1D oracle that checks the
+    # radial branch never starts it; it reaches the oracle-seeded level
+    grid = build_grid(8.0, 24, 8, SectorKind.full_disk())
+    params = ModelParams(p=p, q=1, lam=5.0)
+    profile = radial.shoot_nodal(p, 1)
+    oracle_seed = Field(grid, profile(grid.radii)[:, None] * np.ones((1, grid.ntheta)))
+    reference = solve_nodal(grid, params, SolveConfig(seed=oracle_seed))
+
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("the radial-nodal seed shot the 1D oracle")
+
+    for name in ("_shoot_cached", "_shoot_amplitude"):
+        getattr(radial, name).cache_clear()
+        monkeypatch.setattr(radial, name, refuse)
+    rep = solve_nodal(grid, params, SolveConfig(seed=SEED_RADIAL_NODAL))
+    assert rep.converged and reference.converged
+    assert calls == []
+    assert abs(rep.energy.total - reference.energy.total) <= 1e-12 * reference.energy.total
 
 
 def test_nodal_requires_full_disk():

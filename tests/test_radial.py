@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import count_interior_zeros
 
+from spiralnls import radial
 from spiralnls.radial import (
     _RMAX_SHOOT,
     _crossings,
@@ -174,3 +175,26 @@ def test_below_threshold_shot_stops_on_negative_energy(k):
     assert r < 0.5 * _RMAX_SHOOT
     assert 0.5 * (v * v - u * u) + abs(u) ** p / p < 0.0
     assert _integrate(a, p, rtol, record=True)[1][-1][0] == _RMAX_SHOOT
+
+
+def test_a_coarse_band_that_misses_restarts_the_tight_bisection(monkeypatch):
+    # a coarse band above the threshold leaves a padded lower end that
+    # already crosses k + 1 times; the tight stage then restarts from
+    # [0.25, 1] and still finds the pinned amplitude
+    p, k = 4.0, 1
+    real, bands = radial._bisect_band, []
+
+    def shifted_first_band(*args, **kwargs):
+        lo, hi = real(*args, **kwargs)
+        bands.append(args[2:4])
+        return (1.5 * lo, 1.5 * hi) if len(bands) == 1 else (lo, hi)
+
+    monkeypatch.setattr(radial, "_bisect_band", shifted_first_band)
+    radial._shoot_amplitude.cache_clear()
+    try:
+        amplitude = radial._shoot_amplitude(p, k)
+    finally:
+        radial._shoot_amplitude.cache_clear()
+    assert bands == [(0.25, 1.0), (0.25, 1.0)]
+    pinned = float.fromhex("0x1.aa7e9fd14e0bep+1")
+    assert abs(amplitude - pinned) <= 1e-12 * pinned
