@@ -191,6 +191,10 @@ class PolarGrid:
             return tuple(range(self.ntheta // 2 + 1))
         return tuple(range(0, self.ntheta, 2))
 
+    def even_part(self, values: np.ndarray) -> np.ndarray:
+        """(u(theta) + u(-theta)) / 2 through mirror: even bit for bit, as sampled trig is not."""
+        return 0.5 * (values + values[:, self.mirror])
+
     def class_view(self, values: np.ndarray) -> "PolarGrid":
         """The folded view of the symmetry class values lie in, bit for bit:
         radial on the disk, else even in theta; the grid itself for neither."""

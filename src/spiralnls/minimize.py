@@ -100,22 +100,6 @@ class SolveReport:
     trace: Optional[list] = None
 
 
-def _evenized(vals: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    """Bit-exact reflection symmetrization by PolarGrid.mirror (trig sampling alone is not)."""
-    return 0.5 * (vals + vals[:, mirror])
-
-
-def odd_extension(u: Field, disk: PolarGrid) -> Field:
-    """A half-disk field continued oddly across its rays onto a disk of the same radii.
-
-    The half disk's sine series is the Fourier series of that extension, so
-    it is summed at the disk's angles.  The result is symmetrized, so a
-    solve seeded with it keeps the reflection class of the cold dipole seed.
-    """
-    vals = u.grid.series_at(u.values, disk.angles)
-    return Field(disk, _evenized(vals, disk.mirror))
-
-
 def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
     """Starting field on grid: a Field seed, which must live there, or a named kind.
 
@@ -147,11 +131,10 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
             center = min(center, 0.75 * grid.R)
             theta0 = grid.sector.half_angle
             lowest = np.sin(np.pi * (th + theta0) / (2 * theta0))
-            vals = _evenized(amp * np.exp(-0.5 * ((r - center) / width) ** 2) * lowest,
-                             grid.mirror)
+            vals = grid.even_part(amp * np.exp(-0.5 * ((r - center) / width) ** 2) * lowest)
         return Field(grid, vals)
     if seed == SEED_DIPOLE:
-        vals = _evenized(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th), grid.mirror)
+        vals = grid.even_part(2.0 * r * np.exp(-0.5 * (r - 2.0) ** 2) * np.cos(th))
         return Field(grid, vals)
     # SEED_RADIAL_NODAL; a closed form, so the 1D oracle only checks the radial branch
     return Field(grid, 3.0 * (1.0 - r**2 / 1.5**2) * np.exp(-0.25 * r**2) * np.ones_like(th))
@@ -296,6 +279,39 @@ def gmres(op, b: np.ndarray, *, rtol: float, restart: int = 20, maxiter: Optiona
     return x, maxiter
 
 
+_LONGER_STEPS = (1.5, 2.0)
+_SHORTER_STEPS = (0.75, 0.5, 0.25, 0.1)
+
+
+def _line_walk(score):
+    """(t, score(t)) of the least score over the step lengths 0.1, ..., 2, walked
+    outward from t = 1.
+
+    The longer steps 1.5 and 2 come first; the shorter ones 0.75, 0.5, 0.25 and
+    0.1 only if no longer step scored below t = 1.  Each direction stops at its
+    first step that scores no lower than the best so far, and a tie goes to the
+    longer step.  So whenever score is unimodal along t the pick is a full
+    scan's, which prefers the longer of equal steps, at 3 evaluations where the
+    best step is t = 1 instead of 7.
+    """
+    best_t, best = 1.0, score(1.0)
+    first = best
+    for t in _LONGER_STEPS:
+        s = score(t)
+        if s <= best:
+            best_t = t
+        if not s < best:
+            break
+        best = s
+    if not best < first:
+        for t in _SHORTER_STEPS:
+            s = score(t)
+            if not s < best:
+                break
+            best_t, best = t, s
+    return best_t, best
+
+
 def _newton_polish(u: Field, params: ModelParams, tol: float, project,
                    max_solves: int = _NEWTON_SOLVES, trace: Optional[list] = None,
                    spent: int = 0):
@@ -307,8 +323,12 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     pitch) curve in function space, so the raw residual can transiently grow
     along a productive step while the constrained energy keeps falling.  Once
     energy differences sink below round-off the residual itself decides, which
-    is where quadratic convergence takes over.  mu grows only when a step
-    fails both tests.  project maps a field to its Projected state.  The
+    is where quadratic convergence takes over.  Either search walks the step
+    lengths outward from t = 1 (_line_walk): 1, then 1.5 and 2, then, only if
+    neither scored below t = 1, 0.75, 0.5, 0.25 and 0.1, each direction
+    stopping at its first step no better than the best so far; a failed
+    projection scores as infinite.  mu grows only when a step fails both
+    tests.  project maps a field to its Projected state.  The
     unknowns are u's node values, so on a folded view GMRES works on the
     class's fundamental nodes.  A failed linear solve (GMRES breakdown or a
     non-finite step) ends the polish, as do max_solves linear solves.
@@ -356,29 +376,37 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
                       info, math.sqrt(_dot(res, res) / _dot(rhs, rhs)))
         dvals = delta.reshape(shape)
 
-        # keep the modes of the lowest-energy candidate only: seven mode
-        # arrays held at once would raise the solve's memory peak
-        by_energy, candidates = None, []
-        for t in (2.0, 1.5, 1.0, 0.75, 0.5, 0.25, 0.1):
-            try:
-                cand = project(Field(grid, cur.field.values + t * dvals))
-            except (OnePhaseMissing, ZeroFieldError):
-                continue
-            candidates.append((cand.field, cand.energy))
-            if by_energy is None or cand.energy < by_energy.energy:
-                by_energy = cand
+        tried = {}   # step length -> its projected candidate, None if the projection failed
+
+        def candidate(t):
+            if t not in tried:
+                try:
+                    tried[t] = project(Field(grid, cur.field.values + t * dvals))
+                except (OnePhaseMissing, ZeroFieldError):
+                    tried[t] = None
+            return tried[t]
+
+        t, e = _line_walk(lambda t: math.inf if candidate(t) is None else candidate(t).energy)
         noise = 1e-13 * (1.0 + abs(cur.energy))
         accepted = None
-        if by_energy is not None and by_energy.energy < cur.energy - noise:
-            accepted = by_energy
+        if e < cur.energy - noise:
+            accepted = tried[t]
             g, gn = _gradient_of(accepted, params)
         else:
-            # energy flat to round-off: fall back to residual decrease
-            for cand_field, cand_energy in candidates:
-                cand = Projected(cand_field, grid.to_modes(cand_field.values), cand_energy)
-                g_c, gn_c = _gradient_of(cand, params)
-                if gn_c < gn:
-                    accepted, g, gn = cand, g_c, gn_c
+            # energy flat to round-off: the residual decides, walked the same way
+            scored = {}
+
+            def residual(t):
+                cand = candidate(t)
+                if cand is None:
+                    return math.inf
+                cand = Projected(cand.field, grid.to_modes(cand.field.values), cand.energy)
+                scored[t] = (cand, *_gradient_of(cand, params))
+                return scored[t][2]
+
+            t, r = _line_walk(residual)
+            if r < gn:
+                accepted, g, gn = scored[t]
         if accepted is not None:
             cur = accepted
             mu = 0.0 if mu < 1e-8 else mu * 0.25
@@ -455,9 +483,15 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
 
 def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None
                 ) -> SolveReport:
-    """Least-energy sign-changing solution on the full disk (beta level).
+    """A sign-changing solution on the full disk, in the seed's symmetry class.
 
-    Raises OnePhaseMissing if the seed has only one sign.
+    The descent and polish find a critical point of the nodal Nehari problem
+    near the seed, not necessarily its least level: from the cold dipole seed
+    it returns the theta-even critical point the descent reaches, which at
+    small pitch can be the radial nodal state or the dipole class's 2 c_lambda
+    state.  The sweep compares the classes by solving each on its own (the
+    dipole class as a half-disk ground problem).  Raises OnePhaseMissing if
+    the seed has only one sign.
     """
     cfg = cfg or SolveConfig(seed=SEED_DIPOLE)
     if not grid.sector.is_full:

@@ -26,17 +26,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import nonradiality_index
 from .energy import energy, h1_fd_norm_sq, lambda_norm
 from .errors import PeakAtBoundary, SpiralError
 from .grid import Field, ModelParams, PolarGrid, SectorKind, build_grid
 from .minimize import (
-    SEED_DIPOLE,
     SEED_RADIAL,
     SEED_RADIAL_NODAL,
     SolveConfig,
     SolveReport,
     make_seed,
-    odd_extension,
     solve_ground,
     solve_nodal,
 )
@@ -100,36 +99,66 @@ def _axis_peak(report: SolveReport) -> float:
     return float(grid.radii[j] + shift * grid.dr)
 
 
+_ROWS = ("disk-ground", "sector-ground", "nodal-dipole", "nodal-radial")   # failure order
+
+
+def _dipole_on_disk(u: Field, disk: PolarGrid) -> Field:
+    """A field on the half disk with n/2 - 1 nodes as the n-node disk's dipole-class field.
+
+    The two grids share their angular spacing, so half-disk node j is disk
+    node n/4 + 1 + j; half a turn further the disk takes its negative, and
+    the nodes on the two rays, n/4 and 3n/4, hold 0.  A signed gather: the
+    result is even in theta and odd under theta -> theta + pi bit for bit.
+    """
+    n = disk.ntheta
+    vals = np.zeros((disk.nr, n))
+    nodes = n // 4 + 1 + np.arange(u.grid.ntheta)
+    vals[:, nodes] = u.values
+    vals[:, (nodes + n // 2) % n] = -u.values
+    return Field(disk, vals)
+
+
 def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
                  cfg: SolveConfig | None = None) -> list[SweepRecord]:
     """Ground and nodal levels per pitch; locates the symmetry transition.
 
-    Uses the supplied disk grid for all whole-disk solves and a half-disk grid
-    of the same shape for the sector level.  Requires q = 1, the full disk
-    and an increasing pitch list.  Per-pitch solver failures, unconverged rows
-    among them, are recorded and give no level (no winner without a nodal
-    level); the sweep goes on.  A row whose seed is radial on its grid and
-    whose field at the previous pitch is radial starts from that field
-    (natural-parameter continuation, exact for radial states).  The dipole row starts from the odd extension
-    of the same pitch's sector ground state across the rays, a sign-changing
-    critical point of the disk problem, or from its cold seed if the sector
-    row failed.  The sector ground row starts from its cold seed.
+    Uses the supplied disk grid for the disk ground and radial-nodal rows and
+    a half-disk grid of the same shape for the sector level.  Requires q = 1,
+    the full disk with ntheta divisible by 4 and at least 8, and an increasing
+    pitch list.  Per-pitch solver failures, unconverged rows among them, are
+    recorded in row order and give no level (no winner without a nodal level);
+    the sweep goes on.  A row whose seed is radial on its grid and whose field
+    at the previous pitch is radial starts from that field (natural-parameter
+    continuation, exact for radial states).
+
+    The dipole row is the ground problem on the half disk with ntheta/2 - 1
+    nodes, from its cold seed: the disk's fields even in theta and odd under
+    the half turn are its odd extensions (symmetric criticality, Palais,
+    Comm. Math. Phys. 69, 1979).  Its result is unfolded onto the disk
+    (_dipole_on_disk), where its level and nonradiality are evaluated.  The
+    sector ground row starts from the dipole row's sine series summed at the
+    sector grid's angles, the same state on twice the angular nodes, or from
+    its cold seed if the dipole row failed.
     """
     if params_base.q != 1:
         raise ValueError("the sweep studies the q = 1 problem")
     if not grid.sector.is_full:
         raise ValueError("the sweep runs on the full disk")
+    if grid.ntheta % 4 or grid.ntheta < 8:
+        raise ValueError(f"the sweep needs ntheta divisible by 4 and at least 8, "
+                         f"got {grid.ntheta}")
     lambdas = list(lambdas)
     if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("need a nonempty, strictly increasing pitch list")
     cfg = cfg or SolveConfig()
     half = build_grid(grid.R, grid.nr, grid.ntheta, SectorKind.half_disk())
+    dipole_half = build_grid(grid.R, grid.nr, grid.ntheta // 2 - 1, SectorKind.half_disk())
 
     records = []
     previous = {}   # row tag -> that row's converged report at the previous pitch
     for lam in lambdas:
         params = replace(params_base, lam=float(lam))
-        failures = []
+        failures = {}
 
         def attempt(tag, fn, row_grid, seed):
             # a radial seed keeps its solve among radial fields, which have no
@@ -145,15 +174,21 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
                     raise SpiralError(f"not converged after {rep.iterations} iterations")
             except Exception as exc:  # per-pitch failures must not kill the sweep
                 log.warning("%s failed at lam=%s: %s", tag, lam, exc)
-                failures.append(f"{tag}: {exc}")
+                failures[tag] = f"{tag}: {exc}"
                 return None
             previous[tag] = rep
             return rep
 
         rep_alpha = attempt("disk-ground", solve_ground, grid, SEED_RADIAL)
-        rep_c = attempt("sector-ground", solve_ground, half, SEED_RADIAL)
-        rep_dip = attempt("nodal-dipole", solve_nodal, grid,
-                          odd_extension(rep_c.field, grid) if rep_c else SEED_DIPOLE)
+        rep_dip = attempt("nodal-dipole", solve_ground, dipole_half, SEED_RADIAL)
+        sector_seed = SEED_RADIAL
+        if rep_dip:
+            series = dipole_half.series_at(rep_dip.field.values, half.angles)
+            sector_seed = Field(half, half.even_part(series))
+            dip = _dipole_on_disk(rep_dip.field, grid)
+            rep_dip = replace(rep_dip, field=dip, energy=energy(dip, params),
+                              nonradiality=nonradiality_index(dip, params))
+        rep_c = attempt("sector-ground", solve_ground, half, sector_seed)
         rep_rad = attempt("nodal-radial", solve_nodal, grid, SEED_RADIAL_NODAL)
 
         beta_dip = rep_dip.energy.total if rep_dip else math.inf
@@ -172,7 +207,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
             tau=_axis_peak(rep_c) if rep_c else math.nan,
             beta_dipole=beta_dip,
             beta_radial=beta_rad,
-            failures=tuple(failures),
+            failures=tuple(failures[tag] for tag in _ROWS if tag in failures),
         ))
     return records
 

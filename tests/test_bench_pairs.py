@@ -67,3 +67,34 @@ def test_vtk_digests_must_repeat_on_each_side():
     assert bench_pairs.vtk_digests([({"vtk": a}, {"vtk": a}), ({"vtk": a}, {"vtk": a})]) == \
         ({"parent": a, "change": a}, True)
     assert not bench_pairs.vtk_digests([({"vtk": a}, {"vtk": a}), ({"vtk": a}, {"vtk": b})])[1]
+
+
+_SWEEP_CSV = ("lambda,alpha_hat,winner,beta_dipole\n"
+              "0.05,5.869529083844319,RadialNodal,4861.407577593729\n"
+              "50,5.869529083844319,Dipole,inf\n")
+
+
+def test_sweep_csv_largest_relative_change_per_column():
+    moved = _SWEEP_CSV.replace("4861.407577593729", "4861.4075775937235")
+    diff = bench_pairs.csv_rel_diff(_SWEEP_CSV, moved)
+    assert diff["lambda"] == diff["alpha_hat"] == diff["winner"] == 0.0
+    assert diff["beta_dipole"] == pytest.approx(5.5e-15 / 4861.407577593729, rel=1e-3)
+    assert bench_pairs.csv_rel_diff(_SWEEP_CSV, _SWEEP_CSV) == dict.fromkeys(
+        ("lambda", "alpha_hat", "winner", "beta_dipole"), 0.0)
+    # a changed winner or a level that became infinite counts 1; 50 -> 50.0 is no change
+    flipped = _SWEEP_CSV.replace("Dipole,inf", "RadialNodal,13.2").replace("50,", "50.0,")
+    diff = bench_pairs.csv_rel_diff(_SWEEP_CSV, flipped)
+    assert diff["winner"] == diff["beta_dipole"] == 1.0 and diff["lambda"] == 0.0
+    # other rows or columns are not compared
+    assert bench_pairs.csv_rel_diff(_SWEEP_CSV, _SWEEP_CSV + "60,1,Dipole,2\n") is None
+    assert bench_pairs.csv_rel_diff(_SWEEP_CSV, _SWEEP_CSV.replace("winner", "won")) is None
+
+
+def test_sweep_csv_must_repeat_on_each_side():
+    a, b = {"sweep_csv": _SWEEP_CSV}, {"sweep_csv": _SWEEP_CSV.replace("0.05", "0.06")}
+    assert bench_pairs.per_side([(a, b), (a, b)], "sweep_csv") == (
+        {"parent": a["sweep_csv"], "change": b["sweep_csv"]}, True)
+    assert not bench_pairs.per_side([(a, b), (b, b)], "sweep_csv")[1]
+    # postprocess runs write no sweep CSV
+    assert bench_pairs.per_side([({"sweep_csv": None}, {})], "sweep_csv") == (
+        {"parent": None, "change": None}, True)

@@ -493,6 +493,14 @@ def test_out_of_scope_inputs_are_usage_errors(tmp_path, capsys, argv):
                                            "--out-dir", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("ntheta", ["30", "4", "6", "10"])
+def test_sweep_needs_ntheta_divisible_by_four(tmp_path, capsys, ntheta):
+    # the dipole row's half disk needs disk nodes on both rays
+    err = _usage_error(capsys, ["sweep", "--R", "8", "--nr", "24", "--ntheta", ntheta,
+                                "--lambdas", "1", "--out-dir", str(tmp_path / "out")])
+    assert "divisible by 4 and at least 8" in err and f"got {ntheta}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-radial", "--p", "200"],
     ["asympt-inf", "--p", "200", "--sector", "half", "--lambdas", "5"],

@@ -1,4 +1,5 @@
 import logging
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -435,26 +436,122 @@ def test_newton_forcing_term_does_not_over_solve(monkeypatch):
         assert rtol >= min(0.1, 0.1 * tol / g)
 
 
-def test_newton_line_search_skips_candidates_whose_projection_fails():
-    # the two longest steps of every line search, t = 2 and 1.5, lose a sign
-    # or vanish; the shorter ones still carry the polish to its tolerance
+def test_newton_line_search_skips_candidates_whose_projection_fails(monkeypatch):
+    # the full step t = 1 vanishes and t = 1.5 loses a sign in every line
+    # search: both count as worse, so no longer step is tried, and the shorter
+    # ones still carry the polish to its tolerance
     params = ModelParams(p=4.0, q=1, lam=1.0)
     u = _near_critical(params)
     carry = unprojected(params)
-    calls = []
+    steps, tried = [], []   # the step being scored; every projected step
+    real_walk = minimize._line_walk
+
+    def walk(score):
+        tried.append([])
+        return real_walk(lambda t: steps.append(t) or score(t))
 
     def project(v):
-        calls.append(v)
-        position = (len(calls) - 2) % 7   # within a line search, after the start
-        if len(calls) > 1 and position == 0:
-            raise OnePhaseMissing("one sign lost")
-        if len(calls) > 1 and position == 1:
+        if not tried:
+            return carry(v)        # the polish's start
+        t = steps[-1]
+        tried[-1].append(t)
+        if t == 1.0:
             raise ZeroFieldError("vanished")
+        if t == 1.5:
+            raise OnePhaseMissing("one sign lost")
         return carry(v)
 
+    monkeypatch.setattr(minimize, "_line_walk", walk)
     _, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, project)
     assert ok and gn <= 1e-12 and solves >= 1
-    assert len(calls) == 1 + 7 * solves
+    energy_walks = [t for t in tried if t[:1] == [1.0]]   # each solve's first walk
+    assert len(energy_walks) == solves
+    for t in energy_walks:
+        assert t[:3] == [1.0, 1.5, 0.75] and 2.0 not in t
+
+
+_STEPS = (2.0, 1.5, 1.0, 0.75, 0.5, 0.25, 0.1)
+_INF = math.inf
+
+
+@pytest.mark.parametrize("energies, residuals, tried, pick", [
+    # energies at t = 2, 1.5, 1, 0.75, 0.5, 0.25, 0.1 (None: the projection
+    # fails), the start at 1.0; the steps projected in order, the step taken
+    ((9, 8, 0.5, 0.7, 0.8, 0.9, 0.95), None, [1, 1.5, 0.75], 1),
+    ((0.5, 0.6, 0.8, 0.9, 0.95, 0.97, 0.99), None, [1, 1.5, 2], 2),
+    ((0.7, 0.6, 0.8, 0.9, 0.95, 0.97, 0.99), None, [1, 1.5, 2], 1.5),
+    ((0.99, 0.95, 0.9, 0.8, 0.7, 0.6, 0.65), None, [1, 1.5, 0.75, 0.5, 0.25, 0.1], 0.25),
+    ((0.99, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5), None, [1, 1.5, 0.75, 0.5, 0.25, 0.1], 0.1),
+    # ties go to the longer step, and a tie ends the walk in its direction
+    ((0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5), None, [1, 1.5, 0.75], 1.5),
+    ((0.9, 0.5, 0.5, 0.4, 0.4, 0.3, 0.2), None, [1, 1.5, 0.75, 0.5], 0.75),
+    ((0.9, 0.8, 0.5, 0.5, 0.4, 0.3, 0.2), None, [1, 1.5, 0.75], 1),
+    # failed projections score as worse than any energy
+    ((0.1, None, 0.5, 0.7, 0.8, 0.9, 0.95), None, [1, 1.5, 0.75], 1),
+    ((None, None, None, 0.7, 0.6, 0.8, 0.9), None, [1, 1.5, 0.75, 0.5, 0.25], 0.5),
+    # (not unimodal: a longer step that beats a failed t = 1 ends the search)
+    ((None, 0.7, None, 0.6, 0.8, 0.9, 0.95), None, [1, 1.5, 2], 1.5),
+    ((None,) * 7, (_INF,) * 7, [1, 1.5, 0.75], None),
+    # energy flat to round-off: the residual decides, walked the same way,
+    # reusing the projections the energy walk made; none below the start's
+    # residual (1.0) means no step
+    ((1.0,) * 7, (0.45, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), [1, 1.5, 0.75, 2], 1.5),
+    ((1.0,) * 7, (0.9, 0.8, 0.5, 0.3, 0.2, 0.25, 0.6), [1, 1.5, 0.75, 0.5, 0.25], 0.5),
+    ((1.0,) * 7, (2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.01), [1, 1.5, 0.75, 0.5, 0.25, 0.1], None),
+])
+def test_newton_line_search_walks_outward_from_the_full_step(monkeypatch, energies, residuals,
+                                                             tried, pick):
+    params = ModelParams(p=4.0, q=1, lam=1.0)
+    u = field_from_polar(GRID, lambda r, t: np.exp(-r**2))
+    d = field_from_polar(GRID, lambda r, t: r * np.exp(-r**2)).values
+    by_step = dict(zip(_STEPS, energies))
+    residual_at = dict(zip(_STEPS, residuals or (2.0,) * 7))
+    projected = []
+
+    def step_of(v):
+        return round(float(np.sum((v.values - u.values) * d) / np.sum(d * d)), 9)
+
+    def project(v):
+        if v.values is u.values:
+            return Projected(v, GRID.to_modes(v.values), 1.0)
+        t = step_of(v)
+        projected.append(t)
+        if by_step[t] is None:
+            raise OnePhaseMissing("one sign lost")
+        return Projected(v, GRID.to_modes(v.values), float(by_step[t]))
+
+    def gradient_of(state, params):
+        t = None if state.field.values is u.values else step_of(state.field)
+        return state.field, 1.0 if t is None else residual_at[t]
+
+    monkeypatch.setattr(minimize, "gmres", lambda op, rhs, **kw: (d.ravel().copy(), 0))
+    monkeypatch.setattr(minimize, "_gradient_of", gradient_of)
+    state, _, _, solves, _ = minimize._newton_polish(u, params, 1e-300, project, max_solves=1)
+    assert solves == 1
+    assert projected == tried
+    if pick is None:
+        assert state.field.values is u.values
+    else:
+        assert step_of(state.field) == pick
+
+
+def test_line_walk_picks_what_a_full_scan_picks_on_unimodal_scores():
+    # a full scan takes the least score, the longer step on ties
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        low = int(rng.integers(7))
+        rises = np.cumsum(rng.choice([0.0, 0.5, 1.0], size=7) + 0.25 * rng.random(7))
+        scores = [float(rises[abs(i - low)]) for i in range(7)]   # least at index low
+        evaluated = []
+
+        def score(t):
+            evaluated.append(t)
+            return scores[_STEPS.index(t)]
+
+        t, s = minimize._line_walk(score)
+        full = min(range(7), key=lambda i: (scores[i], i))
+        assert (t, s) == (_STEPS[full], scores[full])
+        assert len(evaluated) == len(set(evaluated)) <= 6
 
 
 @pytest.mark.parametrize("level", [logging.DEBUG, logging.INFO], ids=["debug", "info"])

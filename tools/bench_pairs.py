@@ -15,17 +15,22 @@ range; traced pairs keep every nonzero per-layer value.  A claim is met when
 the change is lower in at least 9 of every 10 pairs, over at least 10 pairs,
 and its median is lower by more than the parent's interquartile range.
 Postprocess runs also record the sha256 of the VTK volumes they write, and
-the file says whether the change's are the parent's.  The exit code is 1 when
-a run fails, is not correct, reports failed operations or (traced) work counts
-that differ between its passes, or when one side's VTK bytes differ between
+the file says whether the change's are the parent's.  Sweep runs record the
+sweep.csv they write, and the file holds each side's and the largest relative
+difference per column between them.  The exit code is 1 when a run fails, is
+not correct, reports failed operations or (traced) work counts that differ
+between its passes, or when one side's VTK or sweep CSV bytes differ between
 its runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -94,7 +99,8 @@ def value(result: dict, key: str):
 
 def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One bench/run.py process in tree: its last line, env line, whether its
-    traced passes repeated their work counts (None untraced) and VTK digests."""
+    traced passes repeated their work counts (None untraced), VTK digests and
+    sweep CSV text (None where the workload writes none)."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
@@ -108,10 +114,12 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     out = tree / "bench" / "out"
     record = json.loads((out / "runs" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     work = out / "work" / workload
+    sweep_csv = work / "sweep.csv"
     result.update(exit=0, env=env[0] if env else {},
                   counts_repeat=record["counts_repeat_across_traced_passes"], vtk={
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(work.glob("*.vtk"))})
+        for path in sorted(work.glob("*.vtk"))},
+                  sweep_csv=sweep_csv.read_text() if sweep_csv.is_file() else None)
     return result
 
 
@@ -156,14 +164,50 @@ def traced_summary(seeds: list, pairs: list) -> dict:
     return {"seeds": seeds, "counts_repeat": repeat, "metrics": metrics}
 
 
+def per_side(results: list, key: str) -> tuple:
+    """Per side, the value of key in its first run that has one, and whether
+    every such run of either side repeated its side's value."""
+    values, same = {}, True
+    for i, side in enumerate(SIDES):
+        seen = [pair[i][key] for pair in results if pair[i].get(key)]
+        values[side] = seen[0] if seen else None
+        same &= all(v == seen[0] for v in seen)
+    return values, same
+
+
 def vtk_digests(results: list) -> tuple:
     """Per side, the VTK digests of its runs, and whether every run wrote the same."""
-    digests, same = {}, True
-    for i, side in enumerate(SIDES):
-        seen = [pair[i]["vtk"] for pair in results if pair[i].get("vtk")]
-        digests[side] = seen[0] if seen else {}
-        same &= all(d == seen[0] for d in seen)
-    return digests, same
+    digests, same = per_side(results, "vtk")
+    return {side: d or {} for side, d in digests.items()}, same
+
+
+def _cell_rel(parent: str, change: str) -> float:
+    if parent == change:
+        return 0.0
+    try:
+        p, c = float(parent), float(change)
+    except ValueError:
+        return 1.0
+    if p == c:
+        return 0.0
+    if p == 0.0 or not (math.isfinite(p) and math.isfinite(c)):
+        return 1.0
+    return abs(c - p) / abs(p)
+
+
+def csv_rel_diff(parent: str, change: str):
+    """Largest |change - parent| / |parent| per column of two CSV texts, by row.
+
+    Equal cells count 0; unequal cells that are not both finite numbers, or
+    whose parent value is 0, count 1.  None when the header or the row count
+    differs.
+    """
+    p_rows, c_rows = (list(csv.reader(io.StringIO(text))) for text in (parent, change))
+    if len(p_rows) != len(c_rows) or p_rows[:1] != c_rows[:1]:
+        return None
+    return {name: max((_cell_rel(p[j], c[j]) for p, c in zip(p_rows[1:], c_rows[1:])),
+                      default=0.0)
+            for j, name in enumerate(p_rows[0])}
 
 
 def _workload_seeds(text: str) -> tuple:
@@ -209,11 +253,17 @@ def main(argv=None) -> int:
     if any(digests.values()):
         report["postprocess_vtk_sha256"] = digests
         report["postprocess_vtk_same_as_parent"] = digests["parent"] == digests["change"]
+    csvs, csv_same = per_side([p for w, (_, pairs) in [*untraced.items(), *traced.items()]
+                               if w == "sweep" for p in pairs], "sweep_csv")
+    if all(csvs.values()):
+        report["sweep_csv"] = csvs
+        report["sweep_csv_max_rel_diff"] = csv_rel_diff(csvs["parent"], csvs["change"])
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    ok = all(run_ok(r) for p in all_pairs for r in p) and same
-    print(f"wrote {args.out}; every run correct with 0 failed, work counts and VTK bytes"
-          f" repeated: {ok}; postprocess VTK bytes same as parent:"
-          f" {report.get('postprocess_vtk_same_as_parent')}")
+    ok = all(run_ok(r) for p in all_pairs for r in p) and same and csv_same
+    print(f"wrote {args.out}; every run correct with 0 failed, work counts, VTK and sweep CSV"
+          f" bytes repeated: {ok}; postprocess VTK bytes same as parent:"
+          f" {report.get('postprocess_vtk_same_as_parent')}; sweep CSV largest relative"
+          f" change per column: {report.get('sweep_csv_max_rel_diff')}")
     if report.get("claim"):
         print("claim: " + json.dumps(report["claim"]))
     return 0 if ok else 1
