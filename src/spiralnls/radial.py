@@ -3,15 +3,18 @@
 Ground and nodal profiles are found by bisection on the initial amplitude
 u(0): the number of sign changes of the shot trajectory is a step function of
 the amplitude, jumping from k to k+1 exactly at the k-node decaying solution.
+The bisection stops once its band is as narrow as the relative tolerance its
+shots are integrated to (1e-9 coarse, then _RTOL), since below that the count
+only resolves the integrator's error.
 Integration leaves the singular point at r = eps with the series
 u(r) = u(0) + (u(0) - u(0)^{p-1}) r^2 / 4 and uses an adaptive 4(5)
-Dormand-Prince stepper (hand-unrolled scalar arithmetic; the bisection takes
-66-94 shots per profile and per-call overhead of a generic IVP driver
-dominates otherwise).  A classifying shot ends as soon as its count of sign
-changes is final (see _integrate).  Past the last sign change the
-trajectory is grafted onto the exact linearized decay c K_0(r), which pins
-|u| below 1e-10 at the far boundary where bisection round-off would otherwise
-re-excite the growing mode.
+Dormand-Prince stepper (J. Comput. Appl. Math. 6, 1980; hand-unrolled scalar
+arithmetic: the bisection takes 51-79 shots per profile and per-call overhead
+of a generic IVP driver dominates otherwise).  Every shot, the recorded
+profile shot included, ends as soon as its count of sign changes is final
+(see _integrate).  Past the last sign change the trajectory is grafted onto
+the exact linearized decay c K_0(r), which pins |u| below 1e-10 at the far
+boundary where bisection round-off would otherwise re-excite the growing mode.
 
 Everything here is deliberately one-dimensional and self-contained so it can
 serve as ground truth for the 2D solver.
@@ -30,7 +33,7 @@ from .lapack import dgtsv
 
 _EPS0 = 1e-6         # launch radius for the series start
 _RMAX_SHOOT = 60.0   # shot horizon; classifying shots stop once their class is final
-_RTOL = 1e-12        # relative tolerance of the tight bisection and the profile shot
+_RTOL = 1e-12        # rtol of the profile shot and the tight bisection's shots and band
 _R1D = 40.0          # outer radius of the sampled profile
 
 
@@ -179,8 +182,8 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
                stop_at: float = math.inf):
     """Shoot from u(0) = a.  Returns (crossings, samples or None).
 
-    With stop_at finite the shot only classifies: it ends once the crossing
-    count reaches stop_at, or once the mechanical energy
+    With stop_at finite the shot ends once the crossing count reaches
+    stop_at, or once the mechanical energy
     E = u'^2/2 - u^2/2 + |u|^p/p is negative.  Along the ODE
     dE/dr = -u'^2/r <= 0, and reaching u = 0 needs E >= W(0) = 0 for the
     potential W(u) = -u^2/2 + |u|^p/p, so from then on the count is final
@@ -189,46 +192,49 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
     oscillation about u = +-1 and without this test would run on to _RMAX_SHOOT.
     samples is a list of accepted (r, u, u') triples when record is set.
     """
+    copysign, sqrt = math.copysign, math.sqrt
     pm1 = p - 1.0
     classify = stop_at < math.inf
     atol = rtol * 1e-3
     r = _EPS0
-    fa = a - math.copysign(abs(a) ** pm1, a)
+    fa = a - copysign(abs(a) ** pm1, a)
     u = a + fa * r * r / 4.0
     v = fa * r / 2.0
     h = 1e-3
     crossings = 0
     samples = [(r, u, v)] if record else None
 
+    au, av = abs(u), abs(v)
     k1u = v
-    k1v = -v / r + u - math.copysign(abs(u) ** pm1, u)
+    k1v = -v / r + u - copysign(abs(u) ** pm1, u)
     while r < _RMAX_SHOOT:
         if h > _RMAX_SHOOT - r:
             h = _RMAX_SHOOT - r
-        r2 = r + 0.2 * h
-        uu = u + h * 0.2 * k1u
-        vv = v + h * 0.2 * k1v
+        h5 = h * 0.2
+        r2 = r + h5
+        uu = u + h5 * k1u
+        vv = v + h5 * k1v
         k2u = vv
-        k2v = -vv / r2 + uu - math.copysign(abs(uu) ** pm1, uu)
+        k2v = -vv / r2 + uu - copysign(abs(uu) ** pm1, uu)
         r3 = r + 0.3 * h
         uu = u + h * (0.075 * k1u + 0.225 * k2u)
         vv = v + h * (0.075 * k1v + 0.225 * k2v)
         k3u = vv
-        k3v = -vv / r3 + uu - math.copysign(abs(uu) ** pm1, uu)
+        k3v = -vv / r3 + uu - copysign(abs(uu) ** pm1, uu)
         r4 = r + 0.8 * h
         uu = u + h * (0.9777777777777777 * k1u - 3.7333333333333334 * k2u
                       + 3.5555555555555554 * k3u)
         vv = v + h * (0.9777777777777777 * k1v - 3.7333333333333334 * k2v
                       + 3.5555555555555554 * k3v)
         k4u = vv
-        k4v = -vv / r4 + uu - math.copysign(abs(uu) ** pm1, uu)
+        k4v = -vv / r4 + uu - copysign(abs(uu) ** pm1, uu)
         r5 = r + 0.8888888888888888 * h
         uu = u + h * (2.9525986892242035 * k1u - 11.595793324188385 * k2u
                       + 9.822892851699436 * k3u - 0.2908093278463649 * k4u)
         vv = v + h * (2.9525986892242035 * k1v - 11.595793324188385 * k2v
                       + 9.822892851699436 * k3v - 0.2908093278463649 * k4v)
         k5u = vv
-        k5v = -vv / r5 + uu - math.copysign(abs(uu) ** pm1, uu)
+        k5v = -vv / r5 + uu - copysign(abs(uu) ** pm1, uu)
         r6 = r + h
         uu = u + h * (2.8462752525252526 * k1u - 10.757575757575758 * k2u
                       + 8.906422717743473 * k3u + 0.2784090909090909 * k4u
@@ -237,7 +243,7 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
                       + 8.906422717743473 * k3v + 0.2784090909090909 * k4v
                       - 0.2735313036020583 * k5v)
         k6u = vv
-        k6v = -vv / r6 + uu - math.copysign(abs(uu) ** pm1, uu)
+        k6v = -vv / r6 + uu - copysign(abs(uu) ** pm1, uu)
         u5 = u + h * (0.09114583333333333 * k1u + 0.44923629829290207 * k3u
                       + 0.6510416666666666 * k4u - 0.322376179245283 * k5u
                       + 0.13095238095238096 * k6u)
@@ -246,31 +252,35 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
                       + 0.13095238095238096 * k6v)
         k7u = v5
         g5 = abs(u5) ** pm1
-        k7v = -v5 / r6 + u5 - math.copysign(g5, u5)
+        k7v = -v5 / r6 + u5 - copysign(g5, u5)
         eu = h * (0.0012326388888888888 * k1u - 0.0042527702905061394 * k3u
                   + 0.03697916666666666 * k4u - 0.05086379716981132 * k5u
                   + 0.0419047619047619 * k6u - 0.025 * k7u)
         ev = h * (0.0012326388888888888 * k1v - 0.0042527702905061394 * k3v
                   + 0.03697916666666666 * k4v - 0.05086379716981132 * k5v
                   + 0.0419047619047619 * k6v - 0.025 * k7v)
-        su = atol + rtol * max(abs(u), abs(u5))
-        sv = atol + rtol * max(abs(v), abs(v5))
+        # abs, max and min as conditional expressions: here a builtin call
+        # costs more than the arithmetic it does
+        au5, av5 = (u5 if u5 >= 0.0 else -u5), (v5 if v5 >= 0.0 else -v5)
+        su = atol + rtol * (au5 if au5 > au else au)
+        sv = atol + rtol * (av5 if av5 > av else av)
         e1 = eu / su
         e2 = ev / sv
-        err = math.sqrt(0.5 * (e1 * e1 + e2 * e2))
+        err = sqrt(0.5 * (e1 * e1 + e2 * e2))
         if err <= 1.0:
             if (u > 0.0) != (u5 > 0.0):
                 crossings += 1
                 if crossings >= stop_at:
                     break
             r += h
-            u, v = u5, v5
+            u, v, au, av = u5, v5, au5, av5
             k1u, k1v = k7u, k7v
             if record:
                 samples.append((r, u, v))
-            if classify and 0.5 * (v * v - u * u) + g5 * abs(u) / p < 0.0:
+            if classify and 0.5 * (v * v - u * u) + g5 * au5 / p < 0.0:
                 break
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+        f = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+        h *= (f if f < 5.0 else 5.0) if f > 0.2 else 0.2
     return crossings, samples
 
 
@@ -289,11 +299,13 @@ def _check_lower(p: float, k: int, lo: float, rtol: float) -> None:
         raise BisectionBracketFailure(f"lower amplitude {lo} already crosses > {k} times")
 
 
-def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
-                 max_iter: int):
-    """Narrow [lo, hi] onto the k -> k+1 crossing-count jump.
+def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float):
+    """Narrow [lo, hi] onto the k -> k+1 crossing-count jump, to hi - lo <= rtol * hi.
 
-    lo must already be known to cross at most k times (_check_lower).
+    lo must already be known to cross at most k times (_check_lower); hi is
+    doubled until it crosses more.  Shots are integrated at rtol, so halving
+    the band below rtol * hi would only resolve the integrator's error.
+    Returns (lo, hi): lo crosses at most k times, hi more than k.
     """
     attempts = 0
     while _crossings(hi, p, rtol, k) <= k:
@@ -302,7 +314,7 @@ def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
         if attempts > 60:
             raise BisectionBracketFailure(
                 f"amplitude doubling found no {k + 1}-crossing trajectory (p={p})")
-    for _ in range(max_iter):
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -315,16 +327,21 @@ def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
 
 @lru_cache(maxsize=32)
 def _shoot_amplitude(p: float, k: int) -> float:
-    """Two-stage amplitude bisection: coarse sweep, then refinement at _RTOL."""
+    """Threshold amplitude of the k-node profile, to _RTOL relative.
+
+    A coarse bisection at rtol 1e-9 brackets the k -> k+1 jump; the padded
+    band is then bisected with shots at _RTOL (from [0.25, 1] again if the
+    padded lower end already crosses more than k times).  Returns the lower
+    end, which crosses at most k times at _RTOL.
+    """
     _check_lower(p, k, 0.25, 1e-9)
-    lo, hi = _bisect_band(p, k, 0.25, 1.0, rtol=1e-9, max_iter=34)
+    lo, hi = _bisect_band(p, k, 0.25, 1.0, rtol=1e-9)
     pad = max(4.0 * (hi - lo), 1e-8 * hi)
     lo2, hi2 = max(lo - pad, 0.5 * lo), hi + pad
     if _crossings(lo2, p, _RTOL, k) > k:      # coarse band missed; restart tight
         lo2, hi2 = 0.25, 1.0
         _check_lower(p, k, lo2, _RTOL)
-    lo, hi = _bisect_band(p, k, lo2, hi2, rtol=_RTOL, max_iter=200)
-    return lo
+    return _bisect_band(p, k, lo2, hi2, rtol=_RTOL)[0]
 
 
 def _integrals(radii, vals, slopes, p):
@@ -337,7 +354,14 @@ def _integrals(radii, vals, slopes, p):
 
 
 def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
-    crossings, samples = _integrate(a, p, _RTOL, record=True)
+    """Sample the k-node profile from the threshold amplitude a on [0, _R1D].
+
+    The shot from a is recorded with the classifying stop: a crosses at most
+    k times, so it ends where a's classifying shot ended, on negative energy,
+    past the graft point.  Up to the graft point the profile is the spline
+    through the accepted steps, beyond it the Bessel tail c K_0(r).
+    """
+    _, samples = _integrate(a, p, _RTOL, record=True, stop_at=k + 1)
     rs = np.array([s[0] for s in samples])
     us = np.array([s[1] for s in samples])
     vs = np.array([s[2] for s in samples])

@@ -189,6 +189,13 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
             rep_dip = replace(rep_dip, field=dip, energy=energy(dip, params),
                               nonradiality=nonradiality_index(dip, params))
         rep_c = attempt("sector-ground", solve_ground, half, sector_seed)
+        tau = math.nan
+        if rep_c:
+            try:
+                tau = _axis_peak(rep_c)
+            except PeakAtBoundary as exc:   # the level stands; only tau is lost
+                log.warning("sector-ground failed at lam=%s: %s", lam, exc)
+                failures["sector-ground"] = f"sector-ground: {exc}"
         rep_rad = attempt("nodal-radial", solve_nodal, grid, SEED_RADIAL_NODAL)
 
         beta_dip = rep_dip.energy.total if rep_dip else math.inf
@@ -204,7 +211,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
             c_hat=rep_c.energy.total if rep_c else math.nan,
             nonradiality=best.nonradiality if best else math.nan,
             winner=winner,
-            tau=_axis_peak(rep_c) if rep_c else math.nan,
+            tau=tau,
             beta_dipole=beta_dip,
             beta_radial=beta_rad,
             failures=tuple(failures[tag] for tag in _ROWS if tag in failures),

@@ -153,6 +153,24 @@ def test_sweep_cli_wiring(tmp_path, capsys):
     assert summary["bracket_high"] == 8.0
 
 
+def test_sweep_records_a_sector_peak_at_the_boundary(tmp_path, capsys):
+    # on R = 10 the sector state at lambda = 0.05 peaks inside the first
+    # radial cell: tau is lost at that pitch, its level and the sweep are not
+    out = tmp_path / "out"
+    code = run_cli(["sweep", "--R", "10", "--nr", "64", "--ntheta", "16",
+                    "--lambdas", "0.05,0.5", "--out-dir", str(out)])
+    assert code == EXIT_NUMERICAL
+    capsys.readouterr()
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [r["lambda"] for r in rows] == ["0.05", "0.5"]
+    assert rows[0]["tau"] == "nan" and np.isfinite(float(rows[0]["c_hat"]))
+    assert rows[1]["winner"] and all(
+        np.isfinite(float(v)) for key, v in rows[1].items() if key != "winner")
+    failures = json.loads((out / "sweep.json").read_text())["failures"]
+    assert failures == [["sector-ground: profile maximum at radial node 0; increase R"], []]
+
+
 def test_cli_reports_numerical_failure(tmp_path, capsys):
     # max_iters too small to converge -> nonzero exit with solver category
     out = str(tmp_path / "out")

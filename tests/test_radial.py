@@ -129,7 +129,7 @@ def _ulps_around(a, n):
 
 # at p = 2.5, k = 1 the padded coarse band misses the tight threshold on the
 # high side, so the tight stage doubles its upper amplitude and bisects anew
-@pytest.mark.parametrize("p,k", [(4.0, 0), (4.0, 1), (4.0, 2), (2.5, 1)])
+@pytest.mark.parametrize("p,k", [(4.0, 0), (4.0, 1), (4.0, 2), (2.5, 1), (6.0, 2)])
 @pytest.mark.parametrize("rtol", [1e-12, 1e-9])
 def test_energy_stop_keeps_the_class_at_the_threshold(p, k, rtol):
     # the energy stop ends a classifying shot early; at the threshold
@@ -143,24 +143,26 @@ def test_energy_stop_keeps_the_class_at_the_threshold(p, k, rtol):
         full = _integrate(a, p, rtol)[0]
         assert _crossings(a, p, rtol, k) == min(full, k + 1), a.hex()
     if rtol == 1e-12:   # the rtol of the tight bisection that returned it
+        # the bisection stops at a band of 1e-12 relative and returns its
+        # lower end: that crosses at most k times, two band widths up more
         assert _crossings(threshold, p, rtol, k) <= k
-        assert _crossings(math.nextafter(threshold, math.inf), p, rtol, k) > k
+        assert _crossings(threshold * (1.0 + 2.0 * radial._RTOL), p, rtol, k) > k
 
 
 @pytest.mark.parametrize("p,k,amplitude", [
-    (4.0, 0, "0x1.1a64ca390a976p+1"),
-    (4.0, 1, "0x1.aa7e9fd14e0bep+1"),
-    (2.5, 1, "0x1.e23f985142c2ep+1"),
-    (6.0, 2, "0x1.f05f92cfef4dfp+1"),
+    (4.0, 0, "0x1.1a64ca390a93cp+1"),
+    (4.0, 1, "0x1.aa7e9fd14d5f4p+1"),
+    (2.5, 1, "0x1.e23f98514246ap+1"),
+    (6.0, 2, "0x1.f05f92cfef030p+1"),
 ])
 def test_threshold_amplitudes_are_pinned(p, k, amplitude):
     assert _profile(p, k).amplitude.hex() == amplitude
 
 
 def test_profile_energies_are_pinned():
-    assert shoot_ground(4.0).energy.hex() == "0x1.766dbe5180990p+2"
-    assert shoot_nodal(4.0, 1).energy.hex() == "0x1.34b106ce0fa32p+5"
-    assert shoot_ground(4.0, dr1d=0.005).energy.hex() == "0x1.766dbe8b2f6e8p+2"
+    assert shoot_ground(4.0).energy.hex() == "0x1.766dbe5180966p+2"
+    assert shoot_nodal(4.0, 1).energy.hex() == "0x1.34b106ce0fa34p+5"
+    assert shoot_ground(4.0, dr1d=0.005).energy.hex() == "0x1.766dbe8b2f6f5p+2"
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -196,5 +198,53 @@ def test_a_coarse_band_that_misses_restarts_the_tight_bisection(monkeypatch):
     finally:
         radial._shoot_amplitude.cache_clear()
     assert bands == [(0.25, 1.0), (0.25, 1.0)]
-    pinned = float.fromhex("0x1.aa7e9fd14e0bep+1")
+    pinned = float.fromhex("0x1.aa7e9fd14d5f4p+1")
     assert abs(amplitude - pinned) <= 1e-12 * pinned
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 6.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_stopped_profile_shot_builds_the_full_shots_profile(monkeypatch, p, k):
+    # the profile shot ends on negative energy, past the graft point; the
+    # steps it leaves out move no bit of the sampled profile
+    a = radial._shoot_amplitude(p, k)
+    shots = []
+
+    def recorded(*args, **kwargs):
+        shots.append((kwargs["stop_at"], _integrate(*args, **kwargs)))
+        return shots[-1][1]
+
+    for dr1d in (0.01, 0.005):
+        shots.clear()
+        with monkeypatch.context() as m:
+            m.setattr(radial, "_integrate", recorded)
+            stopped = radial._assemble_profile(a, p, k, dr1d)
+            m.setattr(radial, "_integrate",
+                      lambda a, p, rtol, record, stop_at: _integrate(a, p, rtol, record))
+            full = radial._assemble_profile(a, p, k, dr1d)
+        [(stop_at, (crossings, samples))] = shots
+        assert stop_at == k + 1 and crossings == k and samples[-1][0] < _RMAX_SHOOT
+        for name in ("energy", "mass", "amplitude"):
+            assert getattr(stopped, name).hex() == getattr(full, name).hex(), name
+        for name in ("radii", "values", "slopes"):
+            assert getattr(stopped, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_cold_amplitude_takes_a_fixed_number_of_shots(monkeypatch, k):
+    # each bisection stops at its shots' rtol.  Coarse, at 1e-9: the check
+    # of 0.25, the upper ends 1, 2 and 4, and 31 halvings of [0.25, 4].
+    # Tight, at 1e-12: the padded band's two ends and 15 halvings
+    rtols = []
+
+    def counted(a, p, rtol, **kwargs):
+        rtols.append(rtol)
+        return _integrate(a, p, rtol, **kwargs)
+
+    monkeypatch.setattr(radial, "_integrate", counted)
+    radial._shoot_amplitude.cache_clear()
+    try:
+        radial._shoot_amplitude(4.0, k)
+    finally:
+        radial._shoot_amplitude.cache_clear()
+    assert (rtols.count(1e-9), rtols.count(radial._RTOL), len(rtols)) == (35, 17, 52)
