@@ -138,6 +138,7 @@ def _run_radial(cfg: sio.RunConfig, args) -> int:
         "p": p, "nodes": nodes, "amplitude": profile.amplitude,
         "energy": profile.energy, "mass": profile.mass,
         "pohozaev_rel": ident["pohozaev"], "nehari_rel": ident["nehari"],
+        "search_shots": profile.search_shots, "search_steps": profile.search_steps,
     })
     sio.write_manifest(base + "_manifest.json", "solve-radial", cfg,
                        [base + ".csv", base + ".json"])

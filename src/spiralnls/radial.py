@@ -1,20 +1,22 @@
 """Independent 1D radial oracle for the limit equation -u'' - u'/r + u = |u|^{p-2} u.
 
-Ground and nodal profiles are found by bisection on the initial amplitude
+Ground and nodal profiles are found by a search on the initial amplitude
 u(0): the number of sign changes of the shot trajectory is a step function of
 the amplitude, jumping from k to k+1 exactly at the k-node decaying solution.
-The bisection stops once its band is as narrow as the relative tolerance its
-shots are integrated to (1e-9 coarse, then _RTOL), since below that the count
-only resolves the integrator's error.
+Each shot also says how near the jump it was, by the radius where it stopped,
+so the search aims by secants and halves only where they say nothing.  It
+stops once its band is as narrow as the relative tolerance its shots are
+integrated to (1e-9 coarse, then _RTOL), since below that the count only
+resolves the integrator's error.
 Integration leaves the singular point at r = eps with the series
 u(r) = u(0) + (u(0) - u(0)^{p-1}) r^2 / 4 and uses an adaptive 4(5)
 Dormand-Prince stepper (J. Comput. Appl. Math. 6, 1980; hand-unrolled scalar
-arithmetic: the bisection takes 51-79 shots per profile and per-call overhead
+arithmetic: the search takes 22-31 shots per profile and per-call overhead
 of a generic IVP driver dominates otherwise).  Every shot, the recorded
 profile shot included, ends as soon as its count of sign changes is final
 (see _integrate).  Past the last sign change the trajectory is grafted onto
 the exact linearized decay c K_0(r), which pins |u| below 1e-10 at the far
-boundary where bisection round-off would otherwise re-excite the growing mode.
+boundary where the amplitude's round-off would otherwise re-excite the growing mode.
 
 Everything here is deliberately one-dimensional and self-contained so it can
 serve as ground truth for the 2D solver.
@@ -33,8 +35,12 @@ from .lapack import dgtsv
 
 _EPS0 = 1e-6         # launch radius for the series start
 _RMAX_SHOOT = 60.0   # shot horizon; classifying shots stop once their class is final
-_RTOL = 1e-12        # rtol of the profile shot and the tight bisection's shots and band
+_RTOL = 1e-12        # rtol of the profile shot and the tight search's shots and band
 _R1D = 40.0          # outer radius of the sampled profile
+_SLACK = 2           # shots a band search may take beyond halving's count
+_NEAR = 1e-2         # relative spread of the two shots a secant may use
+_PUSH = 0.05         # push of a shot past the secant's root, per unit secant step
+_EDGE = 0.1          # least push, and least gap to the band's ends, per unit rtol * hi
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,8 @@ class RadialProfile:
     nodes: int           # interior sign changes
     amplitude: float     # u(0)
     p: float
+    search_shots: int    # classifying shots of the amplitude search
+    search_steps: int    # their accepted steps
 
     @cached_property
     def _spline(self):
@@ -180,7 +188,8 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, ends=None):
 
 def _integrate(a: float, p: float, rtol: float, record: bool = False,
                stop_at: float = math.inf):
-    """Shoot from u(0) = a.  Returns (crossings, samples or None).
+    """Shoot from u(0) = a.  Returns (crossings, samples) when record is set,
+    else (crossings, (r_stop, steps)).
 
     With stop_at finite the shot ends once the crossing count reaches
     stop_at, or once the mechanical energy
@@ -190,7 +199,10 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
     (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30, 1981).  Below
     the threshold amplitude a shot never diverges; it settles into a damped
     oscillation about u = +-1 and without this test would run on to _RMAX_SHOOT.
-    samples is a list of accepted (r, u, u') triples when record is set.
+    samples is a list of accepted (r, u, u') triples; r_stop is where the
+    shot ended, the (stop_at)-th zero of u or the zero of E, each
+    interpolated linearly within the last step; steps counts the accepted
+    steps.
     """
     copysign, sqrt = math.copysign, math.sqrt
     pm1 = p - 1.0
@@ -201,8 +213,9 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
     u = a + fa * r * r / 4.0
     v = fa * r / 2.0
     h = 1e-3
-    crossings = 0
+    crossings = steps = 0
     samples = [(r, u, v)] if record else None
+    e_prev = max(0.5 * (v * v - u * u) + abs(u) ** p / p, 0.0)
 
     au, av = abs(u), abs(v)
     k1u = v
@@ -271,17 +284,25 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
             if (u > 0.0) != (u5 > 0.0):
                 crossings += 1
                 if crossings >= stop_at:
+                    r_stop = r + h * u / (u - u5)
                     break
             r += h
+            steps += 1
             u, v, au, av = u5, v5, au5, av5
             k1u, k1v = k7u, k7v
             if record:
                 samples.append((r, u, v))
-            if classify and 0.5 * (v * v - u * u) + g5 * au5 / p < 0.0:
-                break
+            if classify:
+                e = 0.5 * (v * v - u * u) + g5 * au5 / p
+                if e < 0.0:
+                    r_stop = r + h * e / (e_prev - e)
+                    break
+                e_prev = e
         f = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= (f if f < 5.0 else 5.0) if f > 0.2 else 0.2
-    return crossings, samples
+    else:
+        r_stop = r
+    return crossings, (samples if record else (r_stop, steps))
 
 
 def _crossings(a: float, p: float, rtol: float, k: int) -> int:
@@ -293,55 +314,140 @@ def _crossings(a: float, p: float, rtol: float, k: int) -> int:
     return _integrate(a, p, rtol, stop_at=k + 1)[0]
 
 
-def _check_lower(p: float, k: int, lo: float, rtol: float) -> None:
-    """Raise unless the shot from lo crosses at most k times."""
-    if _crossings(lo, p, rtol, k) > k:
+class _Amplitude(float):
+    """A threshold amplitude that keeps the classifying shots and accepted
+    steps its search took, so the amplitude cache keeps them with it."""
+
+    shots: int
+    steps: int
+
+
+def _classify(a: float, p: float, rtol: float, k: int, steps: list):
+    """(crosses more than k, g) of the classifying shot from a; appends its
+    accepted steps to steps.
+
+    Near the threshold a* the shot leaves the decaying profile c K_0(r)
+    along the growing mode of the linearized equation, of size
+    |a - a*| I_0(r).  Above a*, u reaches its (k+1)-th zero where the two
+    balance, e^{2r} |a - a*| about constant, so g = e^{-2 r_stop} is about
+    proportional to a - a*.  Below a*, E first turns negative where the
+    cross term 2 c |a - a*| / r of the two modes outweighs the profile's
+    own energy, of order e^{-2r} / r^2; g = e^{-2 r_stop} / r_stop is then
+    about proportional to a* - a.  The two slopes differ.
+    """
+    crossings, (r_stop, n) = _integrate(a, p, rtol, stop_at=k + 1)
+    steps.append(n)
+    crossed = crossings > k
+    g = math.exp(-2.0 * r_stop)
+    return crossed, (g if crossed else g / r_stop)
+
+
+def _check_lower(p: float, k: int, lo: float, rtol: float, steps: list) -> float:
+    """Raise unless the shot from lo crosses at most k times; returns its g."""
+    crossed, g = _classify(lo, p, rtol, k, steps)
+    if crossed:
         raise BisectionBracketFailure(f"lower amplitude {lo} already crosses > {k} times")
+    return g
 
 
-def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float):
+def _secant_root(points):
+    """Where the line through the two newest (a, g) points meets g = 0, or None.
+
+    None unless the two lie within _NEAR relative of each other: farther
+    from a* the stop radii follow other thresholds' modes, not a linear g.
+    """
+    if len(points) < 2:
+        return None
+    (a1, g1), (a2, g2) = points[-2:]
+    if g1 == g2 or abs(a2 - a1) > _NEAR * a2:
+        return None
+    return a2 - g2 * (a2 - a1) / (g2 - g1)
+
+
+def _bisect_band(p: float, k: int, lo: float, hi: float, rtol: float,
+                 g_lo: float, steps: list):
     """Narrow [lo, hi] onto the k -> k+1 crossing-count jump, to hi - lo <= rtol * hi.
 
-    lo must already be known to cross at most k times (_check_lower); hi is
-    doubled until it crosses more.  Shots are integrated at rtol, so halving
-    the band below rtol * hi would only resolve the integrator's error.
+    lo must already be known to cross at most k times (_check_lower, which
+    gave its g_lo); hi is doubled until it crosses more, and each upper end
+    that failed becomes the lower end.  Each shot then aims at the root of
+    the secant through the two newest shots on one side of the jump, g
+    being about linear in the amplitude there (_classify), pushed beyond it
+    towards the other side by _PUSH of the secant's step, at least _EDGE of
+    the band's target; the push doubles while shots stay on the aimed side.
+    With no usable secant the shot halves the band.  Every aim is kept
+    within a radius of the midpoint that leaves the band after j shots at
+    most 2^(_SLACK - j) times the doubled one (the projection of Oliveira
+    & Takahashi's ITP method, ACM Trans. Math. Softw. 47, 2020), so the
+    search takes at most _SLACK shots more than halving, however little
+    the stop radii say.
+    Shots are integrated at rtol, so a band below rtol * hi would only
+    resolve the integrator's error.
     Returns (lo, hi): lo crosses at most k times, hi more than k.
     """
+    sides = ([(lo, g_lo)], [])     # (a, g) of the shots below the jump, and above it
     attempts = 0
-    while _crossings(hi, p, rtol, k) <= k:
-        hi *= 2.0
+    while True:
+        crossed, g = _classify(hi, p, rtol, k, steps)
+        if crossed:
+            break
+        sides[0].append((hi, g))
+        lo, hi = hi, 2.0 * hi
         attempts += 1
         if attempts > 60:
             raise BisectionBracketFailure(
                 f"amplitude doubling found no {k + 1}-crossing trajectory (p={p})")
+    sides[1].append((hi, g))
+    newest, fresh, push = 1, [True, True], _PUSH    # fresh: a secant not yet aimed by
+    budget = (hi - lo) * 2.0 ** _SLACK
     while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _crossings(mid, p, rtol, k) <= k:
-            lo = mid
+        budget *= 0.5
+        mid, edge = 0.5 * (lo + hi), _EDGE * rtol * hi
+        x, aimed = mid, None
+        for side in (newest, 1 - newest):
+            root = _secant_root(sides[side]) if fresh[side] else None
+            if root is not None and lo < root < hi:
+                step = max(push * abs(root - sides[side][-1][0]), edge)
+                x, aimed, fresh[side] = (root - step if side else root + step), side, False
+                break
+        radius = budget - 0.5 * (hi - lo)
+        x = min(max(x, mid - radius, lo + edge), mid + radius, hi - edge)
+        crossed, g = _classify(x, p, rtol, k, steps)
+        newest = int(crossed)
+        sides[newest].append((x, g))
+        fresh[newest] = True
+        push = 2.0 * push if newest == aimed else _PUSH
+        if crossed:
+            hi = x
         else:
-            hi = mid
+            lo = x
     return lo, hi
 
 
 @lru_cache(maxsize=32)
-def _shoot_amplitude(p: float, k: int) -> float:
+def _shoot_amplitude(p: float, k: int) -> _Amplitude:
     """Threshold amplitude of the k-node profile, to _RTOL relative.
 
-    A coarse bisection at rtol 1e-9 brackets the k -> k+1 jump; the padded
-    band is then bisected with shots at _RTOL (from [0.25, 1] again if the
+    A coarse search at rtol 1e-9 brackets the k -> k+1 jump; the padded
+    band is then narrowed with shots at _RTOL (from [0.25, 1] again if the
     padded lower end already crosses more than k times).  Returns the lower
-    end, which crosses at most k times at _RTOL.
+    end, which crosses at most k times at _RTOL.  The amplitude is defined
+    only to that band of _RTOL relative: there the crossing count need not
+    be monotone in the amplitude (at p = 3, k = 2 it flips back and forth
+    over about 1e-12 relative).
     """
-    _check_lower(p, k, 0.25, 1e-9)
-    lo, hi = _bisect_band(p, k, 0.25, 1.0, rtol=1e-9)
+    steps = []       # accepted steps of each classifying shot
+    g_lo = _check_lower(p, k, 0.25, 1e-9, steps)
+    lo, hi = _bisect_band(p, k, 0.25, 1.0, 1e-9, g_lo, steps)
     pad = max(4.0 * (hi - lo), 1e-8 * hi)
     lo2, hi2 = max(lo - pad, 0.5 * lo), hi + pad
-    if _crossings(lo2, p, _RTOL, k) > k:      # coarse band missed; restart tight
+    crossed, g_lo2 = _classify(lo2, p, _RTOL, k, steps)
+    if crossed:      # coarse band missed; restart tight
         lo2, hi2 = 0.25, 1.0
-        _check_lower(p, k, lo2, _RTOL)
-    return _bisect_band(p, k, lo2, hi2, rtol=_RTOL)[0]
+        g_lo2 = _check_lower(p, k, lo2, _RTOL, steps)
+    a = _Amplitude(_bisect_band(p, k, lo2, hi2, _RTOL, g_lo2, steps)[0])
+    a.shots, a.steps = len(steps), sum(steps)
+    return a
 
 
 def _integrals(radii, vals, slopes, p):
@@ -353,7 +459,7 @@ def _integrals(radii, vals, slopes, p):
     return mass, grad2, lp
 
 
-def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
+def _assemble_profile(a: _Amplitude, p: float, k: int, dr1d: float) -> RadialProfile:
     """Sample the k-node profile from the threshold amplitude a on [0, _R1D].
 
     The shot from a is recorded with the classifying stop: a crosses at most
@@ -409,7 +515,7 @@ def _assemble_profile(a: float, p: float, k: int, dr1d: float) -> RadialProfile:
     return RadialProfile(
         radii=radii, values=vals, slopes=slopes, energy=float(e_star),
         mass=float(mass), kind="ground" if k == 0 else "nodal", nodes=k,
-        amplitude=float(a), p=float(p),
+        amplitude=float(a), p=float(p), search_shots=a.shots, search_steps=a.steps,
     )
 
 

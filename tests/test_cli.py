@@ -67,6 +67,22 @@ def test_solve_radial_and_check_and_reconstruct(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_radial_reports_the_cost_of_its_amplitude_search(tmp_path, capsys):
+    # the report gains the search's classifying shots and accepted steps,
+    # and nothing else
+    from spiralnls.radial import shoot_nodal
+    out = str(tmp_path / "out")
+    assert run_cli(["solve-radial", "--p", "4", "--nodes", "1", "--out-dir", out]) == EXIT_OK
+    capsys.readouterr()
+    data = json.loads((tmp_path / "out" / "radial_p4_k1.json").read_text())
+    assert sorted(data) == ["amplitude", "energy", "mass", "nehari_rel", "nodes", "p",
+                            "pohozaev_rel", "search_shots", "search_steps"]
+    profile = shoot_nodal(4.0, 1)
+    assert (data["search_shots"], data["search_steps"]) \
+        == (profile.search_shots, profile.search_steps)
+    assert data["search_shots"] == 24 and data["search_steps"] > 0
+
+
 def test_check_names_failing_invariant(tmp_path, capsys):
     out = str(tmp_path / "out")
     run_cli(["solve-ground", "--p", "4", "--q", "1", "--lambda", "1",

@@ -150,19 +150,19 @@ def test_energy_stop_keeps_the_class_at_the_threshold(p, k, rtol):
 
 
 @pytest.mark.parametrize("p,k,amplitude", [
-    (4.0, 0, "0x1.1a64ca390a93cp+1"),
-    (4.0, 1, "0x1.aa7e9fd14d5f4p+1"),
-    (2.5, 1, "0x1.e23f98514246ap+1"),
-    (6.0, 2, "0x1.f05f92cfef030p+1"),
+    (4.0, 0, "0x1.1a64ca390a794p+1"),
+    (4.0, 1, "0x1.aa7e9fd14de0ap+1"),
+    (2.5, 1, "0x1.e23f985142905p+1"),
+    (6.0, 2, "0x1.f05f92cfef1b1p+1"),
 ])
 def test_threshold_amplitudes_are_pinned(p, k, amplitude):
     assert _profile(p, k).amplitude.hex() == amplitude
 
 
 def test_profile_energies_are_pinned():
-    assert shoot_ground(4.0).energy.hex() == "0x1.766dbe5180966p+2"
-    assert shoot_nodal(4.0, 1).energy.hex() == "0x1.34b106ce0fa34p+5"
-    assert shoot_ground(4.0, dr1d=0.005).energy.hex() == "0x1.766dbe8b2f6f5p+2"
+    assert shoot_ground(4.0).energy.hex() == "0x1.766dbe5180977p+2"
+    assert shoot_nodal(4.0, 1).energy.hex() == "0x1.34b106ce0fa35p+5"
+    assert shoot_ground(4.0, dr1d=0.005).energy.hex() == "0x1.766dbe8b2f6fdp+2"
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -232,9 +232,10 @@ def test_the_stopped_profile_shot_builds_the_full_shots_profile(monkeypatch, p, 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_a_cold_amplitude_takes_a_fixed_number_of_shots(monkeypatch, k):
-    # each bisection stops at its shots' rtol.  Coarse, at 1e-9: the check
-    # of 0.25, the upper ends 1, 2 and 4, and 31 halvings of [0.25, 4].
-    # Tight, at 1e-12: the padded band's two ends and 15 halvings
+    # each search stops at its shots' rtol.  Coarse, at 1e-9: the check of
+    # 0.25, the upper ends 1, 2 and 4, halvings of [2, 4] until two shots on
+    # one side lie within 1e-2 of each other, then secant-aimed shots.
+    # Tight, at 1e-12: the padded band's two ends, a halving, then secants
     rtols = []
 
     def counted(a, p, rtol, **kwargs):
@@ -247,4 +248,60 @@ def test_a_cold_amplitude_takes_a_fixed_number_of_shots(monkeypatch, k):
         radial._shoot_amplitude(4.0, k)
     finally:
         radial._shoot_amplitude.cache_clear()
-    assert (rtols.count(1e-9), rtols.count(radial._RTOL), len(rtols)) == (35, 17, 52)
+    expected = {0: (16, 6, 22), 1: (17, 7, 24)}[k]
+    assert (rtols.count(1e-9), rtols.count(radial._RTOL), len(rtols)) == expected
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_each_band_brackets_the_jump_at_its_rtol(monkeypatch, p, k):
+    # the coarse and the tight band each end on a shot that crosses at most
+    # k times and one that crosses more, within rtol * hi of each other; at
+    # p = 3, k = 2 the count is not monotone at 1e-12, so this band, not a
+    # single amplitude, is what the search pins down
+    real, bands = radial._bisect_band, []
+
+    def captured(*args):
+        bands.append((args[4], real(*args)))
+        return bands[-1][1]
+
+    monkeypatch.setattr(radial, "_bisect_band", captured)
+    radial._shoot_amplitude.cache_clear()
+    try:
+        amplitude = radial._shoot_amplitude(p, k)
+    finally:
+        radial._shoot_amplitude.cache_clear()
+    assert [rtol for rtol, _ in bands] == [1e-9, radial._RTOL]
+    assert amplitude == bands[-1][1][0]
+    for rtol, (lo, hi) in bands:
+        assert 0.0 < hi - lo <= rtol * hi
+        assert _crossings(lo, p, rtol, k) <= k < _crossings(hi, p, rtol, k)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_stop_radii_that_say_nothing_cost_at_most_the_slack(monkeypatch, k):
+    # with one stop radius for every shot no secant has a slope, and each
+    # shot halves its band: the search is a bisection, which took 52 shots
+    # before the secants.  Stop radii of a threshold 0.1% too low aim the
+    # secants wrong; the radius about the midpoint then caps the loss at
+    # _SLACK shots per band.  Both still close on the pinned amplitude
+    pinned = float.fromhex(_profile(4.0, k).amplitude.hex())
+    real = radial._integrate
+    stops = {"constant": lambda a: 10.0,
+             "misleading": lambda a: -0.5 * math.log(abs(a - 0.999 * pinned))}
+    shots = {}
+    for name, stop in stops.items():
+        def stopped_at(a, p, rtol, stop_at):
+            crossings, (_, steps) = real(a, p, rtol, stop_at=stop_at)
+            return crossings, (stop(a), steps)
+
+        monkeypatch.setattr(radial, "_integrate", stopped_at)
+        radial._shoot_amplitude.cache_clear()
+        try:
+            amplitude = radial._shoot_amplitude(4.0, k)
+        finally:
+            radial._shoot_amplitude.cache_clear()
+        shots[name] = amplitude.shots
+        assert abs(amplitude - pinned) <= 1e-12 * pinned, name
+    assert shots["constant"] <= 52
+    assert shots["constant"] < shots["misleading"] <= shots["constant"] + 2 * radial._SLACK
