@@ -2,12 +2,14 @@
 
 Config files are flat key-value text (``key = value``, ``#`` comments);
 unknown keys are rejected so typos cannot silently fall back to defaults.
-Solutions persist as CSV with a typed header block carrying the grid and
-model parameters; values print with full round-trip precision, so save/load
-is bit-exact.  Reports and manifests are plain JSON; a manifest also records
-the Python, numpy and scipy versions and the BLAS thread settings.  Every
-artifact is written to a temporary file beside its target and renamed over
-it, so a failed write leaves the previous file in place.
+A solution file is a typed header block carrying the grid and model
+parameters, then one comma-separated line per radial node holding that
+node's angular values in order; values print with full round-trip
+precision, so save/load is bit-exact.  Reports and manifests are plain
+JSON; a manifest also records the Python, numpy and scipy versions and the
+BLAS thread settings.  Every artifact is written to a temporary file beside
+its target and renamed over it, so a failed write leaves the previous file
+in place.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .nehari import manifold_residual
 
 ENV_OUTDIR = "SPIRALNLS_OUTDIR"
 ARTIFACT_VERSION = "spiralnls 0.1.0"
-SOLUTION_MAGIC = "# spiralnls-solution v1"
+SOLUTION_MAGIC = "# spiralnls-solution v2"
 _HEADER_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta")
 # BLAS thread settings recorded in manifests: results depend on the thread count
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -205,64 +207,47 @@ def save_solution(path, field: Field, params: ModelParams) -> None:
         fh.write(f"# R = {grid.R!r}\n")
         fh.write(f"# nr = {grid.nr}\n")
         fh.write(f"# ntheta = {grid.ntheta}\n")
-        fh.write("j,k,value\n")
-        # one %-format per radial row, %r of a float being its repr; row j
-        # is "j,k,%r" for every k, so j prefixes and joins the column parts
+        # one %-format per radial row, %r of a float being its repr
         values = field.values.astype(float, copy=False)
-        cols = [f",{k},%r\n" for k in range(grid.ntheta)]
+        row = ",".join(["%r"] * grid.ntheta) + "\n"
         for j in range(grid.nr):
-            fh.write((str(j) + str(j).join(cols)) % tuple(values[j].tolist()))
+            fh.write(row % tuple(values[j].tolist()))
 
 
 def load_solution(path):
     """Read a solution file back into (Field, ModelParams); bit-exact.
 
-    A byte that is not ASCII, a header key that is missing or invalid, a row
-    that is malformed or has other than three fields, and a node (j, k) that
-    is out of range, repeated or absent are all ConfigErrors.
+    A byte that is not ASCII, a magic line of another version, a header key
+    that is missing or invalid, a value block that is absent or malformed
+    or not nr rows of ntheta values, and a non-finite value are all
+    ConfigErrors.
     """
     meta = {}
     with open(path, encoding="ascii") as fh, as_config_error(f"{path}: "):
         if fh.readline().rstrip("\n") != SOLUTION_MAGIC:
-            raise ConfigError("not a solution file")
-        for raw in iter(fh.readline, ""):
-            line = raw.strip()
-            if line == "j,k,value":
-                break
+            raise ConfigError(f"not a {SOLUTION_MAGIC[2:]} file")
+        while True:
+            block = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise ConfigError("missing value block")
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 meta[key.strip()] = val.strip()
-            elif line:
-                raise ConfigError(f"unexpected header line {line!r}")
-        else:
-            raise ConfigError("missing value block")
+            elif line.strip():
+                break
         missing = [key for key in _HEADER_KEYS if key not in meta]
         if missing:
             raise ConfigError(f"header lacks {', '.join(missing)}")
         grid = _grid(float(meta["R"]), int(meta["nr"]), int(meta["ntheta"]), meta["sector"])
         params = ModelParams(p=float(meta["p"]), q=int(meta["q"]), lam=float(meta["lambda"]))
+        fh.seek(block)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # empty value block
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if rows.size and rows.shape[1] != 3:
-            raise ConfigError(f"rows have {rows.shape[1]} fields, expected j,k,value")
-    j, k, row_values = rows.reshape(-1, 3).T
-    outside = (j != np.floor(j)) | (j < 0) | (j >= grid.nr) | (k != np.floor(k)) \
-        | (k < 0) | (k >= grid.ntheta)
-    if np.any(outside):
-        bad = int(np.argmax(outside))
-        raise ConfigError(f"{path}: node ({j[bad]:g}, {k[bad]:g}) is not a node "
-                          f"of the {grid.nr}x{grid.ntheta} grid")
-    flat = (j * grid.ntheta + k).astype(np.int64)
-    counts = np.bincount(flat, minlength=grid.nr * grid.ntheta)
-    for what, mask in (("repeated", counts > 1), ("missing", counts == 0)):
-        if np.any(mask):
-            j0, k0 = divmod(int(np.argmax(mask)), grid.ntheta)
-            raise ConfigError(f"{path}: {int(mask.sum())} node(s) {what}, "
-                              f"first ({j0}, {k0})")
-    values = np.full(grid.nr * grid.ntheta, np.nan)
-    values[flat] = row_values
-    values = values.reshape(grid.nr, grid.ntheta)
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if values.shape != (grid.nr, grid.ntheta):
+        raise ConfigError(f"{path}: value block has {values.shape[0]} rows of "
+                          f"{values.shape[1]} values, expected {grid.nr} rows of {grid.ntheta}")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{path}: non-finite values")
     return Field(grid, values), params

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import nonradiality_index
 from .energy import energy, h1_fd_norm_sq, lambda_norm
 from .errors import PeakAtBoundary, SpiralError
 from .grid import Field, ModelParams, PolarGrid, SectorKind, build_grid
@@ -102,20 +101,11 @@ def _axis_peak(report: SolveReport) -> float:
 _ROWS = ("disk-ground", "sector-ground", "nodal-dipole", "nodal-radial")   # failure order
 
 
-def _dipole_on_disk(u: Field, disk: PolarGrid) -> Field:
-    """A field on the half disk with n/2 - 1 nodes as the n-node disk's dipole-class field.
-
-    The two grids share their angular spacing, so half-disk node j is disk
-    node n/4 + 1 + j; half a turn further the disk takes its negative, and
-    the nodes on the two rays, n/4 and 3n/4, hold 0.  A signed gather: the
-    result is even in theta and odd under theta -> theta + pi bit for bit.
-    """
-    n = disk.ntheta
-    vals = np.zeros((disk.nr, n))
-    nodes = n // 4 + 1 + np.arange(u.grid.ntheta)
-    vals[:, nodes] = u.values
-    vals[:, (nodes + n // 2) % n] = -u.values
-    return Field(disk, vals)
+def _converged(rep: SolveReport) -> SolveReport:
+    """rep, if its solve converged; else a SpiralError naming its iteration count."""
+    if not rep.converged:
+        raise SpiralError(f"not converged after {rep.iterations} iterations")
+    return rep
 
 
 def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
@@ -134,9 +124,10 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
     The dipole row is the ground problem on the half disk with ntheta/2 - 1
     nodes, from its cold seed: the disk's fields even in theta and odd under
     the half turn are its odd extensions (symmetric criticality, Palais,
-    Comm. Math. Phys. 69, 1979).  Its result is unfolded onto the disk
-    (_dipole_on_disk), where its level and nonradiality are evaluated.  The
-    sector ground row starts from the dipole row's sine series summed at the
+    Comm. Math. Phys. 69, 1979).  Its level on the disk is twice its
+    half-disk level, since the disk field is the signed gather of two
+    copies, and its nonradiality is that of a sector field, 1.  The sector
+    ground row starts from the dipole row's sine series summed at the
     sector grid's angles, the same state on twice the angular nodes, or from
     its cold seed if the dipole row failed.
     """
@@ -169,9 +160,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
                     and make_seed(row_grid, params, seed).is_radial()):
                 seed = prev.field
             try:
-                rep = fn(row_grid, params, replace(cfg, seed=seed))
-                if not rep.converged:
-                    raise SpiralError(f"not converged after {rep.iterations} iterations")
+                rep = _converged(fn(row_grid, params, replace(cfg, seed=seed)))
             except Exception as exc:  # per-pitch failures must not kill the sweep
                 log.warning("%s failed at lam=%s: %s", tag, lam, exc)
                 failures[tag] = f"{tag}: {exc}"
@@ -185,9 +174,6 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
         if rep_dip:
             series = dipole_half.series_at(rep_dip.field.values, half.angles)
             sector_seed = Field(half, half.even_part(series))
-            dip = _dipole_on_disk(rep_dip.field, grid)
-            rep_dip = replace(rep_dip, field=dip, energy=energy(dip, params),
-                              nonradiality=nonradiality_index(dip, params))
         rep_c = attempt("sector-ground", solve_ground, half, sector_seed)
         tau = math.nan
         if rep_c:
@@ -198,7 +184,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
                 failures["sector-ground"] = f"sector-ground: {exc}"
         rep_rad = attempt("nodal-radial", solve_nodal, grid, SEED_RADIAL_NODAL)
 
-        beta_dip = rep_dip.energy.total if rep_dip else math.inf
+        beta_dip = 2.0 * rep_dip.energy.total if rep_dip else math.inf
         beta_rad = rep_rad.energy.total if rep_rad else math.inf
         if beta_dip < beta_rad * (1.0 - 1e-9):
             winner, best = WINNER_DIPOLE, rep_dip
@@ -246,7 +232,8 @@ def asymptotics_infinity(params: ModelParams, lambdas, grid: PolarGrid,
 
     For each pitch the half-plane ground state is solved, its axis peak tau
     located, and the recentred field compared in (first-difference) H1 norm to
-    the 1D oracle's ground profile translated to tau.
+    the 1D oracle's ground profile translated to tau.  A solve that stops
+    unconverged raises SpiralError.
     """
     if params.q != 1:
         raise ValueError("the large-pitch study needs q = 1")
@@ -260,7 +247,7 @@ def asymptotics_infinity(params: ModelParams, lambdas, grid: PolarGrid,
     out = []
     for lam in lambdas:
         pars = replace(params, lam=float(lam))
-        rep = solve_ground(grid, pars, replace(cfg, seed=SEED_RADIAL))
+        rep = _converged(solve_ground(grid, pars, replace(cfg, seed=SEED_RADIAL)))
         tau = _axis_peak(rep)
         if tau > grid.R - 5.0:
             raise PeakAtBoundary(f"peak {tau:.2f} too close to R={grid.R}")
@@ -282,7 +269,8 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
     copy (R -> lam R) so that v(x) = lam^{2/(p-2)} u(lam x) is an exact
     sample-for-sample rescale back onto the prototype, where the q=0 limit
     problem is solved once.  Pitches must not exceed 1 (concentration regime).
-    Returns the records and the limit problem's report.
+    Returns the records and the limit problem's report.  A solve that stops
+    unconverged raises SpiralError.
     """
     if params.q != 1:
         raise ValueError("the concentration study rescales the q = 1 problem")
@@ -295,7 +283,7 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
     alpha = 2.0 / (params.p - 2.0)
 
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
-    limit_rep = solve_ground(grid, limit_params, replace(cfg, seed=SEED_RADIAL))
+    limit_rep = _converged(solve_ground(grid, limit_params, replace(cfg, seed=SEED_RADIAL)))
     vstar = limit_rep.field
     vstar_norm = lambda_norm(vstar, limit_params)
 
@@ -304,7 +292,7 @@ def asymptotics_zero(params: ModelParams, lambdas, grid: PolarGrid,
         lam = float(lam)
         pars = replace(params, lam=lam)
         sub = build_grid(lam * grid.R, grid.nr, grid.ntheta, grid.sector)
-        rep = solve_ground(sub, pars, replace(cfg, seed=SEED_RADIAL))
+        rep = _converged(solve_ground(sub, pars, replace(cfg, seed=SEED_RADIAL)))
         c_lam = rep.energy.total
         j_lam = lam ** (2.0 * alpha) * c_lam
 
@@ -327,11 +315,12 @@ def limit_radius_study(params: ModelParams, limit: SolveReport,
                        cfg: SolveConfig | None = None):
     """Truncation-radius sensitivity of the q=0 limit level (no decay rate is
     known a priori there): the level of limit, asymptotics_zero's solve at R,
-    against a solve at 1.5 R, same resolution."""
+    against a solve at 1.5 R, same resolution; SpiralError if that solve
+    stops unconverged."""
     cfg = cfg or SolveConfig()
     limit_params = ModelParams(p=params.p, q=0, lam=1.0)
     e1 = limit.energy.total
     grid = limit.field.grid
     wide = build_grid(_WIDE * grid.R, int(_WIDE * grid.nr), grid.ntheta, grid.sector)
-    e2 = solve_ground(wide, limit_params, cfg).energy.total
+    e2 = _converged(solve_ground(wide, limit_params, cfg)).energy.total
     return e1, e2, abs(e2 - e1) / abs(e1)

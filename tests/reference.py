@@ -141,7 +141,7 @@ def interface_commitment(u: Field, params: ModelParams) -> float:
 
 
 def solution_text(field: Field, params: ModelParams) -> str:
-    """The bytes save_solution writes, formatted one node at a time."""
+    """The bytes save_solution writes, formatted one value at a time."""
     grid = field.grid
     lines = [
         SOLUTION_MAGIC,
@@ -152,13 +152,26 @@ def solution_text(field: Field, params: ModelParams) -> str:
         f"# R = {grid.R!r}",
         f"# nr = {grid.nr}",
         f"# ntheta = {grid.ntheta}",
-        "j,k,value",
     ]
     for j in range(grid.nr):
-        row = field.values[j]
-        for k in range(grid.ntheta):
-            lines.append(f"{j},{k},{float(row[k])!r}")
+        lines.append(",".join(repr(float(x)) for x in field.values[j]))
     return "\n".join(lines) + "\n"
+
+
+def dipole_on_disk(u: Field, disk: PolarGrid) -> Field:
+    """A field on the half disk with n/2 - 1 nodes as the n-node disk's dipole-class field.
+
+    The two grids share their angular spacing, so half-disk node j is disk
+    node n/4 + 1 + j; half a turn further the disk takes its negative, and
+    the nodes on the two rays, n/4 and 3n/4, hold 0.  A signed gather: the
+    result is even in theta and odd under theta -> theta + pi bit for bit.
+    """
+    n = disk.ntheta
+    vals = np.zeros((disk.nr, n))
+    nodes = n // 4 + 1 + np.arange(u.grid.ntheta)
+    vals[:, nodes] = u.values
+    vals[:, (nodes + n // 2) % n] = -u.values
+    return Field(disk, vals)
 
 
 def vtk_text(field3d: SpiralField3D) -> str:

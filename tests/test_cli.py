@@ -90,11 +90,9 @@ def test_check_names_failing_invariant(tmp_path, capsys):
     capsys.readouterr()
     src = tmp_path / "out" / "ground_p4_q1_lam1.csv"
     lines = src.read_text().splitlines(keepends=True)
-    for i, ln in enumerate(lines):
-        if ln.startswith("40,"):
-            j, k, v = ln.split(",")
-            lines[i] = f"{j},{k},{float(v) + 1.0!r}\n"
-            break
+    row = lines[8 + 40].split(",")     # radial node 40, after the magic line and header
+    row[0] = repr(float(row[0]) + 1.0)
+    lines[8 + 40] = ",".join(row)
     bad = tmp_path / "out" / "corrupt.csv"
     bad.write_text("".join(lines))
     assert run_cli(["check", str(bad)]) == EXIT_CHECK
@@ -340,8 +338,7 @@ def test_malformed_solution_is_usage_error(tmp_path, capsys):
     path = tmp_path / "sol.csv"
     save_solution(path, Field(grid, np.ones((6, 4))), ModelParams(p=4.0, q=1, lam=1.0))
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-3]))
-    assert run_cli(["check", str(path)]) == EXIT_USAGE
-    assert "missing" in capsys.readouterr().err
+    assert "3 rows of 4 values, expected 6 rows of 4" in _usage_error(capsys, ["check", str(path)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -428,7 +425,7 @@ def test_non_ascii_solution_header_is_usage_error(tmp_path, capsys):
 def test_non_ascii_byte_deep_in_the_value_block_is_usage_error(tmp_path, capsys):
     # past the first buffered read of the header loop
     path, data = _solution_bytes(tmp_path, nr=2000)
-    at = data.index(b",", 200_000) + 2      # a digit of a value
+    at = data.index(b",", 100_000) + 2      # a digit of a value
     path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
     assert str(path) in _usage_error(capsys, ["check", str(path)])
 
@@ -436,13 +433,14 @@ def test_non_ascii_byte_deep_in_the_value_block_is_usage_error(tmp_path, capsys)
 def test_stray_solution_header_line_is_usage_error(tmp_path, capsys):
     path, data = _solution_bytes(tmp_path)
     path.write_bytes(data.replace(b"# p = ", b"bogus line\n# p = ", 1))
+    # the value block starts at the first line that is not a comment
     err = _usage_error(capsys, ["check", str(path)])
-    assert err.startswith(f"config error: {path}: unexpected header line 'bogus line'")
+    assert err.startswith(f"config error: {path}: header lacks p, q, lambda")
 
 
 def test_solution_without_value_block_is_usage_error(tmp_path, capsys):
     path, data = _solution_bytes(tmp_path)
-    path.write_bytes(data[:data.index(b"j,k,value")])
+    path.write_bytes(data[:data.index(b"\n", data.index(b"# ntheta")) + 1])
     assert _usage_error(capsys, ["check", str(path)]).endswith(f"{path}: missing value block\n")
 
 
@@ -453,16 +451,47 @@ def test_unknown_sector_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", ["junk", "1.0"])
-def test_solution_row_with_a_fourth_field_is_usage_error(tmp_path, capsys, extra):
+def test_solution_row_with_an_extra_field_is_usage_error(tmp_path, capsys, extra):
     path, data = _solution_bytes(tmp_path)
     lines = data.decode("ascii").splitlines(keepends=True)
-    first = lines.index("j,k,value\n") + 1
+    first = 8     # the magic line and the seven header keys
     if extra == "junk":
         lines[first] = lines[first].rstrip("\n") + ",junk\n"
     else:
         lines[first:] = [line.rstrip("\n") + ",1.0\n" for line in lines[first:]]
     path.write_text("".join(lines))
     _usage_error(capsys, ["check", str(path)])
+
+
+_V1_SOLUTION = ("# spiralnls-solution v1\n# p = 4.0\n# q = 1\n# lambda = 1.0\n"
+                "# sector = full\n# R = 4.0\n# nr = 2\n# ntheta = 4\nj,k,value\n"
+                + "".join(f"{j},{k},1.0\n" for j in range(2) for k in range(4)))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:9] + [lines[9].rsplit(",", 1)[0] + "\n"] + lines[10:],
+     "the number of columns changed from 4 to 3"),
+    (lambda lines: lines + lines[-2:], "8 rows of 4 values, expected 6 rows of 4"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("# nr =")], "header lacks nr"),
+    (lambda lines: [_V1_SOLUTION], "not a spiralnls-solution v2 file"),
+], ids=["ragged-row", "too-many-rows", "missing-header-key", "v1-file"])
+def test_malformed_solution_layout_is_usage_error(tmp_path, capsys, edit, message):
+    path, data = _solution_bytes(tmp_path)
+    path.write_text("".join(edit(data.decode("ascii").splitlines(keepends=True))))
+    assert message in _usage_error(capsys, ["check", str(path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["asympt-inf", "--lambdas", "3", "--R", "16", "--nr", "64"],
+    ["asympt-zero", "--lambdas", "1", "--R", "6", "--nr", "24"],
+], ids=["asympt-inf", "asympt-zero"])
+def test_unconverged_asymptotic_study_is_numerical_failure(tmp_path, capsys, argv):
+    code = run_cli(argv + ["--sector", "half", "--ntheta", "8", "--max_iters", "1",
+                           "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: not converged after 1 iterations\n"
+    assert not any(tmp_path.glob("asympt_*.csv"))
 
 
 def test_negative_node_count_is_usage_error(tmp_path, capsys):

@@ -155,17 +155,20 @@ def _rejects(path, lines, match):
 
 def test_solution_rejects_truncated_block(tmp_path, rng):
     path, lines = _saved_lines(tmp_path, rng)
-    _rejects(path, lines[:-5], "missing")
+    _rejects(path, lines[:-5], "1 rows of 4 values, expected 6 rows of 4")
 
 
 def test_solution_rejects_duplicate_node(tmp_path, rng):
+    # a repeated row repeats its ring's nodes: one row too many
     path, lines = _saved_lines(tmp_path, rng)
-    _rejects(path, lines[:-1] + [lines[-2]], "repeated")
+    _rejects(path, lines + [lines[-1]], "7 rows of 4 values, expected 6 rows of 4")
 
 
 def test_solution_rejects_out_of_range_node(tmp_path, rng):
+    # a fifth value on every ring is a node past ntheta: rows too wide
     path, lines = _saved_lines(tmp_path, rng)
-    _rejects(path, lines[:-1] + ["6,0,1.0\n"], "not a node")
+    _rejects(path, lines[:8] + [ln.rstrip("\n") + ",1.0\n" for ln in lines[8:]],
+             "6 rows of 5 values, expected 6 rows of 4")
 
 
 def test_solution_rejects_missing_header_key(tmp_path, rng):
@@ -174,6 +177,7 @@ def test_solution_rejects_missing_header_key(tmp_path, rng):
 
 
 def test_solution_rejects_malformed_row(tmp_path, rng):
+    # a ragged row
     path, lines = _saved_lines(tmp_path, rng)
     _rejects(path, lines[:-1] + ["5,3\n"], "column")
 
