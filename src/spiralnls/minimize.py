@@ -14,9 +14,11 @@ carries the bump along that flat valley; nodal solves descend to 1e-4
 (1 + ||u||), because there the descent picks the branch (see
 _NODAL_HANDOVER).  The polish's linear solves are inexact, with forcing
 term 0.01 ||E'|| safeguarded against over-solving the last step (Kelley
-1995, sec. 6.3).  A polish that stalls falls back to short first-order
-steps.  max_iters bounds descent steps and Newton solves together, and
-keep_trace records one row per descent step and per Newton solve.
+1995, sec. 6.3).  A polish that breaks down, stalls or spends its budget
+ends the solve unconverged.  A solve converges at ||E'|| <= max(grad_tol,
+_ROUNDOFF eps ||u||), below which round-off in E' stalls Newton (Dennis &
+Schnabel 1996, sec. 7.2).  max_iters bounds descent steps and Newton solves
+together, and keep_trace records one row per descent step and per Newton solve.
 
 The exact flow preserves the symmetries of its seed: on the disk a radial
 seed stays radial, and on every grid a reflection-even seed stays even in
@@ -54,7 +56,10 @@ STEP_MIN = 1e-4
 STEP_MAX = 1.0
 _DESCENT_STEPS = 300   # descent steps before the hand-over to Newton
 _NEWTON_SOLVES = 40    # linear solves per Newton polish
-_FALLBACK_STEP = 0.1   # first step of the descent after a stalled polish
+# Convergence floor in eps ||u||_lambda.  Newton stalled at 45 and 65 on the p = 2.5,
+# lambda = 0.05 half-disk ground solves (320x64, R = 24 and 1.2, ||u|| ~ 2e6); 32 ended
+# both unconverged, 48 one, 64-256 neither; 128 leaves a factor 2 (about 1e-12 at ||u|| 30).
+_ROUNDOFF = 128
 # Hand-over tolerances, relative to 1 + ||u||_lambda.  A ground solve hands
 # over early: Newton carries the bump along its flat valley in a few solves
 # where the descent took 100-300 steps.  A nodal solve keeps descending to
@@ -151,24 +156,24 @@ def _gradient_of(state: Projected, params: ModelParams):
     return g, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
 
 
-def _descend(cur: Projected, params: ModelParams, max_steps: int, step: float, project,
-             tol: float, trace: Optional[list], spent: int = 0):
+def _descend(cur: Projected, params: ModelParams, max_steps: int, project, tol: float,
+             trace: Optional[list]):
     """Projected gradient descent with the spec'd backtracking policy.
 
     The iterate and each projected trial carry their modes and energy, so a
     step transforms only the nonlinearity and the trial.  A trial that
     vanished is reported by its projection (ZeroFieldError) and raises
-    SeedCollapsed.  Trace rows are numbered on from the spent iterations of
-    the solve.  Returns (state, gradient norm, iterations).
+    SeedCollapsed.  Returns (state, gradient norm, iterations).
     """
     grid = cur.field.grid
+    step = STEP_MAX
     accepts_in_row = 0
     iterations = 0
     gn = math.inf
     for iterations in range(1, max_steps + 1):
         g, gn = _gradient_of(cur, params)
         if trace is not None:
-            trace.append((spent + iterations, cur.energy, gn))
+            trace.append((iterations, cur.energy, gn))
         if gn <= tol:
             return cur, gn, iterations
         while True:
@@ -328,9 +333,9 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     neither scored below t = 1, 0.75, 0.5, 0.25 and 0.1, each direction
     stopping at its first step no better than the best so far; a failed
     projection scores as infinite.  mu grows only when a step fails both
-    tests.  project maps a field to its Projected state.  The
-    unknowns are u's node values, so on a folded view GMRES works on the
-    class's fundamental nodes.  A failed linear solve (GMRES breakdown or a
+    tests.  project maps a field to its Projected state.  The unknowns are
+    u's node values, so on a folded view GMRES works on the class's
+    fundamental nodes.  A failed linear solve (GMRES breakdown or a
     non-finite step) ends the polish, as do max_solves linear solves.
 
     The forcing term, GMRES's relative tolerance, is 0.01 |g| within
@@ -338,19 +343,15 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 6.3): never
     below 0.1 tol/|g|, about what one step to tol needs.  Kelley uses 0.5; the
     margin is smaller here because GMRES measures the Euclidean residual of
-    the node values and |g| is the pitch norm.  Each solve that ends in a line
-    search appends (spent + solves, energy, |g|) to trace.  Returns (state,
-    residual_norm, succeeded, solves, matvecs).
+    the node values and |g| is the pitch norm.  Each solve appends (spent +
+    solves, energy, |g|) to trace.  Returns (state, |g|, solves, matvecs).
     """
     grid, shape = u.grid, u.values.shape
     cur = project(u)
     g, gn = _gradient_of(cur, params)
-    mu = 0.0
-    fails_here = 0
+    mu, fails_here = 0.0, 0
     solves = matvecs = 0
-    while solves < max_solves:
-        if gn <= tol:
-            return cur, gn, True, solves, matvecs
+    while solves < max_solves and gn > tol:
         weight = (params.p - 1.0) * abs_power(cur.field.values, params.p - 2.0)
         shift = 1.0 + mu
 
@@ -369,7 +370,9 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
         solves += 1
         if info < 0 or not np.all(np.isfinite(delta)):
             log.warning("newton linear solve failed (gmres info=%d)", info)
-            return cur, gn, False, solves, matvecs
+            if trace is not None:
+                trace.append((spent + solves, cur.energy, gn))
+            break
         if info > 0 and log.isEnabledFor(logging.DEBUG):
             res = rhs - lin.matvec(delta)
             log.debug("gmres stopped at its iteration cap (info=%d), relative residual %.3e",
@@ -418,8 +421,8 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
             trace.append((spent + solves, cur.energy, gn))
         if fails_here > 8:
             log.warning("newton stalled at residual %.3e (gmres info=%s)", gn, info)
-            return cur, gn, False, solves, matvecs
-    return cur, gn, gn <= tol, solves, matvecs
+            break
+    return cur, gn, solves, matvecs
 
 
 def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
@@ -446,24 +449,20 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     # the energy line search makes the polish robust from moderate range
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
-    cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), STEP_MAX,
-                              project, switch_tol, trace)
+    cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), project,
+                              switch_tol, trace)
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0
-    if gn > cfg.grad_tol and iters < cfg.max_iters:
-        cur, gn, ok, solves, matvecs = _newton_polish(
-            cur.field, params, cfg.grad_tol, project,
-            min(_NEWTON_SOLVES, cfg.max_iters - iters), trace, iters)
+    norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
+    tol = max(cfg.grad_tol, _ROUNDOFF * np.finfo(float).eps * norm)
+    if gn > tol and iters < cfg.max_iters:
+        cur, gn, solves, matvecs = _newton_polish(
+            cur.field, params, tol, project, min(_NEWTON_SOLVES, cfg.max_iters - iters),
+            trace, iters)
         iters += solves
-        if not ok and iters < cfg.max_iters:
-            # stall: fall back to first-order steps for the remaining budget
-            cur, gn, extra = _descend(cur, params, cfg.max_iters - iters, _FALLBACK_STEP,
-                                      project, cfg.grad_tol, trace, iters)
-            iters += extra
     log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
               "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,
               grid.ntheta)
-    return _finalize(Field(grid, cur.field.values[:, work.orbit]), iters, gn <= cfg.grad_tol,
-                     params, trace)
+    return _finalize(Field(grid, cur.field.values[:, work.orbit]), iters, gn <= tol, params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None

@@ -305,15 +305,6 @@ def _integrate(a: float, p: float, rtol: float, record: bool = False,
     return crossings, (samples if record else (r_stop, steps))
 
 
-def _crossings(a: float, p: float, rtol: float, k: int) -> int:
-    """Sign changes of the shot from a, counted up to k + 1.
-
-    Crossings only accumulate along a shot, so stopping at the (k+1)-th one
-    leaves the class (at most k, or more) of the full count unchanged.
-    """
-    return _integrate(a, p, rtol, stop_at=k + 1)[0]
-
-
 class _Amplitude(float):
     """A threshold amplitude that keeps the classifying shots and accepted
     steps its search took, so the amplitude cache keeps them with it."""

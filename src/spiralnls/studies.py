@@ -161,7 +161,7 @@ def sweep_lambda(params_base: ModelParams, lambdas, grid: PolarGrid,
                 seed = prev.field
             try:
                 rep = _converged(fn(row_grid, params, replace(cfg, seed=seed)))
-            except Exception as exc:  # per-pitch failures must not kill the sweep
+            except (SpiralError, ArithmeticError) as exc:   # a failed row, not a bug
                 log.warning("%s failed at lam=%s: %s", tag, lam, exc)
                 failures[tag] = f"{tag}: {exc}"
                 return None

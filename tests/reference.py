@@ -12,7 +12,7 @@ from spiralnls.errors import ZeroFieldError
 from spiralnls.grid import Field, ModelParams, PolarGrid, PolarOperator, check_same_grid
 from spiralnls.io import SOLUTION_MAGIC, RunConfig, _format_value
 from spiralnls.nehari import Projected, split_parts
-from spiralnls.radial import RadialProfile
+from spiralnls.radial import RadialProfile, _integrate
 from spiralnls.spiral3d import _HEADER, SpiralEvaluator, SpiralField3D
 
 # settings of every property test: fixed examples, bounded count, no deadline
@@ -85,8 +85,8 @@ def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
     gn = lambda_norm(gradient(u, params), params)
     if gn > 1e-3 * (1.0 + norm):
         raise ValueError(f"not near a critical point: |grad| = {gn:.3e}")
-    refined, _, ok, _, _ = minimize._newton_polish(u, params, tol, unprojected(params))
-    if not ok:
+    refined, gn, _, _ = minimize._newton_polish(u, params, tol, unprojected(params))
+    if gn > tol:
         log.warning("newton_refine returned the best iterate without reaching %.1e", tol)
     return refined.field
 
@@ -116,6 +116,15 @@ def helicoid_deviation(u: Field, params: ModelParams, n_samples: int = 100,
     x2 = xs * np.cos(ss)
     t = params.lam * ss
     return float(np.max(np.abs(spiral_value(ev, x1, x2, t))))
+
+
+def shot_crossings(a: float, p: float, rtol: float, k: int) -> int:
+    """Sign changes of the 1D shot from a, counted up to k + 1.
+
+    Crossings only accumulate along a shot, so stopping at the (k+1)-th one
+    leaves the class (at most k, or more) of the full count unchanged.
+    """
+    return _integrate(a, p, rtol, stop_at=k + 1)[0]
 
 
 def count_interior_zeros(profile: RadialProfile, floor: float = 1e-8) -> int:

@@ -200,7 +200,7 @@ def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q
 
     cur = project_ray(make_seed(small_disk, params_q1, SEED_RADIAL), params_q1)
     with pytest.raises(SeedCollapsed):
-        minimize._descend(cur, params_q1, 5, 1.0, vanished, 0.0, None)
+        minimize._descend(cur, params_q1, 5, vanished, 0.0, None)
 
 
 def test_descent_gives_up_once_its_step_reaches_the_floor(small_disk, params_q1):
@@ -213,7 +213,7 @@ def test_descent_gives_up_once_its_step_reaches_the_floor(small_disk, params_q1)
         trials.append(v)
         return Projected(v, None, cur.energy + 1.0)
 
-    state, gn, iterations = minimize._descend(cur, params_q1, 5, 1.0, rising, 0.0, None)
+    state, gn, iterations = minimize._descend(cur, params_q1, 5, rising, 0.0, None)
     assert state is cur and gn > 0.0 and iterations == 1
     assert len(trials) == 15
     g = minimize._gradient_of(cur, params_q1)[0].values
@@ -254,7 +254,7 @@ def test_a_theta_constant_seed_on_a_sector_is_even_not_radial():
 
 def test_newton_polish_stops_at_its_solve_budget(caplog):
     # this solve descends 17 steps and converges with 4 Newton solves; a
-    # budget of 20 iterations leaves the polish 3 and no fallback descent
+    # budget of 20 iterations leaves the polish 3
     grid = build_grid(8.0, 48, 16, SectorKind.half_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
     assert solve_ground(grid, params).converged
@@ -328,8 +328,8 @@ def test_newton_polish_stops_on_gmres_breakdown(monkeypatch):
     u = _near_critical(params)
     monkeypatch.setattr(minimize, "gmres",
                         lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    state, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
-    assert not ok and solves == 1
+    state, gn, solves, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
+    assert solves == 1
     assert np.array_equal(state.field.values, u.values)
     assert gn > 1e-12
 
@@ -345,59 +345,73 @@ def test_newton_polish_logs_gmres_iteration_cap(monkeypatch, caplog):
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
-        _, gn, ok, _, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
-    assert ok and gn <= 1e-12
+        _, gn, _, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
+    assert gn <= 1e-12
     assert any("iteration cap" in rec.getMessage() and rec.levelno == logging.DEBUG
                for rec in caplog.records)
 
 
-def test_solve_falls_back_to_descent_after_gmres_breakdown(monkeypatch):
+def _failed_polish_solve(monkeypatch, caplog, gmres):
+    """Check a cold ground solve on the 48x16 disk whose polish fails with
+    gmres replaced; returns the polish's solves."""
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
-    real = minimize._descend
-    descents = []
+    calls = {}
 
-    def recording(*args, **kwargs):
-        descents.append(real(*args, **kwargs))
-        return descents[-1]
+    def recording(name):
+        real = getattr(minimize, name)
 
-    monkeypatch.setattr(minimize, "_descend", recording)
-    monkeypatch.setattr(minimize, "gmres",
-                        lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
-                       SolveConfig(max_iters=400, keep_trace=True))
-    (handover, _, steps), _ = descents
-    assert rep.iterations > steps + 1   # descent, one failed solve, then the fallback
-    assert rep.energy.total <= handover.energy
-    assert rep.converged
-    # the fallback's rows are numbered on from the descent and the failed solve
-    iters = [row[0] for row in rep.trace]
-    assert iters[steps] == steps + 2
-    assert all(b > a for a, b in zip(iters, iters[1:]))
-    assert iters[-1] == rep.iterations
+        def wrapper(*args, **kwargs):
+            assert name not in calls, f"{name} ran twice"
+            calls[name] = real(*args, **kwargs)
+            return calls[name]
+        return wrapper
 
-
-def test_newton_stall_falls_back_to_descent(monkeypatch, caplog):
-    # a zero Newton step never lowers the energy or the residual
-    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
-    real = minimize._newton_polish
-    polishes = []
-
-    def recording(*args, **kwargs):
-        polishes.append(real(*args, **kwargs))
-        return polishes[-1]
-
-    monkeypatch.setattr(minimize, "_newton_polish", recording)
-    monkeypatch.setattr(minimize, "gmres", lambda op, rhs, **kw: (np.zeros_like(rhs), 0))
+    for name in ("_descend", "_newton_polish"):
+        monkeypatch.setattr(minimize, name, recording(name))
+    monkeypatch.setattr(minimize, "gmres", gmres)
     with caplog.at_level(logging.WARNING, logger="spiralnls.minimize"):
         rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
                            SolveConfig(max_iters=400, keep_trace=True))
-    ((_, _, ok, solves, _),) = polishes
-    assert not ok and solves == 9
+    handover, _, steps = calls["_descend"]
+    state, gn, solves, _ = calls["_newton_polish"]
+    # unconverged at once: the polish's last iterate is the report's field
+    assert not rep.converged and gn > 1e-8
+    assert rep.iterations == steps + solves
+    assert np.array_equal(rep.field.values, state.field.values[:, state.field.grid.orbit])
+    assert rep.energy.total <= handover.energy * (1 + 1e-12)
+    # one trace row per descent step and per solve, numbered on without gaps
+    assert [row[0] for row in rep.trace] == list(range(1, rep.iterations + 1))
+    return solves
+
+
+def test_solve_ends_unconverged_after_gmres_breakdown(monkeypatch, caplog):
+    solves = _failed_polish_solve(
+        monkeypatch, caplog, lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
+    assert solves == 1
+    assert any("newton linear solve failed (gmres info=-1)" in rec.getMessage()
+               for rec in caplog.records)
+
+
+def test_newton_stall_ends_the_solve_unconverged(monkeypatch, caplog):
+    # a zero Newton step never lowers the energy or the residual
+    solves = _failed_polish_solve(
+        monkeypatch, caplog, lambda op, rhs, **kw: (np.zeros_like(rhs), 0))
+    assert solves == 9
     assert any("newton stalled" in rec.getMessage() for rec in caplog.records)
-    assert rep.converged
-    iters = [row[0] for row in rep.trace]
-    assert all(b > a for a, b in zip(iters, iters[1:]))
-    assert iters[-1] == rep.iterations
+
+
+@pytest.mark.parametrize("R, iterations, level", [
+    (24.0, 34, 288746749192.1665),
+    (1.2, 24, 306555149558.0969),
+])
+def test_round_off_floor_ends_a_large_norm_solve(R, iterations, level):
+    # at p = 2.5, lambda = 0.05 the half-disk ground state has ||u|| about
+    # 2e6: Newton stalls at |E'| of 45-65 eps ||u||, above grad_tol = 1e-8,
+    # and converges at the floor _ROUNDOFF eps ||u||
+    grid = build_grid(R, 320, 64, SectorKind.half_disk())
+    rep = solve_ground(grid, ModelParams(p=2.5, q=1, lam=0.05))
+    assert rep.converged and rep.iterations == iterations
+    assert abs(rep.energy.total - level) <= 1e-13 * level
 
 
 def test_cold_sector_ground_solve_hands_over_early(caplog):
@@ -428,8 +442,8 @@ def test_newton_forcing_term_does_not_over_solve(monkeypatch):
 
     monkeypatch.setattr(minimize, "gmres", recording)
     tol, trace = 1e-12, []
-    _, gn, ok, solves, _ = minimize._newton_polish(u, params, tol, project, trace=trace)
-    assert ok and gn <= tol and len(rtols) == solves >= 1
+    _, gn, solves, _ = minimize._newton_polish(u, params, tol, project, trace=trace)
+    assert gn <= tol and len(rtols) == solves >= 1
     # the residual norm at each solve: the polish's start, then each solve's row
     gns = [minimize._gradient_of(project(u), params)[1]] + [row[2] for row in trace]
     for rtol, g in zip(rtols, gns):
@@ -462,8 +476,8 @@ def test_newton_line_search_skips_candidates_whose_projection_fails(monkeypatch)
         return carry(v)
 
     monkeypatch.setattr(minimize, "_line_walk", walk)
-    _, gn, ok, solves, _ = minimize._newton_polish(u, params, 1e-12, project)
-    assert ok and gn <= 1e-12 and solves >= 1
+    _, gn, solves, _ = minimize._newton_polish(u, params, 1e-12, project)
+    assert gn <= 1e-12 and solves >= 1
     energy_walks = [t for t in tried if t[:1] == [1.0]]   # each solve's first walk
     assert len(energy_walks) == solves
     for t in energy_walks:
@@ -526,7 +540,7 @@ def test_newton_line_search_walks_outward_from_the_full_step(monkeypatch, energi
 
     monkeypatch.setattr(minimize, "gmres", lambda op, rhs, **kw: (d.ravel().copy(), 0))
     monkeypatch.setattr(minimize, "_gradient_of", gradient_of)
-    state, _, _, solves, _ = minimize._newton_polish(u, params, 1e-300, project, max_solves=1)
+    state, _, solves, _ = minimize._newton_polish(u, params, 1e-300, project, max_solves=1)
     assert solves == 1
     assert projected == tried
     if pick is None:

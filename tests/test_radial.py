@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from reference import count_interior_zeros
+from reference import count_interior_zeros, shot_crossings
 
 from spiralnls import radial
 from spiralnls.radial import (
     _RMAX_SHOOT,
-    _crossings,
     _integrate,
     limit_levels,
     profile_identities,
@@ -114,7 +113,7 @@ def test_early_stopped_shots_keep_their_class(k):
     for rel in (-0.05, -1e-3, -1e-6, 1e-6, 1e-3, 0.05):
         a = threshold * (1.0 + rel)
         full = _integrate(a, p, rtol)[0]
-        stopped = _crossings(a, p, rtol, k)
+        stopped = shot_crossings(a, p, rtol, k)
         assert (stopped <= k) == (full <= k) == (rel < 0)
         assert stopped == min(full, k + 1)
 
@@ -141,12 +140,12 @@ def test_energy_stop_keeps_the_class_at_the_threshold(p, k, rtol):
         amplitudes += [threshold * (1.0 - rel), threshold * (1.0 + rel)]
     for a in amplitudes:
         full = _integrate(a, p, rtol)[0]
-        assert _crossings(a, p, rtol, k) == min(full, k + 1), a.hex()
+        assert shot_crossings(a, p, rtol, k) == min(full, k + 1), a.hex()
     if rtol == 1e-12:   # the rtol of the tight bisection that returned it
         # the bisection stops at a band of 1e-12 relative and returns its
         # lower end: that crosses at most k times, two band widths up more
-        assert _crossings(threshold, p, rtol, k) <= k
-        assert _crossings(threshold * (1.0 + 2.0 * radial._RTOL), p, rtol, k) > k
+        assert shot_crossings(threshold, p, rtol, k) <= k
+        assert shot_crossings(threshold * (1.0 + 2.0 * radial._RTOL), p, rtol, k) > k
 
 
 @pytest.mark.parametrize("p,k,amplitude", [
@@ -275,7 +274,7 @@ def test_each_band_brackets_the_jump_at_its_rtol(monkeypatch, p, k):
     assert amplitude == bands[-1][1][0]
     for rtol, (lo, hi) in bands:
         assert 0.0 < hi - lo <= rtol * hi
-        assert _crossings(lo, p, rtol, k) <= k < _crossings(hi, p, rtol, k)
+        assert shot_crossings(lo, p, rtol, k) <= k < shot_crossings(hi, p, rtol, k)
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -227,6 +227,19 @@ def test_sweep_records_a_failed_dipole_row(monkeypatch):
     assert not after.failures and math.isfinite(after.beta_dipole)
 
 
+def test_sweep_lets_a_programming_error_in_a_row_propagate(monkeypatch):
+    # a row fails only on the kinds the CLI maps to exit 3; a TypeError is a
+    # bug, and leaves the sweep with its traceback
+    grid = build_grid(10.0, 64, 16, SectorKind.full_disk())
+
+    def broken(row_grid, pars, cfg):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(studies, "solve_ground", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.5], grid, CFG)
+
+
 def test_sweep_without_a_nodal_level_has_no_winner(monkeypatch):
     # both nodal rows fail at the larger pitch: no level, so no winning class,
     # and that pitch counts toward neither end of the bracket
