@@ -43,7 +43,7 @@ CHECK_TOL = 1e-5   # bound of check's Nehari and Euler-Lagrange residuals
 
 # config keys that also have a --key option
 _OPTION_KEYS = ("p", "q", "lambda", "sector", "R", "nr", "ntheta", "seed",
-                "grad_tol", "max_iters", "lambdas", "nt", "nxy")
+                "grad_tol", "lambdas", "nt", "nxy")
 
 
 @functools.cache
@@ -243,7 +243,7 @@ def _run_check(cfg: sio.RunConfig, args) -> int:
         worst = max(abs(res.plus), abs(res.minus))
         if not worst <= CHECK_TOL:
             failures.append(f"nodal-nehari-residual ({worst:.2e})")
-    el = lambda_norm(gradient(field, params), params) / lambda_norm(field, params)
+    el = lambda_norm(gradient(field, params)[0], params) / lambda_norm(field, params)
     if not el <= CHECK_TOL:
         failures.append(f"euler-lagrange-residual ({el:.2e})")
     sym = symmetry_report(field, params)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, ModelParams, check_same_grid, solve_operator_modes
+from .grid import Field, ModelParams, check_same_grid, solve_operator
 
 
 @dataclass(frozen=True)
@@ -98,22 +98,15 @@ def nonlinearity(values: np.ndarray, p: float) -> np.ndarray:
     return abs_power(values, p - 2.0) * values
 
 
-def gradient(u: Field, params: ModelParams) -> Field:
-    """Riesz representative of E'(u) in the pitch metric.
+def gradient(u: Field, params: ModelParams) -> tuple[Field, np.ndarray]:
+    """(g, S): the Riesz representative g of E'(u) in the pitch metric, and S.
 
-    Solves <g, v> = E'(u) v for all v, i.e. g = u - L^{-1}(|u|^{p-2} u),
-    via per-mode tridiagonal solves.
-    """
-    return gradient_parts(u, params)[0]
-
-
-def gradient_parts(u: Field, params: ModelParams):
-    """(gradient(u), S) with S the modes of L^{-1}(|u|^{p-2} u).
-
+    Solves <g, v> = E'(u) v for all v, i.e. g = u - L^{-1}(|u|^{p-2} u), via
+    per-mode tridiagonal solves; S holds the modes of L^{-1}(|u|^{p-2} u).
     Given the modes U of u, the gradient's modes are U - S, equal to
-    transforming it up to round-off.
+    transforming g up to round-off.
     """
-    sol, S = solve_operator_modes(u.grid, params, nonlinearity(u.values, params.p))
+    sol, S = solve_operator(u.grid, params, nonlinearity(u.values, params.p))
     return Field(u.grid, u.values - sol), S
 
 

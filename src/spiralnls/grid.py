@@ -505,13 +505,12 @@ class PolarOperator:
         return float(pp), float(pm), float(mm)
 
 
-def solve_operator(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray) -> np.ndarray:
-    """Solve L u = rhs (physical-space samples) via per-mode tridiagonal solves."""
-    return solve_operator_modes(grid, params, rhs_values)[0]
+def solve_operator(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve L u = rhs (physical-space samples) via per-mode tridiagonal solves.
 
-
-def solve_operator_modes(grid: PolarGrid, params: ModelParams, rhs_values: np.ndarray):
-    """solve_operator's values together with the modes the per-mode solve returned."""
+    Returns (values, modes): u's samples and the modes the per-mode solve gave.
+    """
     modes = grid.operator(params).solve(grid.to_modes(rhs_values))
     out = grid.from_modes(modes)
     if not np.all(np.isfinite(out)):

@@ -64,7 +64,6 @@ _SCHEMA = {
     "R": (float, 30.0),
     "nr": (int, 512),
     "ntheta": (int, 64),
-    "max_iters": (int, 2000),
     "grad_tol": (float, 1e-8),
     "seed": (str, "radial"),
     "keep_trace": (_parse_bool, False),
@@ -121,10 +120,8 @@ class RunConfig:
         return lambdas
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            max_iters=self["max_iters"], grad_tol=self["grad_tol"],
-            seed=self["seed"], keep_trace=self["keep_trace"],
-        )
+        return SolveConfig(grad_tol=self["grad_tol"], seed=self["seed"],
+                           keep_trace=self["keep_trace"])
 
 
 def _grid(R: float, nr: int, ntheta: int, sector: str) -> PolarGrid:
@@ -281,7 +278,7 @@ def symmetry_dict(rep: SymmetryReport) -> dict:
 
 def report_dict(report: SolveReport, params: ModelParams) -> dict:
     """The report JSON: the solve's own numbers, plus the manifold residuals,
-    norms and the rest of the symmetry diagnostics of its field, computed here."""
+    norms, |u|_inf and symmetry diagnostics of its field, computed here."""
     u = report.field
     grid = u.grid
     res = manifold_residual(u, params)
@@ -292,15 +289,14 @@ def report_dict(report: SolveReport, params: ModelParams) -> dict:
         "energy": breakdown_dict(report.energy),
         "nehari": {"single": _clean(res.single), "plus": _clean(res.plus),
                    "minus": _clean(res.minus)},
-        "linf": report.linf,
+        "linf": u.linf(),
         "h1": math.sqrt(h1_norm_sq(u)),
         "lambda_norm": math.sqrt(report.energy.norm_sq()),
         "lp_norm": lp_integral(u, params.p) ** (1.0 / params.p),
         "iterations": report.iterations,
         "converged": report.converged,
         "nonradiality": report.nonradiality,
-        "symmetry": symmetry_dict(symmetry_report(
-            u, params, nonradiality=report.nonradiality, linf=report.linf)),
+        "symmetry": symmetry_dict(symmetry_report(u, params)),
     }
     if report.trace is not None:
         out["trace_tail"] = [list(row) for row in report.trace[-20:]]

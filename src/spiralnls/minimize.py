@@ -17,8 +17,9 @@ term 0.01 ||E'|| safeguarded against over-solving the last step (Kelley
 1995, sec. 6.3).  A polish that breaks down, stalls or spends its budget
 ends the solve unconverged.  A solve converges at ||E'|| <= max(grad_tol,
 _ROUNDOFF eps ||u||), below which round-off in E' stalls Newton (Dennis &
-Schnabel 1996, sec. 7.2).  max_iters bounds descent steps and Newton solves
-together, and keep_trace records one row per descent step and per Newton solve.
+Schnabel 1996, sec. 7.2).  A solve takes at most _DESCENT_STEPS descent steps
+and _NEWTON_SOLVES Newton solves, and keep_trace records one row per descent
+step and per Newton solve.
 
 The exact flow preserves the symmetries of its seed: on the disk a radial
 seed stays radial, and on every grid a reflection-even seed stays even in
@@ -45,10 +46,10 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import nonradiality_index
-from .energy import EnergyBreakdown, abs_power, energy, gradient_parts
+from .energy import EnergyBreakdown, abs_power, energy, gradient
 from .errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
-from .nehari import Projected, project_nodal_state, project_ray
+from .nehari import Projected, project_nodal, project_ray
 
 log = logging.getLogger(__name__)
 
@@ -78,14 +79,11 @@ _SEED_KINDS = (SEED_RADIAL, SEED_DIPOLE, SEED_RADIAL_NODAL)
 
 @dataclass(frozen=True)
 class SolveConfig:
-    max_iters: int = 2000
     grad_tol: float = 1e-8
     seed: str | Field = SEED_RADIAL    # a seed kind, or a Field on the solve's grid
     keep_trace: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if not isinstance(self.seed, Field) and self.seed not in _SEED_KINDS:
@@ -98,7 +96,6 @@ class SolveReport:
 
     field: Field
     energy: EnergyBreakdown
-    linf: float
     iterations: int
     converged: bool
     nonradiality: float
@@ -151,7 +148,7 @@ def _gradient_of(state: Projected, params: ModelParams):
     The norm comes from the gradient's modes, the state's modes minus those
     of the per-mode solve, so it costs no transform.
     """
-    g, S = gradient_parts(state.field, params)
+    g, S = gradient(state.field, params)
     G = state.modes - S
     return g, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
 
@@ -359,7 +356,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
             nonlocal matvecs
             matvecs += 1
             vals = x.reshape(shape)
-            out = shift * vals - solve_operator(grid, params, weight * vals)
+            out = shift * vals - solve_operator(grid, params, weight * vals)[0]
             return out.ravel()
 
         # shape and dtype describe the operator to wrappers such as a tracer's
@@ -429,7 +426,6 @@ def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
     return SolveReport(
         field=u,
         energy=energy(u, params),
-        linf=u.linf(),
         iterations=iterations,
         converged=bool(converged),
         nonradiality=nonradiality_index(u, params),
@@ -449,15 +445,13 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     # the energy line search makes the polish robust from moderate range
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
-    cur, gn, iters = _descend(cur, params, min(cfg.max_iters, _DESCENT_STEPS), project,
-                              switch_tol, trace)
+    cur, gn, iters = _descend(cur, params, _DESCENT_STEPS, project, switch_tol, trace)
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     tol = max(cfg.grad_tol, _ROUNDOFF * np.finfo(float).eps * norm)
-    if gn > tol and iters < cfg.max_iters:
-        cur, gn, solves, matvecs = _newton_polish(
-            cur.field, params, tol, project, min(_NEWTON_SOLVES, cfg.max_iters - iters),
-            trace, iters)
+    if gn > tol:
+        cur, gn, solves, matvecs = _newton_polish(cur.field, params, tol, project,
+                                                  _NEWTON_SOLVES, trace, iters)
         iters += solves
     log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
               "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,
@@ -500,6 +494,6 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
         raise OnePhaseMissing("nodal solve needs a sign-changing seed")
 
     def project(v: Field) -> Projected:
-        return project_nodal_state(v, params)
+        return project_nodal(v, params)
 
     return _run(grid, seed, params, cfg, project, _NODAL_HANDOVER)

@@ -107,22 +107,18 @@ def manifold_residual(u: Field, params: ModelParams) -> NehariResidual:
     return NehariResidual(float(single), out[0], out[1])
 
 
-def project_nodal(u: Field, params: ModelParams) -> Field:
+def project_nodal(u: Field, params: ModelParams) -> Projected:
     """Scale u^+ and u^- separately so both parts land on the Nehari set.
 
     The part scalings decouple up to the discrete interface cross term; the
     independent-scaling formula seeds a fixed-point iteration that drives both
-    indicator-convention residuals to round-off.  Raises ZeroFieldError when
-    both parts vanish and OnePhaseMissing when one does.
-    """
-    return project_nodal_state(u, params).field
+    indicator-convention residuals to round-off.  Returns a u^+ + b u^- with
+    its modes a P + b M and its energy
 
+        (a^2 A++ + 2 a b A+- + b^2 A--)/2 - (a^p |u^+|_p^p + b^p |u^-|_p^p)/p,
 
-def project_nodal_state(u: Field, params: ModelParams) -> Projected:
-    """project_nodal, with the modes a P + b M and the energy of a u^+ + b u^-.
-
-    The energy is (a^2 A++ + 2 a b A+- + b^2 A--)/2 - (a^p |u^+|_p^p + b^p |u^-|_p^p)/p,
-    from the part forms the scalings are computed from.
+    from the part forms the scalings are computed from.  Raises ZeroFieldError
+    when both parts vanish and OnePhaseMissing when one does.
     """
     plus, minus, P, M = _parts_with_modes(u)
     pp = lp_integral(plus, params.p)

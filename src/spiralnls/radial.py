@@ -521,15 +521,15 @@ def _shoot_cached(p: float, k: int, dr1d: float) -> RadialProfile:
 
 def shoot_ground(p: float, dr1d: float = 0.01) -> RadialProfile:
     """Positive decaying solution (unique up to the amplitude found here)."""
-    if not p > 2:
-        raise ValueError(f"p must exceed 2, got {p}")
+    if not 2 < p < math.inf:
+        raise ValueError(f"p must be a finite number above 2, got {p}")
     return _shoot_cached(float(p), 0, float(dr1d))
 
 
 def shoot_nodal(p: float, k: int = 1, dr1d: float = 0.01) -> RadialProfile:
     """Decaying solution with exactly k interior sign changes."""
-    if not p > 2:
-        raise ValueError(f"p must exceed 2, got {p}")
+    if not 2 < p < math.inf:
+        raise ValueError(f"p must be a finite number above 2, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _shoot_cached(float(p), int(k), float(dr1d))

@@ -78,7 +78,7 @@ class SpiralEvaluator:
         return np.exp(-1j * np.outer(np.ravel(t) / self.lam, self.omega))
 
 
-def reconstruct3d(u: Field, params: ModelParams, nt: int, nxy: int = 64) -> SpiralField3D:
+def reconstruct3d(u: Field, params: ModelParams, nt: int, nxy: int) -> SpiralField3D:
     """Sample the spiraling field over one turn period t in [0, 2 pi lambda).
 
     The volume spans [-0.75 R, 0.75 R] in both plane coordinates.  It is

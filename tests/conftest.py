@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spiralnls import minimize
 from spiralnls.grid import ModelParams, SectorKind, build_grid
 
 
@@ -27,3 +28,12 @@ def params_q1():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def solve_budget(monkeypatch):
+    """cap(steps, solves=0) bounds a solve's descent steps and Newton solves in one test."""
+    def cap(steps, solves=0):
+        monkeypatch.setattr(minimize, "_DESCENT_STEPS", steps)
+        monkeypatch.setattr(minimize, "_NEWTON_SOLVES", solves)
+    return cap

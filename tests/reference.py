@@ -82,7 +82,7 @@ def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
     norm = lambda_norm(u, params)
     if norm == 0.0:
         raise ZeroFieldError("newton_refine needs a nontrivial field")
-    gn = lambda_norm(gradient(u, params), params)
+    gn = lambda_norm(gradient(u, params)[0], params)
     if gn > 1e-3 * (1.0 + norm):
         raise ValueError(f"not near a critical point: |grad| = {gn:.3e}")
     refined, gn, _, _ = minimize._newton_polish(u, params, tol, unprojected(params))

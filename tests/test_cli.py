@@ -185,12 +185,12 @@ def test_sweep_records_a_sector_peak_at_the_boundary(tmp_path, capsys):
     assert failures == [["sector-ground: profile maximum at radial node 0; increase R"], []]
 
 
-def test_cli_reports_numerical_failure(tmp_path, capsys):
-    # max_iters too small to converge -> nonzero exit with solver category
+def test_cli_reports_numerical_failure(tmp_path, capsys, solve_budget):
+    # a budget too small to converge -> nonzero exit with solver category
+    solve_budget(3)
     out = str(tmp_path / "out")
     code = run_cli(["solve-ground", "--p", "4", "--q", "1", "--lambda", "1",
                     "--sector", "half", "--out-dir", out,
-                    "--set", "max_iters=3",
                     "--set", "grad_tol=1e-12"] + ARGS_SMALL[:-2])
     assert code == EXIT_NUMERICAL
     capsys.readouterr()
@@ -212,12 +212,12 @@ def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
 
 
 # after three bad values: two seed kinds that do not exist, two seeds that
-# change sign on the disk, where a ground solve needs one sign, and a --set
-# with no value
+# change sign on the disk, where a ground solve needs one sign, a --set with
+# no value and the removed iteration cap
 @pytest.mark.parametrize("bad", [["--p", "1.5"], ["--nr", "abc"], ["--ntheta", "7"],
                                  ["--seed", "bogus"], ["--seed", "custom"],
                                  ["--seed", "dipole"], ["--seed", "radial-nodal"],
-                                 ["--set", "foo"]])
+                                 ["--set", "foo"], ["--set", "max_iters=5"]])
 def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
     code = run_cli(["solve-ground", "--out-dir", str(tmp_path)] + bad)
     assert code == EXIT_USAGE
@@ -227,7 +227,7 @@ def test_bad_parameters_are_usage_errors(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("bad", [
     ["--p", "inf"], ["--lambda", "1e-300"], ["--lambda", "inf"], ["--R", "inf"],
-    ["--max_iters", "0"], ["--max_iters", "-5"], ["--grad_tol", "inf"],
+    ["--grad_tol", "inf"],
 ], ids=lambda bad: f"{bad[0][2:]}={bad[1]}")
 def test_degenerate_parameters_are_usage_errors(tmp_path, capsys, bad):
     code = run_cli(["solve-ground", "--R", "8", "--nr", "32", "--ntheta", "8",
@@ -485,9 +485,10 @@ def test_malformed_solution_layout_is_usage_error(tmp_path, capsys, edit, messag
     ["asympt-inf", "--lambdas", "3", "--R", "16", "--nr", "64"],
     ["asympt-zero", "--lambdas", "1", "--R", "6", "--nr", "24"],
 ], ids=["asympt-inf", "asympt-zero"])
-def test_unconverged_asymptotic_study_is_numerical_failure(tmp_path, capsys, argv):
-    code = run_cli(argv + ["--sector", "half", "--ntheta", "8", "--max_iters", "1",
-                           "--out-dir", str(tmp_path)])
+def test_unconverged_asymptotic_study_is_numerical_failure(tmp_path, capsys, solve_budget,
+                                                           argv):
+    solve_budget(1)
+    code = run_cli(argv + ["--sector", "half", "--ntheta", "8", "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err == "numerical failure: not converged after 1 iterations\n"

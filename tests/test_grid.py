@@ -266,7 +266,7 @@ def test_field_shape_mismatch_rejected(small_disk):
 
 def test_solve_operator_inverts_apply(small_cone, rng, params_q1):
     rhs = rng.standard_normal((small_cone.nr, small_cone.ntheta))
-    x = solve_operator(small_cone, params_q1, rhs)
+    x = solve_operator(small_cone, params_q1, rhs)[0]
     back = apply_operator(Field(small_cone, x), params_q1).values
     assert np.max(np.abs(back - rhs)) < 1e-10
 

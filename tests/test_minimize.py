@@ -51,7 +51,7 @@ def test_ground_converges_radial(ground_run):
 
 def test_ground_positive(ground_run):
     report, _, _ = ground_run
-    assert np.min(report.field.values) >= -1e-8 * report.linf
+    assert np.min(report.field.values) >= -1e-8 * report.field.linf()
 
 
 def test_ground_criticality_weak_form(ground_run, rng):
@@ -60,7 +60,7 @@ def test_ground_criticality_weak_form(ground_run, rng):
     for _ in range(50):
         v = Field(GRID, rng.standard_normal((GRID.nr, GRID.ntheta)))
         vn = Field(GRID, v.values / lambda_norm(v, params))
-        res = lambda_inner(gradient(u, params), vn, params)
+        res = lambda_inner(gradient(u, params)[0], vn, params)
         assert abs(res) < 10 * cfg.grad_tol
 
 
@@ -252,22 +252,23 @@ def test_a_theta_constant_seed_on_a_sector_is_even_not_radial():
     assert view.columns == grid.even_columns() and view.nnodes == 8
 
 
-def test_newton_polish_stops_at_its_solve_budget(caplog):
+def test_newton_polish_stops_at_its_solve_budget(caplog, solve_budget):
     # this solve descends 17 steps and converges with 4 Newton solves; a
-    # budget of 20 iterations leaves the polish 3
+    # budget of 3 Newton solves stops it at 20 iterations
     grid = build_grid(8.0, 48, 16, SectorKind.half_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
     assert solve_ground(grid, params).converged
+    solve_budget(minimize._DESCENT_STEPS, 3)
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
-        rep = solve_ground(grid, params, SolveConfig(max_iters=20, keep_trace=True))
+        rep = solve_ground(grid, params, SolveConfig(keep_trace=True))
     assert not rep.converged and rep.iterations == 20 and len(rep.trace) == 20
     assert any(rec.getMessage().startswith("17 descent steps")
                and "3 newton solves" in rec.getMessage() for rec in caplog.records)
 
 
-def test_max_iters_returns_best_iterate():
-    cfg = SolveConfig(max_iters=3, grad_tol=1e-12)
-    rep = solve_ground(GRID, ModelParams(p=4.0, q=1, lam=1.0), cfg)
+def test_step_budget_returns_best_iterate(solve_budget):
+    solve_budget(3)
+    rep = solve_ground(GRID, ModelParams(p=4.0, q=1, lam=1.0), SolveConfig(grad_tol=1e-12))
     assert not rep.converged
     assert rep.iterations == 3
     assert np.all(np.isfinite(rep.field.values))
@@ -276,8 +277,8 @@ def test_max_iters_returns_best_iterate():
 def test_newton_refine_fixed_point(ground_run):
     report, params, cfg = ground_run
     refined = newton_refine(report.field, params, tol=cfg.grad_tol)
-    gn_in = lambda_norm(gradient(report.field, params), params)
-    gn_out = lambda_norm(gradient(refined, params), params)
+    gn_in = lambda_norm(gradient(report.field, params)[0], params)
+    gn_out = lambda_norm(gradient(refined, params)[0], params)
     assert gn_out <= gn_in * (1 + 1e-12)
 
 
@@ -286,7 +287,7 @@ def test_newton_refine_quadratic_polish():
     rough = solve_ground(GRID, params, SolveConfig(grad_tol=1e-6))
     assert rough.converged
     refined = newton_refine(rough.field, params, tol=1e-12)
-    gn = lambda_norm(gradient(refined, params), params)
+    gn = lambda_norm(gradient(refined, params)[0], params)
     assert gn < 1e-12
 
 
@@ -370,8 +371,7 @@ def _failed_polish_solve(monkeypatch, caplog, gmres):
         monkeypatch.setattr(minimize, name, recording(name))
     monkeypatch.setattr(minimize, "gmres", gmres)
     with caplog.at_level(logging.WARNING, logger="spiralnls.minimize"):
-        rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0),
-                           SolveConfig(max_iters=400, keep_trace=True))
+        rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(keep_trace=True))
     handover, _, steps = calls["_descend"]
     state, gn, solves, _ = calls["_newton_polish"]
     # unconverged at once: the polish's last iterate is the report's field

@@ -9,7 +9,6 @@ from spiralnls.nehari import (
     manifold_residual,
     nehari_scale,
     project_nodal,
-    project_nodal_state,
     split_parts,
 )
 
@@ -51,9 +50,9 @@ def test_scale_rejects_zero(small_disk, params_q1):
 def test_nodal_projection_tells_a_zero_field_from_a_one_signed_one(small_disk, params_q1):
     shape = (small_disk.nr, small_disk.ntheta)
     with pytest.raises(ZeroFieldError):
-        project_nodal_state(Field(small_disk, np.zeros(shape)), params_q1)
+        project_nodal(Field(small_disk, np.zeros(shape)), params_q1)
     with pytest.raises(OnePhaseMissing):
-        project_nodal_state(Field(small_disk, np.ones(shape)), params_q1)
+        project_nodal(Field(small_disk, np.ones(shape)), params_q1)
 
 
 def test_energy_along_rays(small_disk, params_q1, rng):
@@ -75,7 +74,7 @@ def test_energy_along_rays(small_disk, params_q1, rng):
 
 def test_project_nodal_dipole_residuals(small_disk, params_q1):
     u = _dipole(small_disk)
-    w = project_nodal(u, params_q1)
+    w = project_nodal(u, params_q1).field
     res = manifold_residual(w, params_q1)
     assert abs(res.plus) < 1e-10
     assert abs(res.minus) < 1e-10
@@ -83,14 +82,14 @@ def test_project_nodal_dipole_residuals(small_disk, params_q1):
 
 def test_project_nodal_idempotent(small_disk, params_q1, rng):
     u = Field(small_disk, rng.standard_normal((small_disk.nr, small_disk.ntheta)))
-    w1 = project_nodal(u, params_q1)
-    w2 = project_nodal(w1, params_q1)
+    w1 = project_nodal(u, params_q1).field
+    w2 = project_nodal(w1, params_q1).field
     assert np.max(np.abs(w2.values - w1.values)) <= 1e-12 * np.max(np.abs(w1.values))
 
 
 def test_project_nodal_fixed_point_on_manifold(small_disk, params_q1):
-    u = project_nodal(_dipole(small_disk), params_q1)
-    w = project_nodal(u, params_q1)
+    u = project_nodal(_dipole(small_disk), params_q1).field
+    w = project_nodal(u, params_q1).field
     assert np.max(np.abs(w.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 

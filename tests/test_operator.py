@@ -28,7 +28,8 @@ from spiralnls.io import report_dict, symmetry_dict
 from spiralnls import minimize
 from spiralnls.minimize import (SEED_DIPOLE, SEED_RADIAL, SolveConfig, _finalize, solve_ground,
                                 solve_nodal)
-from spiralnls.nehari import project_nodal, project_nodal_state, project_ray
+from spiralnls.nehari import project_nodal, project_ray
+from spiralnls.studies import sweep_lambda
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -63,37 +64,40 @@ def _count(calls, fn):
     return calls[0]
 
 
-def _per_step(calls, solve, grid, params, seed):
-    """Forward transforms of one accepted descent step: run k + 1 steps minus k."""
+def _per_step(calls, cap, solve, grid, params, seed):
+    """Forward transforms of one accepted descent step: run k + 1 steps minus k.
+
+    cap is the solve_budget fixture; both runs then set up a Newton polish of no solves.
+    """
     def run(k):
-        cfg = SolveConfig(max_iters=k, seed=seed)
-        return _count(calls, lambda: solve(grid, params, cfg))
+        cap(k)
+        return _count(calls, lambda: solve(grid, params, SolveConfig(seed=seed)))
     return run(3) - run(2)
 
 
-def test_ground_step_transforms(to_modes_calls):
+def test_ground_step_transforms(to_modes_calls, solve_budget):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    assert _per_step(to_modes_calls, solve_ground, grid, params, "radial") <= 2
+    assert _per_step(to_modes_calls, solve_budget, solve_ground, grid, params, "radial") <= 2
 
 
-def test_nodal_step_transforms(to_modes_calls):
+def test_nodal_step_transforms(to_modes_calls, solve_budget):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    assert _per_step(to_modes_calls, solve_nodal, grid, params, SEED_DIPOLE) <= 3
+    assert _per_step(to_modes_calls, solve_budget, solve_nodal, grid, params, SEED_DIPOLE) <= 3
 
 
-def test_ground_step_integrates_once(quad_calls):
+def test_ground_step_integrates_once(quad_calls, solve_budget):
     # |u|^p is integrated by the projection alone
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    assert _per_step(quad_calls, solve_ground, grid, params, "radial") == 1
+    assert _per_step(quad_calls, solve_budget, solve_ground, grid, params, "radial") == 1
 
 
-def test_nodal_step_integrates_once_per_part(quad_calls):
+def test_nodal_step_integrates_once_per_part(quad_calls, solve_budget):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    assert _per_step(quad_calls, solve_nodal, grid, params, SEED_DIPOLE) == 2
+    assert _per_step(quad_calls, solve_budget, solve_nodal, grid, params, SEED_DIPOLE) == 2
 
 
 @pytest.mark.parametrize("sector,most", [(SectorKind.full_disk(), 2),
@@ -107,14 +111,14 @@ def test_finalize_transforms(to_modes_calls, rng, sector, most):
 
 
 def test_report_dict_transforms(to_modes_calls):
-    # the manifold residuals (3), the H1 norm and the Wirtinger pieces; the
-    # nonradiality index and |u|_inf are the solve's own
+    # the manifold residuals (3), the H1 norm, the Wirtinger pieces and the
+    # symmetry block's nonradiality index
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
     rep = solve_ground(grid, params)
     assert rep.converged
     payload = {}
-    assert _count(to_modes_calls, lambda: payload.update(report_dict(rep, params))) <= 5
+    assert _count(to_modes_calls, lambda: payload.update(report_dict(rep, params))) <= 6
     assert payload["symmetry"] == symmetry_dict(symmetry_report(rep.field, params))
 
 
@@ -178,7 +182,7 @@ SECTORS = [SectorKind.full_disk(), SectorKind.half_disk(), SectorKind.cone(np.pi
 
 
 @pytest.mark.parametrize("sector", SECTORS)
-@pytest.mark.parametrize("project", [project_ray, project_nodal_state])
+@pytest.mark.parametrize("project", [project_ray, project_nodal])
 def test_projection_carries_modes_and_energy(sector, project, rng):
     # the carried modes and energy are those of the projected field
     grid = build_grid(3.0, 24, 16, sector)
@@ -291,7 +295,7 @@ def test_nodal_projection_takes_one_gram(monkeypatch, small_disk, params_q1, rng
 
         monkeypatch.setattr(spiralnls.grid.PolarOperator, name, counting)
     u = Field(small_disk, rng.standard_normal((small_disk.nr, small_disk.ntheta)))
-    project_nodal_state(u, params_q1)
+    project_nodal(u, params_q1)
     assert calls == {"gram": 1, "inner": 0}
 
 
@@ -371,16 +375,39 @@ def test_grid_keeps_one_operator(small_disk):
     assert small_disk.operator(a) is not op_a
 
 
-def test_benchmark_layers_resolve():
-    # every span the benchmark's tracer wraps names a callable of the package
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_layers_resolve():
+    # every span the benchmark's tracer wraps names a callable of the package
+    tracer = _load_tracer()
     for name, (module, attr) in tracer.LAYERS.items():
         obj = importlib.import_module(module)
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"{name}: {module}.{attr} does not resolve"
+
+
+def test_traced_sweep_counts_the_solver_layers():
+    # the solver calls the public gradient, nodal projection and operator solve
+    # the tracer wraps, so a traced sweep's spans read its work
+    tracer = _load_tracer()
+    for module, _ in tracer.LAYERS.values():
+        importlib.import_module(module)   # the tracer wraps loaded modules only
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    with tracer.Tracer(tracer.LAYERS) as spans:
+        sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.5, 4.0], grid,
+                     SolveConfig(grad_tol=1e-7))
+    counts = spans.snapshot()
+    for name in ("energy.gradient", "nehari.project_nodal", "grid.solve_operator",
+                 "minimize.gmres"):
+        assert counts[f"{name}.calls"] > 0, name
+    assert counts["grid.solve_operator.calls"] == (counts["minimize.gmres.matvecs"]
+                                                   + counts["energy.gradient.calls"])
 
 
 def _attribute_chain(node):

@@ -98,6 +98,11 @@ def test_invalid_arguments():
         shoot_ground(2.0)
     with pytest.raises(ValueError):
         shoot_nodal(4.0, 0)
+    # an infinite p makes every Dormand-Prince error estimate NaN, so the
+    # shot would reject each step and shrink it forever
+    for shoot in (shoot_ground, shoot_nodal):
+        with pytest.raises(ValueError, match="finite"):
+            shoot(math.inf)
 
 
 def _profile(p, k):

@@ -259,14 +259,14 @@ def test_sweep_without_a_nodal_level_has_no_winner(monkeypatch):
     assert lo == 0.2 and math.isnan(hi) and crossings == 0
 
 
-def test_sweep_records_unconverged_rows(caplog):
-    # every row stops at the iteration cap: each is a failure and gives no
+def test_sweep_records_unconverged_rows(caplog, solve_budget):
+    # every row stops after two descent steps: each is a failure and gives no
     # level; the dipole row runs before the sector row, but failures keep the
     # row order
+    solve_budget(2)
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     with caplog.at_level(logging.WARNING, logger="spiralnls.studies"):
-        records = sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.5, 4.0], grid,
-                               replace(CFG, max_iters=2))
+        records = sweep_lambda(ModelParams(p=4.0, q=1, lam=1.0), [0.5, 4.0], grid, CFG)
     tags = ["disk-ground", "sector-ground", "nodal-dipole", "nodal-radial"]
     for rec in records:
         assert rec.failures == tuple(f"{tag}: not converged after 2 iterations"
@@ -316,7 +316,7 @@ def test_dipole_row_unfolds_by_a_signed_gather():
             for name in ("dirichlet", "angular", "mass", "potential", "total"):
                 twice = 2 * getattr(e_half, name)
                 assert abs(getattr(e_disk, name) - twice) <= 1e-12 * abs(twice)
-            g_half, g_disk = gradient(u, params), gradient(ext, params)
+            g_half, g_disk = gradient(u, params)[0], gradient(ext, params)[0]
             unfolded = dipole_on_disk(g_half, disk).values
             assert np.max(np.abs(g_disk.values - unfolded)) <= 1e-12 * np.max(np.abs(vals))
             res_half = lambda_norm(g_half, params) / lambda_norm(u, params)
