@@ -55,23 +55,16 @@ def nonradiality_index(u: Field, params: ModelParams) -> float:
     """
     if not u.grid.sector.is_full:
         return 1.0 if np.any(u.values) else 0.0
-    U = u.grid.to_modes(u.values)
-    op = u.grid.operator(params)
+    return _disk_nonradiality(u.grid.to_modes(u.values), u.grid.operator(params))
+
+
+def _disk_nonradiality(U: np.ndarray, op) -> float:
+    """The disk's index from the field's modes U; zeroes U's mean column."""
     norm2 = op.inner(U, U)
     if norm2 == 0.0:
         return 0.0
     U[:, 0] = 0.0
     return math.sqrt(op.inner(U, U) / norm2)
-
-
-def angular_l2_pieces(u: Field):
-    """(|u|_2^2, |d_theta u|_2^2, |u#|_2^2) with the spectral derivative convention."""
-    grid = u.grid
-    U = grid.to_modes(u.values)
-    st = grid.stencil
-    _, dth2, l2 = st.forms(U, U)
-    avg2 = float(st.cm[0] * (st.wr @ U[:, 0] ** 2)) if grid.sector.is_full else 0.0
-    return l2, dth2, avg2
 
 
 def check_wirtinger(u: Field):
@@ -81,11 +74,17 @@ def check_wirtinger(u: Field):
     Sectors (half opening theta0):  |u|_2 <= (2 theta0 / pi) |d_theta u|_2.
     Spectral angular differentiation makes both exact mode by mode.
     """
-    l2, dth2, avg2 = angular_l2_pieces(u)
-    if u.grid.sector.is_full:
-        lhs, rhs = l2, dth2 + avg2
+    return _wirtinger(u.grid, u.grid.to_modes(u.values))
+
+
+def _wirtinger(grid, U: np.ndarray):
+    """check_wirtinger of the field with modes U."""
+    st = grid.stencil
+    _, dth2, l2 = st.forms(U, U)
+    if grid.sector.is_full:
+        lhs, rhs = l2, dth2 + float(st.cm[0] * (st.wr @ U[:, 0] ** 2))
     else:
-        theta0 = u.grid.sector.half_angle
+        theta0 = grid.sector.half_angle
         lhs, rhs = math.sqrt(l2), (2 * theta0 / math.pi) * math.sqrt(dth2)
     ok = lhs <= rhs * (1 + 1e-12) + 1e-300
     return lhs, rhs, bool(ok)
@@ -120,16 +119,20 @@ def symmetry_report(u: Field, params: ModelParams) -> SymmetryReport:
     """u's nonradiality, |u|_inf against the radiality threshold, and its checks."""
     linf = u.linf()
     threshold = radiality_threshold(linf, params.p)
-    full = u.grid.sector.is_full
+    grid = u.grid
+    full = grid.sector.is_full
+    U = grid.to_modes(u.values)   # one transform for the Wirtinger check and the index
+    wirtinger_ok = _wirtinger(grid, U)[2]
     return SymmetryReport(
-        nonradiality=nonradiality_index(u, params),
+        nonradiality=(_disk_nonradiality(U, grid.operator(params)) if full
+                      else nonradiality_index(u, params)),
         linf=linf,
         radiality_threshold=threshold,
         # the threshold theorem concerns the whole-plane problem; on sectors
         # the flag stays False rather than asserting an inapplicable symmetry
         below_threshold=bool(full and params.lam < threshold),
         angular_monotone=None if full else angular_monotone(u),
-        wirtinger_ok=check_wirtinger(u)[2],
+        wirtinger_ok=wirtinger_ok,
     )
 
 

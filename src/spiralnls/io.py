@@ -282,6 +282,7 @@ def report_dict(report: SolveReport, params: ModelParams) -> dict:
     u = report.field
     grid = u.grid
     res = manifold_residual(u, params)
+    sym = symmetry_report(u, params)
     out = {
         "params": {"p": params.p, "q": int(params.q), "lambda": params.lam},
         "grid": {"R": grid.R, "nr": grid.nr, "ntheta": grid.ntheta,
@@ -289,14 +290,14 @@ def report_dict(report: SolveReport, params: ModelParams) -> dict:
         "energy": breakdown_dict(report.energy),
         "nehari": {"single": _clean(res.single), "plus": _clean(res.plus),
                    "minus": _clean(res.minus)},
-        "linf": u.linf(),
+        "linf": sym.linf,
         "h1": math.sqrt(h1_norm_sq(u)),
         "lambda_norm": math.sqrt(report.energy.norm_sq()),
         "lp_norm": lp_integral(u, params.p) ** (1.0 / params.p),
         "iterations": report.iterations,
         "converged": report.converged,
-        "nonradiality": report.nonradiality,
-        "symmetry": symmetry_dict(symmetry_report(u, params)),
+        "nonradiality": sym.nonradiality,
+        "symmetry": symmetry_dict(sym),
     }
     if report.trace is not None:
         out["trace_tail"] = [list(row) for row in report.trace[-20:]]

@@ -449,7 +449,7 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     tol = max(cfg.grad_tol, _ROUNDOFF * np.finfo(float).eps * norm)
-    if gn > tol:
+    if gn > tol and _NEWTON_SOLVES > 0:
         cur, gn, solves, matvecs = _newton_polish(cur.field, params, tol, project,
                                                   _NEWTON_SOLVES, trace, iters)
         iters += solves

@@ -67,7 +67,7 @@ def _count(calls, fn):
 def _per_step(calls, cap, solve, grid, params, seed):
     """Forward transforms of one accepted descent step: run k + 1 steps minus k.
 
-    cap is the solve_budget fixture; both runs then set up a Newton polish of no solves.
+    cap is the solve_budget fixture; with no Newton solves, neither run polishes.
     """
     def run(k):
         cap(k)
@@ -111,14 +111,14 @@ def test_finalize_transforms(to_modes_calls, rng, sector, most):
 
 
 def test_report_dict_transforms(to_modes_calls):
-    # the manifold residuals (3), the H1 norm, the Wirtinger pieces and the
-    # symmetry block's nonradiality index
+    # the manifold residuals (3), the H1 norm, and one for the symmetry block,
+    # whose Wirtinger pieces and nonradiality index share it
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     params = ModelParams(p=4.0, q=1, lam=2.0)
     rep = solve_ground(grid, params)
     assert rep.converged
     payload = {}
-    assert _count(to_modes_calls, lambda: payload.update(report_dict(rep, params))) <= 6
+    assert _count(to_modes_calls, lambda: payload.update(report_dict(rep, params))) <= 5
     assert payload["symmetry"] == symmetry_dict(symmetry_report(rep.field, params))
 
 
