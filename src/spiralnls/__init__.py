@@ -12,8 +12,6 @@ asymptotic studies built on top of them.
 from .diagnostics import (
     SymmetryReport,
     check_wirtinger,
-    moser_exponent,
-    radial_average,
     symmetry_report,
 )
 from .energy import EnergyBreakdown, gradient, lambda_inner
@@ -68,10 +66,8 @@ __all__ = [
     "lambda_inner",
     "limit_levels",
     "manifold_residual",
-    "moser_exponent",
     "nehari_scale",
     "project_nodal",
-    "radial_average",
     "reconstruct3d",
     "shoot_ground",
     "shoot_nodal",

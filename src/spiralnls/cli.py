@@ -236,17 +236,19 @@ def _run_check(cfg: sio.RunConfig, args) -> int:
     field, params = sio.load_solution(args.solution)
     failures = []
 
-    res = manifold_residual(field, params)
-    if abs(res.single) > CHECK_TOL:
+    # a finite field whose powers overflow is a numerical failure, not a warning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        res = manifold_residual(field, params)
+        el = lambda_norm(gradient(field, params)[0], params) / lambda_norm(field, params)
+        sym = symmetry_report(field, params)
+    if not abs(res.single) <= CHECK_TOL:
         failures.append(f"nehari-residual ({res.single:.2e})")
     if field.grid.sector.is_full and not (math.isnan(res.plus) or math.isnan(res.minus)):
         worst = max(abs(res.plus), abs(res.minus))
         if not worst <= CHECK_TOL:
             failures.append(f"nodal-nehari-residual ({worst:.2e})")
-    el = lambda_norm(gradient(field, params)[0], params) / lambda_norm(field, params)
     if not el <= CHECK_TOL:
         failures.append(f"euler-lagrange-residual ({el:.2e})")
-    sym = symmetry_report(field, params)
     if not sym.wirtinger_ok:
         failures.append("wirtinger")
     if sym.below_threshold and sym.nonradiality >= RADIAL_TOL:

@@ -1,10 +1,9 @@
 """Symmetry measurements and the inequality checks used to vet solutions.
 
-Covers the radial averaging projection, the angular Poincare (Wirtinger)
+Covers the nonradiality index, the angular Poincare (Wirtinger)
 inequalities -- exact here because the angular discretization is spectral --
 the explicit smallness threshold on the pitch that forces radial symmetry,
-angular monotonicity on sectors, and the sup-norm growth exponent from the
-iteration bound |u|_inf <= C ||u||_{H1}^sigma.
+and angular monotonicity on sectors.
 """
 
 from __future__ import annotations
@@ -29,20 +28,6 @@ class SymmetryReport:
     below_threshold: bool        # lam < threshold (full disk only)
     angular_monotone: bool | None  # sectors only; None on the full disk
     wirtinger_ok: bool
-
-
-def radial_average(u: Field) -> Field:
-    """Angular mean at each radius; a projection onto radial fields.
-
-    The mean is taken about each row's first value, as to_modes takes the
-    mean mode, so a radial row is its own mean bit for bit.
-    """
-    if not u.grid.sector.is_full:
-        raise SectorError("radial average needs the full disk (sectors have "
-                          "Dirichlet rays; the angular mean is not admissible)")
-    first = u.values[:, :1]
-    mean = first + (u.values - first).mean(axis=1, keepdims=True)
-    return Field(u.grid, np.broadcast_to(mean, u.values.shape).copy())
 
 
 def nonradiality_index(u: Field, params: ModelParams) -> float:
@@ -134,21 +119,3 @@ def symmetry_report(u: Field, params: ModelParams) -> SymmetryReport:
         angular_monotone=None if full else angular_monotone(u),
         wirtinger_ok=wirtinger_ok,
     )
-
-
-def moser_exponent(p: float, r_param: float, q_exponent: float) -> float:
-    """Growth exponent sigma in |u|_inf <= C ||u||_{H1}^sigma.
-
-    sigma = (p-2) rho / (2 (rho - 1)) + 1 with rho = q_exponent / (2 r_param),
-    valid for r_param > 1, (p-2) r_param / (r_param - 1) >= 2 and
-    q_exponent > 4 r_param.
-    """
-    if not r_param > 1:
-        raise ValueError(f"need r_param > 1, got {r_param}")
-    if (p - 2.0) * r_param / (r_param - 1.0) < 2.0:
-        raise ValueError(f"(p-2) r / (r-1) >= 2 fails for p={p}, r={r_param}")
-    if not q_exponent > 4.0 * r_param:
-        raise ValueError(f"need q_exponent > 4 r_param, got {q_exponent} <= {4 * r_param}")
-    rho = q_exponent / (2.0 * r_param)
-    return (p - 2.0) * rho / (2.0 * (rho - 1.0)) + 1.0
-

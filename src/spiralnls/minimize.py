@@ -14,7 +14,10 @@ carries the bump along that flat valley; nodal solves descend to 1e-4
 (1 + ||u||), because there the descent picks the branch (see
 _NODAL_HANDOVER).  The polish's linear solves are inexact, with forcing
 term 0.01 ||E'|| safeguarded against over-solving the last step (Kelley
-1995, sec. 6.3).  A polish that breaks down, stalls or spends its budget
+1995, sec. 6.3); each is one GMRES cycle of at most _GMRES_STEPS steps, never
+restarted, since the preconditioned system is a compact perturbation of the
+identity, on which GMRES converges superlinearly (Campbell, Ipsen, Kelley &
+Meyer, BIT 36, 1996).  A polish that breaks down, stalls or spends its budget
 ends the solve unconverged.  A solve converges at ||E'|| <= max(grad_tol,
 _ROUNDOFF eps ||u||), below which round-off in E' stalls Newton (Dennis &
 Schnabel 1996, sec. 7.2).  A solve takes at most _DESCENT_STEPS descent steps
@@ -57,6 +60,7 @@ STEP_MIN = 1e-4
 STEP_MAX = 1.0
 _DESCENT_STEPS = 300   # descent steps before the hand-over to Newton
 _NEWTON_SOLVES = 40    # linear solves per Newton polish
+_GMRES_STEPS = 80      # Arnoldi steps per linear solve; no run measured took more than 14
 # Convergence floor in eps ||u||_lambda.  Newton stalled at 45 and 65 on the p = 2.5,
 # lambda = 0.05 half-disk ground solves (320x64, R = 24 and 1.2, ||u|| ~ 2e6); 32 ended
 # both unconverged, 48 one, 64-256 neither; 128 leaves a factor 2 (about 1e-12 at ||u|| 30).
@@ -153,21 +157,22 @@ def _gradient_of(state: Projected, params: ModelParams):
     return g, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
 
 
-def _descend(cur: Projected, params: ModelParams, max_steps: int, project, tol: float,
+def _descend(cur: Projected, params: ModelParams, project, tol: float,
              trace: Optional[list]):
     """Projected gradient descent with the spec'd backtracking policy.
 
     The iterate and each projected trial carry their modes and energy, so a
     step transforms only the nonlinearity and the trial.  A trial that
     vanished is reported by its projection (ZeroFieldError) and raises
-    SeedCollapsed.  Returns (state, gradient norm, iterations).
+    SeedCollapsed.  Stops after _DESCENT_STEPS steps.  Returns (state,
+    gradient norm, iterations).
     """
     grid = cur.field.grid
     step = STEP_MAX
     accepts_in_row = 0
     iterations = 0
     gn = math.inf
-    for iterations in range(1, max_steps + 1):
+    for iterations in range(1, _DESCENT_STEPS + 1):
         g, gn = _gradient_of(cur, params)
         if trace is not None:
             trace.append((iterations, cur.energy, gn))
@@ -204,19 +209,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def gmres(op, b: np.ndarray, *, rtol: float, restart: int = 20, maxiter: Optional[int] = None):
-    """Restarted GMRES (Saad & Schultz 1986) for op x = b, started from x = 0.
+def gmres(op, b: np.ndarray, *, rtol: float):
+    """One cycle of GMRES (Saad & Schultz 1986) for op x = b, started from x = 0.
 
-    op is used only through op.matvec.  A cycle runs at most restart Arnoldi
-    steps (modified Gram-Schmidt) and stops early once the Givens estimate of
-    the residual meets its target; the true residual ||b - op x|| is then
-    checked against rtol ||b||.  After a cycle whose estimate met its target
-    but whose true residual did not, the estimate's target tightens, as in
-    scipy's gmres.  Returns (x, info): info 0 on convergence, maxiter after
-    maxiter cycles, -1 when the Krylov space closes (or a value turns
-    non-finite) short of the target.  The rotations run on Python floats and
-    every vector reduction goes through _dot, so the bits do not depend on
-    the BLAS thread count.
+    op is used only through op.matvec.  The cycle runs at most _GMRES_STEPS
+    Arnoldi steps (modified Gram-Schmidt) and stops early once the Givens
+    estimate of the residual meets rtol ||b||; the true residual ||b - op x||
+    then decides.  Returns (x, info): info 0 when the true residual meets
+    rtol ||b||, -1 when the Krylov space closes (or a value turns non-finite)
+    first, 1 otherwise.  The rotations run on Python floats and every vector
+    reduction goes through _dot, so the bits do not depend on the BLAS thread
+    count.
     """
     n = b.size
     x = np.zeros(n)
@@ -224,61 +227,48 @@ def gmres(op, b: np.ndarray, *, rtol: float, restart: int = 20, maxiter: Optiona
     if bnorm == 0.0:
         return x, 0
     target = rtol * bnorm
-    restart = min(restart, n)
-    maxiter = 10 * n if maxiter is None else maxiter
+    steps = min(_GMRES_STEPS, n)
     eps = np.finfo(float).eps
-    V = np.empty((restart + 1, n))
-    r, rnorm = b, bnorm
-    inner_tol, factor = target, 1.0
-    for _ in range(maxiter):
-        V[0] = r / rnorm
-        gs = [rnorm]        # the rotated right-hand side of the least-squares problem
-        cols, rots = [], []
-        closed = False
-        for j in range(restart):
-            w = op.matvec(V[j])
-            w0 = math.sqrt(_dot(w, w))
-            h = []
-            for k in range(j + 1):
-                h.append(_dot(V[k], w))
-                w -= h[k] * V[k]
-            hn = math.sqrt(_dot(w, w))
-            if not math.isfinite(hn):
-                return x, -1
-            closed = hn <= eps * w0
-            if not closed:
-                V[j + 1] = w / hn
-            for k, (c, s) in enumerate(rots):
-                h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
-            rho = math.hypot(h[j], hn)
-            c, s = (h[j] / rho, hn / rho) if rho > 0.0 else (1.0, 0.0)
-            h[j] = rho
-            rots.append((c, s))
-            cols.append(h)
-            gs.append(-s * gs[j])
-            gs[j] *= c
-            estimate = abs(gs[j + 1])
-            if estimate <= inner_tol or closed:
-                break
-        # back substitution in the triangle, column by column
-        y = gs[:len(cols)]
-        for m in range(len(cols) - 1, -1, -1):
-            y[m] = y[m] / cols[m][m] if cols[m][m] != 0.0 else 0.0
-            for i in range(m):
-                y[i] -= y[m] * cols[m][i]
-        x += np.einsum("k,ki->i", np.array(y), V[:len(y)])
-        r = b - op.matvec(x)
-        rnorm = math.sqrt(_dot(r, r))
-        if rnorm <= target:
-            return x, 0
-        if closed:
+    V = np.empty((steps + 1, n))
+    V[0] = b / bnorm
+    gs = [bnorm]        # the rotated right-hand side of the least-squares problem
+    cols, rots = [], []
+    closed = False
+    for j in range(steps):
+        w = op.matvec(V[j])
+        w0 = math.sqrt(_dot(w, w))
+        h = []
+        for k in range(j + 1):
+            h.append(_dot(V[k], w))
+            w -= h[k] * V[k]
+        hn = math.sqrt(_dot(w, w))
+        if not math.isfinite(hn):
             return x, -1
-        if estimate <= inner_tol:
-            factor = max(eps, 0.25 * factor)
-        else:
-            factor = min(1.0, 1.5 * factor)
-        inner_tol = estimate * min(factor, target / rnorm)
-    return x, maxiter
+        closed = hn <= eps * w0
+        if not closed:
+            V[j + 1] = w / hn
+        for k, (c, s) in enumerate(rots):
+            h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+        rho = math.hypot(h[j], hn)
+        c, s = (h[j] / rho, hn / rho) if rho > 0.0 else (1.0, 0.0)
+        h[j] = rho
+        rots.append((c, s))
+        cols.append(h)
+        gs.append(-s * gs[j])
+        gs[j] *= c
+        if abs(gs[j + 1]) <= target or closed:
+            break
+    # back substitution in the triangle, column by column
+    y = gs[:len(cols)]
+    for m in range(len(cols) - 1, -1, -1):
+        y[m] = y[m] / cols[m][m] if cols[m][m] != 0.0 else 0.0
+        for i in range(m):
+            y[i] -= y[m] * cols[m][i]
+    x += np.einsum("k,ki->i", np.array(y), V[:len(y)])
+    r = b - op.matvec(x)
+    if math.sqrt(_dot(r, r)) <= target:
+        return x, 0
+    return x, -1 if closed else 1
 
 
 _LONGER_STEPS = (1.5, 2.0)
@@ -315,8 +305,7 @@ def _line_walk(score):
 
 
 def _newton_polish(u: Field, params: ModelParams, tol: float, project,
-                   max_solves: int = _NEWTON_SOLVES, trace: Optional[list] = None,
-                   spent: int = 0):
+                   trace: Optional[list] = None):
     """Newton polish of E'(u) = 0 along the manifold's energy valley.
 
     Solves ((1 + mu) I - L^{-1} D) delta = -g, D = (p-1)|u|^{p-2}, matrix-free
@@ -333,22 +322,23 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     tests.  project maps a field to its Projected state.  The unknowns are
     u's node values, so on a folded view GMRES works on the class's
     fundamental nodes.  A failed linear solve (GMRES breakdown or a
-    non-finite step) ends the polish, as do max_solves linear solves.
+    non-finite step) ends the polish, as do _NEWTON_SOLVES linear solves.
 
     The forcing term, GMRES's relative tolerance, is 0.01 |g| within
     [1e-10, 0.1], with Kelley's safeguard against over-solving (Iterative
     Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 6.3): never
     below 0.1 tol/|g|, about what one step to tol needs.  Kelley uses 0.5; the
     margin is smaller here because GMRES measures the Euclidean residual of
-    the node values and |g| is the pitch norm.  Each solve appends (spent +
-    solves, energy, |g|) to trace.  Returns (state, |g|, solves, matvecs).
+    the node values and |g| is the pitch norm.  Each solve appends (row number,
+    energy, |g|) to trace, numbering on from the rows already there.  Returns
+    (state, |g|, solves, matvecs).
     """
     grid, shape = u.grid, u.values.shape
     cur = project(u)
     g, gn = _gradient_of(cur, params)
     mu, fails_here = 0.0, 0
     solves = matvecs = 0
-    while solves < max_solves and gn > tol:
+    while solves < _NEWTON_SOLVES and gn > tol:
         weight = (params.p - 1.0) * abs_power(cur.field.values, params.p - 2.0)
         shift = 1.0 + mu
 
@@ -363,16 +353,16 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
         lin = SimpleNamespace(shape=(u.values.size,) * 2, dtype=np.dtype(float), matvec=matvec)
         rhs = -g.values.ravel()
         rtol = min(0.1, max(1e-10, 0.01 * gn, 0.1 * tol / gn))
-        delta, info = gmres(lin, rhs, rtol=rtol, restart=80, maxiter=600)
+        delta, info = gmres(lin, rhs, rtol=rtol)
         solves += 1
         if info < 0 or not np.all(np.isfinite(delta)):
             log.warning("newton linear solve failed (gmres info=%d)", info)
             if trace is not None:
-                trace.append((spent + solves, cur.energy, gn))
+                trace.append((len(trace) + 1, cur.energy, gn))
             break
         if info > 0 and log.isEnabledFor(logging.DEBUG):
             res = rhs - lin.matvec(delta)
-            log.debug("gmres stopped at its iteration cap (info=%d), relative residual %.3e",
+            log.debug("gmres stopped short of its tolerance (info=%d), relative residual %.3e",
                       info, math.sqrt(_dot(res, res) / _dot(rhs, rhs)))
         dvals = delta.reshape(shape)
 
@@ -415,7 +405,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
             mu = max(4.0 * mu, 1e-4)
             fails_here += 1
         if trace is not None:
-            trace.append((spent + solves, cur.energy, gn))
+            trace.append((len(trace) + 1, cur.energy, gn))
         if fails_here > 8:
             log.warning("newton stalled at residual %.3e (gmres info=%s)", gn, info)
             break
@@ -445,13 +435,12 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     # the energy line search makes the polish robust from moderate range
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
-    cur, gn, iters = _descend(cur, params, _DESCENT_STEPS, project, switch_tol, trace)
+    cur, gn, iters = _descend(cur, params, project, switch_tol, trace)
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     tol = max(cfg.grad_tol, _ROUNDOFF * np.finfo(float).eps * norm)
     if gn > tol and _NEWTON_SOLVES > 0:
-        cur, gn, solves, matvecs = _newton_polish(cur.field, params, tol, project,
-                                                  _NEWTON_SOLVES, trace, iters)
+        cur, gn, solves, matvecs = _newton_polish(cur.field, params, tol, project, trace)
         iters += solves
     log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
               "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from spiralnls import minimize
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm, nonlinearity
-from spiralnls.errors import ZeroFieldError
+from spiralnls.errors import SectorError, ZeroFieldError
 from spiralnls.grid import Field, ModelParams, PolarGrid, PolarOperator, check_same_grid
 from spiralnls.io import SOLUTION_MAGIC, RunConfig, _format_value
 from spiralnls.nehari import Projected, split_parts
@@ -25,6 +25,20 @@ def field_from_polar(grid: PolarGrid, fn) -> Field:
     """Sample fn(r, theta) on the grid nodes."""
     rr, tt = np.meshgrid(grid.radii, grid.angles, indexing="ij")
     return Field(grid, np.asarray(fn(rr, tt), dtype=float))
+
+
+def radial_average(u: Field) -> Field:
+    """Angular mean at each radius; a projection onto radial fields.
+
+    The mean is taken about each row's first value, as to_modes takes the
+    mean mode, so a radial row is its own mean bit for bit.
+    """
+    if not u.grid.sector.is_full:
+        raise SectorError("radial average needs the full disk (sectors have "
+                          "Dirichlet rays; the angular mean is not admissible)")
+    first = u.values[:, :1]
+    mean = first + (u.values - first).mean(axis=1, keepdims=True)
+    return Field(u.grid, np.broadcast_to(mean, u.values.shape).copy())
 
 
 def operator_apply(op: PolarOperator, modes: np.ndarray) -> np.ndarray:

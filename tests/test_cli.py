@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,23 @@ def test_malformed_solution_is_usage_error(tmp_path, capsys):
     save_solution(path, Field(grid, np.ones((6, 4))), ModelParams(p=4.0, q=1, lam=1.0))
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-3]))
     assert "3 rows of 4 values, expected 6 rows of 4" in _usage_error(capsys, ["check", str(path)])
+
+
+def test_check_of_a_field_whose_powers_overflow_is_numerical_failure(tmp_path, capsys):
+    # finite values whose p-th powers overflow: one line on stderr and exit 3,
+    # with no numpy warning on the way, and the check leaves numpy's
+    # floating-point settings as it found them
+    grid = build_grid(4.0, 24, 8, SectorKind.full_disk())
+    path = tmp_path / "big.csv"
+    save_solution(path, Field(grid, np.full((24, 8), 1e200)), ModelParams(p=4.0, q=1, lam=1.0))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["check", str(path)]) == EXIT_NUMERICAL
+    assert np.geterr() == before
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from reference import field_from_polar
+from reference import field_from_polar, radial_average
 
 from spiralnls.diagnostics import (
     angular_monotone,
     check_wirtinger,
-    moser_exponent,
     nonradiality_index,
-    radial_average,
     radiality_threshold,
     symmetry_report,
 )
@@ -162,17 +160,3 @@ def test_symmetry_report_disk(small_disk):
     assert rep.angular_monotone is None
     assert rep.below_threshold
     assert rep.wirtinger_ok
-
-
-def test_moser_exponent_values():
-    assert moser_exponent(4.0, 2.0, 9.0) == pytest.approx(2.8, abs=1e-12)
-    assert moser_exponent(3.0, 2.0, 9.0) == pytest.approx(1.9, abs=1e-12)
-
-
-def test_moser_exponent_constraints():
-    with pytest.raises(ValueError):
-        moser_exponent(4.0, 2.0, 8.0)      # q > 4r fails
-    with pytest.raises(ValueError):
-        moser_exponent(4.0, 1.0, 9.0)      # r > 1 fails
-    with pytest.raises(ValueError):
-        moser_exponent(2.5, 5.0, 21.0)     # (p-2) r / (r-1) >= 2 fails
