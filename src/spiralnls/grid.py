@@ -443,8 +443,8 @@ class PolarOperator:
     two adjacent face weights plus the node weight, the only part that
     depends on (lam, q).  The modes stack mode-major into one tridiagonal K,
     factored once, on the first solve: an operator that only evaluates forms,
-    as the whole grid's does after a solve on a folded view, never
-    factors.  PolarGrid.operator builds one per parameters.
+    as the whole grid's does in the report writer after a solve on a folded
+    view, never factors.  PolarGrid.operator builds one per parameters.
     """
 
     def __init__(self, stencil: Stencil, params: ModelParams):

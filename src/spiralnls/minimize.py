@@ -34,8 +34,11 @@ points are the whole grid's in the class (Palais, Comm. Math. Phys. 69,
 the modes and nodes for an even one.  The class then holds bit for bit, so
 round-off cannot excite the broken modes: the radial branch of the nodal
 problem stays computable on its own, and the rotational null direction that
-stalls the Newton polish on the full disk stays out.  The result is unfolded
-onto the caller's grid and reported there.
+stalls the Newton polish on the full disk stays out.  The report's energy
+and nonradiality index come from the modes that the last projected state
+carries on the view, whose forms and quadrature are the whole grid's on class
+fields; so reporting costs no transform, and only the field is unfolded onto
+the caller's grid.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import nonradiality_index
-from .energy import EnergyBreakdown, abs_power, energy, gradient
+from .diagnostics import _disk_nonradiality
+from .energy import EnergyBreakdown, abs_power, gradient, lp_integral
 from .errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
 from .grid import Field, ModelParams, PolarGrid, solve_operator
 from .nehari import Projected, project_nodal, project_ray
@@ -412,13 +415,32 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     return cur, gn, solves, matvecs
 
 
-def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
+def _finalize(state: Projected, grid: PolarGrid, iterations, converged, params, trace
+              ) -> SolveReport:
+    """The report of a solve's last state, from the modes it carries on its view.
+
+    On a folded view a class field's forms and quadrature are the whole
+    grid's, so the energy and the nonradiality index need no transform; only
+    the field is unfolded onto grid.
+    """
+    work, vals = state.field.grid, state.field.values
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("field has non-finite values")
+    op = work.operator(params)
+    d, a, m = op.pieces(state.modes, state.modes)
+    pot = lp_integral(state.field, params.p) / params.p
+    if not work.sector.is_full:
+        nonradiality = 1.0 if np.any(vals) else 0.0
+    elif work.columns == (0,):
+        nonradiality = 0.0
+    else:
+        nonradiality = _disk_nonradiality(state.modes.copy(), op)
     return SolveReport(
-        field=u,
-        energy=energy(u, params),
+        field=Field(grid, vals[:, work.orbit]),
+        energy=EnergyBreakdown(d, a, m, pot, 0.5 * (d + a + m) - pot),
         iterations=iterations,
         converged=bool(converged),
-        nonradiality=nonradiality_index(u, params),
+        nonradiality=nonradiality,
         trace=trace,
     )
 
@@ -426,7 +448,8 @@ def _finalize(u: Field, iterations, converged, params, trace) -> SolveReport:
 def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, project,
          handover: float) -> SolveReport:
     """Descend and polish on the folded view of the seed's class, which the flow
-    preserves (the whole grid for a seed of neither class); report on grid."""
+    preserves (the whole grid for a seed of neither class); report from the
+    last state's carried modes, with its field unfolded onto grid."""
     trace = [] if cfg.keep_trace else None
     work = grid.class_view(seed.values)
     cur = project(Field(work, seed.values[:, :work.nnodes]))
@@ -445,7 +468,7 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
               "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,
               grid.ntheta)
-    return _finalize(Field(grid, cur.field.values[:, work.orbit]), iters, gn <= tol, params, trace)
+    return _finalize(cur, grid, iters, gn <= tol, params, trace)
 
 
 def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = None

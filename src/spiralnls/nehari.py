@@ -91,7 +91,10 @@ def manifold_residual(u: Field, params: ModelParams) -> NehariResidual:
     U = u.grid.to_modes(u.values)
     n2 = op.inner(U, U)
     if n2 == 0.0:
-        raise ZeroFieldError("manifold_residual of the zero field")
+        if not np.any(u.values):
+            raise ZeroFieldError("manifold_residual of the zero field")
+        raise FloatingPointError("manifold_residual: the field is not zero, but its squared "
+                                 "pitch norm underflows")
     pp = lp_integral(u, params.p)
     single = (n2 - pp) / n2
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference import field_from_polar
 
+import spiralnls.grid
 from spiralnls import cli, studies
 from spiralnls import io as sio
 from spiralnls.cli import (
@@ -197,6 +198,30 @@ def test_cli_reports_numerical_failure(tmp_path, capsys, solve_budget):
     capsys.readouterr()
 
 
+def _fail_pttrf(d, e):
+    return d, e, 1
+
+
+def _fail_pttrs(d, e, b, **kwargs):
+    return b, -1
+
+
+@pytest.mark.parametrize("name,fake,routine", [
+    ("dpttrf", _fail_pttrf, "pttrf info=1"),
+    ("dpttrs", _fail_pttrs, "pttrs info=-1"),
+], ids=["factor", "solve"])
+def test_lapack_failure_of_the_per_mode_operator_is_numerical_failure(
+        tmp_path, capsys, monkeypatch, name, fake, routine):
+    # the guards on LAPACK's info of the tridiagonal factor and its solves
+    monkeypatch.setattr(spiralnls.grid, name, fake)
+    code = run_cli(["solve-ground", "--p", "4", "--q", "1", "--lambda", "1", "--R", "4",
+                    "--nr", "24", "--ntheta", "8", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+    assert routine in captured.err
+
+
 def test_check_rejects_nehari_scaled_non_solution(tmp_path, capsys):
     # on the Nehari set, yet far from solving the equation
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
@@ -357,6 +382,30 @@ def test_check_of_a_field_whose_powers_overflow_is_numerical_failure(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value,code,words", [
+    (1e-170, EXIT_NUMERICAL, "underflows"),
+    (0.0, EXIT_NUMERICAL, "manifold_residual of the zero field"),
+    (1e-150, EXIT_CHECK, None),
+], ids=["underflow", "zero", "tiny"])
+def test_check_tells_an_underflowing_field_from_the_zero_field(tmp_path, capsys, value, code,
+                                                               words):
+    # at 1e-170 the squares underflow, so the squared norm reads 0 of a field
+    # that is not zero; at 1e-150 they do not, and the field fails its checks
+    grid = build_grid(4.0, 24, 8, SectorKind.full_disk())
+    path = tmp_path / "tiny.csv"
+    save_solution(path, Field(grid, np.full((24, 8), value)), ModelParams(p=4.0, q=1, lam=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["check", str(path)]) == code
+    captured = capsys.readouterr()
+    if words is None:
+        assert captured.out.startswith("check: FAIL") and captured.err == ""
+        return
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+    assert words in captured.err and captured.out == ""
+    assert ("zero field" in captured.err) == (value == 0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

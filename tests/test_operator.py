@@ -23,7 +23,7 @@ from spiralnls.grid import (
     build_grid,
 )
 import spiralnls.grid
-from spiralnls.diagnostics import symmetry_report
+from spiralnls.diagnostics import nonradiality_index, symmetry_report
 from spiralnls.io import report_dict, symmetry_dict
 from spiralnls import minimize
 from spiralnls.minimize import (SEED_DIPOLE, SEED_RADIAL, SolveConfig, _finalize, solve_ground,
@@ -100,14 +100,31 @@ def test_nodal_step_integrates_once_per_part(quad_calls, solve_budget):
     assert _per_step(quad_calls, solve_budget, solve_nodal, grid, params, SEED_DIPOLE) == 2
 
 
-@pytest.mark.parametrize("sector,most", [(SectorKind.full_disk(), 2),
-                                         (SectorKind.half_disk(), 1)], ids=["disk", "half"])
-def test_finalize_transforms(to_modes_calls, rng, sector, most):
-    # the energy, and on the disk the nonradiality index's one transform
+def _assert_report_is_its_fields(report, params):
+    # the carried forms agree with a full-width evaluation of the unfolded field
+    fresh = energy(report.field, params)
+    for name in ("dirichlet", "angular", "mass", "potential", "total"):
+        got, want = getattr(report.energy, name), getattr(fresh, name)
+        assert abs(got - want) <= 1e-13 * abs(want), name
+    assert abs(report.nonradiality - nonradiality_index(report.field, params)) <= 1e-13
+
+
+@pytest.mark.parametrize("sector", [SectorKind.full_disk(), SectorKind.half_disk()],
+                         ids=["disk", "half"])
+def test_finalize_transforms(to_modes_calls, rng, sector):
+    # none: the energy and the nonradiality index come from the carried modes
     grid = build_grid(8.0, 48, 16, sector)
     params = ModelParams(p=4.0, q=1, lam=2.0)
-    u = Field(grid, rng.standard_normal((grid.nr, grid.ntheta)))
-    assert _count(to_modes_calls, lambda: _finalize(u, 1, True, params, None)) <= most
+    state = project_ray(Field(grid, rng.standard_normal((grid.nr, grid.ntheta))), params)
+    report = None
+
+    def finalize():
+        nonlocal report
+        report = _finalize(state, grid, 1, True, params, None)
+
+    assert _count(to_modes_calls, finalize) == 0
+    assert report.field.grid is grid and np.array_equal(report.field.values, state.field.values)
+    _assert_report_is_its_fields(report, params)
 
 
 def test_report_dict_transforms(to_modes_calls):
@@ -148,25 +165,49 @@ def mode_widths(monkeypatch):
     (SectorKind.half_disk(), SEED_RADIAL, 8),
 ], ids=["disk-radial", "disk-dipole", "half-even"])
 def test_a_symmetric_solve_transforms_on_its_class_modes(mode_widths, caplog, sector, seed, width):
-    # as many fundamental nodes as class modes; the report is evaluated on
-    # the caller's grid, at full width
+    # as many fundamental nodes as class modes, and no transform once the
+    # last step is done: the report comes from the class modes
     grid = build_grid(8.0, 48, 16, sector)
     solve = solve_nodal if seed == SEED_DIPOLE else solve_ground
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
         report = solve(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(seed=seed))
     assert report.converged and report.field.grid is grid
-    end = mode_widths.index(None)
-    assert end > 0 and set(mode_widths[:end]) == {(width, width)}
-    assert set(mode_widths[end + 1:]) == {(16, 16)}
+    assert len(mode_widths) > 1 and mode_widths[-1] is None
+    assert set(mode_widths[:-1]) == {(width, width)}
     message = caplog.records[-1].getMessage()
     assert f"{width} nodes per ring" in message and message.endswith(f"on {width} of 16 modes")
+
+
+def _off_center_seed(grid):
+    """A bump off the origin and off the theta = 0 axis: in no symmetry class."""
+    return field_from_polar(grid, lambda r, t: 2.0 * np.exp(
+        -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
+
+
+@pytest.mark.parametrize("sector,seed", [
+    (SectorKind.full_disk(), SEED_RADIAL),
+    (SectorKind.full_disk(), SEED_DIPOLE),
+    (SectorKind.half_disk(), SEED_RADIAL),
+    (SectorKind.cone(np.pi / 4), SEED_RADIAL),
+    (SectorKind.full_disk(), None),
+], ids=["disk-radial", "disk-dipole", "half-even", "cone-even", "disk-none"])
+def test_a_solve_reports_its_field_without_a_transform(mode_widths, sector, seed):
+    # the report's five energy pieces and nonradiality index are those of its
+    # field, evaluated afresh at full width, though the solve made no forward
+    # transform after its last step
+    grid = build_grid(8.0, 48, 16, sector)
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+    solve = solve_nodal if seed == SEED_DIPOLE else solve_ground
+    report = solve(grid, params, SolveConfig(seed=_off_center_seed(grid) if seed is None else seed))
+    assert report.converged and report.field.grid is grid
+    assert mode_widths.count(None) == 1 and mode_widths[-1] is None
+    _assert_report_is_its_fields(report, params)
 
 
 def test_a_solve_without_symmetry_transforms_at_full_width(mode_widths):
     grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
     twin = build_grid(8.0, 48, 16, SectorKind.full_disk())
-    seed = field_from_polar(twin, lambda r, t: 2.0 * np.exp(
-        -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
+    seed = _off_center_seed(twin)
     report = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(seed=seed))
     # on the grid object passed in, not on the seed's equal one
     assert report.converged and report.field.grid is grid
