@@ -476,7 +476,7 @@ class PolarOperator:
 
     def solve(self, modes: np.ndarray) -> np.ndarray:
         """L^{-1} of a mode array (nr, nmodes): K^{-1} of the r dr-scaled modes."""
-        rhs = (modes * self.stencil.wr[:, None]).T.reshape(-1, 1)   # mode-major
+        rhs = np.multiply(modes.T, self.stencil.wr, order="C").ravel()   # mode-major, one pass
         x, info = dpttrs(*self._factor, rhs, overwrite_b=True)
         if info != 0:
             raise FloatingPointError(f"per-mode solve failed (pttrs info={info})")

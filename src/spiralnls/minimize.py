@@ -8,21 +8,23 @@ a signed part vanishes, and doubles it after five consecutive accepts,
 clamped to [1e-4, 1].  Every solve then hands over to a Newton polish of the
 full Euler-Lagrange system, solved matrix-free with the per-mode operator as
 preconditioner; that is what makes tight tolerances affordable when the
-energy landscape is flat (large pitch, translating bump).  Ground solves
-hand over once ||E'|| <= 1e-2 (1 + ||u||), so Newton, not the descent,
-carries the bump along that flat valley; nodal solves descend to 1e-4
-(1 + ||u||), because there the descent picks the branch (see
-_NODAL_HANDOVER).  The polish's linear solves are inexact, with forcing
-term 0.01 ||E'|| safeguarded against over-solving the last step (Kelley
-1995, sec. 6.3); each is one GMRES cycle of at most _GMRES_STEPS steps, never
-restarted, since the preconditioned system is a compact perturbation of the
-identity, on which GMRES converges superlinearly (Campbell, Ipsen, Kelley &
-Meyer, BIT 36, 1996).  A polish that breaks down, stalls or spends its budget
-ends the solve unconverged.  A solve converges at ||E'|| <= max(grad_tol,
-_ROUNDOFF eps ||u||), below which round-off in E' stalls Newton (Dennis &
-Schnabel 1996, sec. 7.2).  A solve takes at most _DESCENT_STEPS descent steps
-and _NEWTON_SOLVES Newton solves, and keep_trace records one row per descent
-step and per Newton solve.
+energy landscape is flat (large pitch, translating bump).  Ground solves,
+and nodal solves in the radial class (one nodal branch), hand over once
+||E'|| <= 1e-2 (1 + ||u||), so Newton, not the descent, carries the bump
+along that flat valley; other nodal solves descend to 1e-4 (1 + ||u||),
+because there the descent picks the branch (see _NODAL_HANDOVER).  Trials
+carry their modes: u - s g has U - s G, and u + t delta U + t Delta, with
+the Newton step transformed once.  The polish's linear solves are inexact,
+with forcing term 0.01 ||E'|| safeguarded against over-solving the last step
+(Kelley 1995, sec. 6.3); each is one GMRES cycle of at most _GMRES_STEPS
+steps, never restarted, since the preconditioned system is a compact
+perturbation of the identity, on which GMRES converges superlinearly
+(Campbell, Ipsen, Kelley & Meyer, BIT 36, 1996).  A polish that breaks down,
+stalls or spends its budget ends the solve unconverged.  A solve converges at
+||E'|| <= max(grad_tol, _ROUNDOFF eps ||u||), below which round-off in E'
+stalls Newton (Dennis & Schnabel 1996, sec. 7.2).  A solve takes at most
+_DESCENT_STEPS descent steps and _NEWTON_SOLVES Newton solves, and keep_trace
+records one row per descent step and per Newton solve.
 
 The exact flow preserves the symmetries of its seed: on the disk a radial
 seed stays radial, and on every grid a reflection-even seed stays even in
@@ -68,13 +70,14 @@ _GMRES_STEPS = 80      # Arnoldi steps per linear solve; no run measured took mo
 # lambda = 0.05 half-disk ground solves (320x64, R = 24 and 1.2, ||u|| ~ 2e6); 32 ended
 # both unconverged, 48 one, 64-256 neither; 128 leaves a factor 2 (about 1e-12 at ||u|| 30).
 _ROUNDOFF = 128
-# Hand-over tolerances, relative to 1 + ||u||_lambda.  A ground solve hands
-# over early: Newton carries the bump along its flat valley in a few solves
-# where the descent took 100-300 steps.  A nodal solve keeps descending to
-# 1e-4, since there the descent picks the branch: a hand-over of 1e-3, 3e-3
-# or 1e-2 failed the small-pitch tests in which dipole and radial-nodal seeds
-# must reach the same radial state, or in which the nodal solutions below the
-# pitch threshold must come out radial.
+# Hand-over tolerances, relative to 1 + ||u||_lambda.  A ground solve hands over early:
+# Newton carries the bump along its flat valley in a few solves where the descent took
+# 100-300 steps.  So does a nodal solve on the disk's radial view, whose class holds one
+# branch (10-37 iterations, 59-106 at 1e-4).  Any other nodal solve keeps descending to
+# 1e-4, since there the descent picks the branch: a hand-over of 1e-3, 3e-3 or 1e-2
+# failed the small-pitch tests in which dipole and radial-nodal seeds must reach the
+# same radial state, or in which the nodal solutions below the pitch threshold must
+# come out radial.
 _GROUND_HANDOVER = 1e-2
 _NODAL_HANDOVER = 1e-4
 
@@ -150,40 +153,40 @@ def make_seed(grid: PolarGrid, params: ModelParams, seed: str | Field) -> Field:
 
 
 def _gradient_of(state: Projected, params: ModelParams):
-    """The gradient of a carried state and its pitch-weighted norm.
+    """(g, G, |g|): the gradient of a carried state, its modes and its pitch-weighted norm.
 
-    The norm comes from the gradient's modes, the state's modes minus those
-    of the per-mode solve, so it costs no transform.
+    G is the state's modes minus those of the per-mode solve, so neither G
+    nor the norm costs a transform.
     """
     g, S = gradient(state.field, params)
     G = state.modes - S
-    return g, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
+    return g, G, math.sqrt(max(state.field.grid.operator(params).inner(G, G), 0.0))
 
 
 def _descend(cur: Projected, params: ModelParams, project, tol: float,
              trace: Optional[list]):
     """Projected gradient descent with the spec'd backtracking policy.
 
-    The iterate and each projected trial carry their modes and energy, so a
-    step transforms only the nonlinearity and the trial.  A trial that
-    vanished is reported by its projection (ZeroFieldError) and raises
-    SeedCollapsed.  Stops after _DESCENT_STEPS steps.  Returns (state,
-    gradient norm, iterations).
+    The iterate and each projected trial carry their modes and energy; the
+    trial u - s g goes to project(field, modes) with U - s G, so a ray step
+    transforms only the nonlinearity (project_nodal transforms the two parts).
+    A trial that vanished is reported by its projection (ZeroFieldError) and
+    raises SeedCollapsed.  Stops after _DESCENT_STEPS steps.  Returns (state,
+    g, |g|, iterations), g the returned state's gradient.
     """
     grid = cur.field.grid
     step = STEP_MAX
     accepts_in_row = 0
-    iterations = 0
-    gn = math.inf
+    g, G, gn = _gradient_of(cur, params)
     for iterations in range(1, _DESCENT_STEPS + 1):
-        g, gn = _gradient_of(cur, params)
         if trace is not None:
             trace.append((iterations, cur.energy, gn))
         if gn <= tol:
-            return cur, gn, iterations
+            return cur, g, gn, iterations
         while True:
             try:
-                trial = project(Field(grid, cur.field.values - step * g.values))
+                trial = project(Field(grid, cur.field.values - step * g.values),
+                                cur.modes - step * G)
             except ZeroFieldError:
                 raise SeedCollapsed("descent iterate vanished") from None
             except OnePhaseMissing:
@@ -192,15 +195,16 @@ def _descend(cur: Projected, params: ModelParams, project, tol: float,
                 break
             if step <= STEP_MIN:
                 # flat to round-off; nothing left for first-order steps
-                return cur, gn, iterations
+                return cur, g, gn, iterations
             step = max(step / 2.0, STEP_MIN)
             accepts_in_row = 0
         cur = trial
+        g, G, gn = _gradient_of(cur, params)
         accepts_in_row += 1
         if accepts_in_row >= 5:
             step = min(step * 2.0, STEP_MAX)
             accepts_in_row = 0
-    return cur, gn, iterations
+    return cur, g, gn, _DESCENT_STEPS
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -307,9 +311,10 @@ def _line_walk(score):
     return best_t, best
 
 
-def _newton_polish(u: Field, params: ModelParams, tol: float, project,
-                   trace: Optional[list] = None):
-    """Newton polish of E'(u) = 0 along the manifold's energy valley.
+def _newton_polish(cur: Projected, g: Field, gn: float, params: ModelParams, tol: float,
+                   project, trace: Optional[list] = None):
+    """Newton polish of E'(u) = 0 along the manifold's energy valley, from the
+    descent's state cur, its gradient g and |g| = gn.
 
     Solves ((1 + mu) I - L^{-1} D) delta = -g, D = (p-1)|u|^{p-2}, matrix-free
     with GMRES.  The candidate step is chosen by line-searching the PROJECTED
@@ -322,10 +327,12 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     neither scored below t = 1, 0.75, 0.5, 0.25 and 0.1, each direction
     stopping at its first step no better than the best so far; a failed
     projection scores as infinite.  mu grows only when a step fails both
-    tests.  project maps a field to its Projected state.  The unknowns are
-    u's node values, so on a folded view GMRES works on the class's
-    fundamental nodes.  A failed linear solve (GMRES breakdown or a
-    non-finite step) ends the polish, as do _NEWTON_SOLVES linear solves.
+    tests.  project(field, modes) maps a field to its Projected state; the
+    energy walk's candidates u + t delta carry U + t Delta, the residual
+    walk's are transformed afresh.  The unknowns are u's node values, so on a
+    folded view GMRES works on the class's fundamental nodes.  A failed linear
+    solve (GMRES breakdown or a non-finite step) ends the polish, as do
+    _NEWTON_SOLVES linear solves.
 
     The forcing term, GMRES's relative tolerance, is 0.01 |g| within
     [1e-10, 0.1], with Kelley's safeguard against over-solving (Iterative
@@ -336,9 +343,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
     energy, |g|) to trace, numbering on from the rows already there.  Returns
     (state, |g|, solves, matvecs).
     """
-    grid, shape = u.grid, u.values.shape
-    cur = project(u)
-    g, gn = _gradient_of(cur, params)
+    grid, shape = cur.field.grid, cur.field.values.shape
     mu, fails_here = 0.0, 0
     solves = matvecs = 0
     while solves < _NEWTON_SOLVES and gn > tol:
@@ -353,7 +358,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
             return out.ravel()
 
         # shape and dtype describe the operator to wrappers such as a tracer's
-        lin = SimpleNamespace(shape=(u.values.size,) * 2, dtype=np.dtype(float), matvec=matvec)
+        lin = SimpleNamespace(shape=(g.values.size,) * 2, dtype=np.dtype(float), matvec=matvec)
         rhs = -g.values.ravel()
         rtol = min(0.1, max(1e-10, 0.01 * gn, 0.1 * tol / gn))
         delta, info = gmres(lin, rhs, rtol=rtol)
@@ -368,13 +373,15 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
             log.debug("gmres stopped short of its tolerance (info=%d), relative residual %.3e",
                       info, math.sqrt(_dot(res, res) / _dot(rhs, rhs)))
         dvals = delta.reshape(shape)
+        D = grid.to_modes(dvals)
 
         tried = {}   # step length -> its projected candidate, None if the projection failed
 
         def candidate(t):
             if t not in tried:
                 try:
-                    tried[t] = project(Field(grid, cur.field.values + t * dvals))
+                    tried[t] = project(Field(grid, cur.field.values + t * dvals),
+                                       cur.modes + t * D)
                 except (OnePhaseMissing, ZeroFieldError):
                     tried[t] = None
             return tried[t]
@@ -384,7 +391,7 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
         accepted = None
         if e < cur.energy - noise:
             accepted = tried[t]
-            g, gn = _gradient_of(accepted, params)
+            g, _, gn = _gradient_of(accepted, params)
         else:
             # energy flat to round-off: the residual decides, walked the same way
             scored = {}
@@ -395,11 +402,12 @@ def _newton_polish(u: Field, params: ModelParams, tol: float, project,
                     return math.inf
                 cand = Projected(cand.field, grid.to_modes(cand.field.values), cand.energy)
                 scored[t] = (cand, *_gradient_of(cand, params))
-                return scored[t][2]
+                return scored[t][3]
 
             t, r = _line_walk(residual)
-            if r < gn:
-                accepted, g, gn = scored[t]
+            # gn may come from carried modes, r from fresh ones: their round-off is no progress
+            if r < gn - tol / _ROUNDOFF:
+                accepted, g, _, gn = scored[t]
         if accepted is not None:
             cur = accepted
             mu = 0.0 if mu < 1e-8 else mu * 0.25
@@ -452,18 +460,19 @@ def _run(grid: PolarGrid, seed: Field, params: ModelParams, cfg: SolveConfig, pr
     last state's carried modes, with its field unfolded onto grid."""
     trace = [] if cfg.keep_trace else None
     work = grid.class_view(seed.values)
-    cur = project(Field(work, seed.values[:, :work.nnodes]))
+    handover = _GROUND_HANDOVER if work.columns == (0,) else handover   # no branch to pick
+    cur = project(Field(work, seed.values[:, :work.nnodes]), None)
 
     # hand over to Newton once the iterate is merely in the neighborhood;
     # the energy line search makes the polish robust from moderate range
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     switch_tol = max(cfg.grad_tol, handover * (1.0 + norm))
-    cur, gn, iters = _descend(cur, params, project, switch_tol, trace)
+    cur, g, gn, iters = _descend(cur, params, project, switch_tol, trace)
     steps, handover_gn, solves, matvecs = iters, gn, 0, 0
     norm = math.sqrt(max(work.operator(params).inner(cur.modes, cur.modes), 0.0))
     tol = max(cfg.grad_tol, _ROUNDOFF * np.finfo(float).eps * norm)
     if gn > tol and _NEWTON_SOLVES > 0:
-        cur, gn, solves, matvecs = _newton_polish(cur.field, params, tol, project, trace)
+        cur, gn, solves, matvecs = _newton_polish(cur, g, gn, params, tol, project, trace)
         iters += solves
     log.debug("%d descent steps to |E'| %.3e, %d newton solves, %d matvecs, %d nodes per ring, "
               "on %d of %d modes", steps, handover_gn, solves, matvecs, work.nnodes, work.nmodes,
@@ -480,8 +489,8 @@ def solve_ground(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None =
         raise ValueError(f"a ground solve needs a nonnegative seed; the {cfg.seed} "
                          f"seed changes sign on this domain")
 
-    def project(v: Field) -> Projected:
-        return project_ray(v, params)
+    def project(v: Field, modes) -> Projected:
+        return project_ray(v, params, modes)
 
     return _run(grid, seed, params, cfg, project, _GROUND_HANDOVER)
 
@@ -505,7 +514,7 @@ def solve_nodal(grid: PolarGrid, params: ModelParams, cfg: SolveConfig | None = 
     if not (np.any(seed.values > 0) and np.any(seed.values < 0)):
         raise OnePhaseMissing("nodal solve needs a sign-changing seed")
 
-    def project(v: Field) -> Projected:
-        return project_nodal(v, params)
+    def project(v: Field, modes) -> Projected:
+        return project_nodal(v, params)    # the split is nonlinear: modes cannot be carried
 
     return _run(grid, seed, params, cfg, project, _NODAL_HANDOVER)

@@ -57,12 +57,12 @@ def split_parts(u: Field):
     return plus, minus
 
 
-def _ray(u: Field, params: ModelParams):
-    """(t, modes of u, ||u||^2, |u|_p^p): the Nehari scale t and its ingredients."""
+def _ray(u: Field, params: ModelParams, U=None):
+    """(t, U, ||u||^2, |u|_p^p): the Nehari scale and its ingredients, U u's modes if not given."""
     pp = lp_integral(u, params.p)
     if pp == 0.0:
         raise ZeroFieldError("nehari_scale of the zero field")
-    U = u.grid.to_modes(u.values)
+    U = u.grid.to_modes(u.values) if U is None else U
     n2 = u.grid.operator(params).inner(U, U)
     return float((n2 / pp) ** (1.0 / (params.p - 2.0))), U, n2, pp
 
@@ -72,9 +72,10 @@ def nehari_scale(u: Field, params: ModelParams) -> float:
     return _ray(u, params)[0]
 
 
-def project_ray(u: Field, params: ModelParams) -> Projected:
-    """t u on the Nehari set, with modes t U and energy t^2 ||u||^2/2 - t^p |u|_p^p/p."""
-    t, U, n2, pp = _ray(u, params)
+def project_ray(u: Field, params: ModelParams, modes=None) -> Projected:
+    """t u on the Nehari set, with modes t U and energy t^2 ||u||^2/2 - t^p |u|_p^p/p;
+    U is modes if given (a solver trial's carried modes), else u's transform."""
+    t, U, n2, pp = _ray(u, params, modes)
     total = 0.5 * t * t * n2 - t ** params.p * pp / params.p
     return Projected(Field(u.grid, t * u.values), t * U, total)
 

@@ -80,10 +80,22 @@ def apply_angular_derivative(u: Field) -> Field:
 
 
 def unprojected(params: ModelParams):
-    """The projector that carries u itself as a state, for polishing without a projection."""
-    def project(u: Field) -> Projected:
+    """The projector that carries u itself as a state, for polishing without a projection.
+
+    It transforms u and ignores the modes the solver offers, as the nodal
+    projection does.
+    """
+    def project(u: Field, modes=None) -> Projected:
         return Projected(u, u.grid.to_modes(u.values), energy(u, params).total)
     return project
+
+
+def polish(u: Field, params: ModelParams, tol: float, project, trace=None):
+    """minimize._newton_polish from project(u) and its gradient, the state and
+    gradient a descent would hand over."""
+    cur = project(u, None)
+    g, _, gn = minimize._gradient_of(cur, params)
+    return minimize._newton_polish(cur, g, gn, params, tol, project, trace)
 
 
 def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
@@ -99,7 +111,7 @@ def newton_refine(u: Field, params: ModelParams, tol: float) -> Field:
     gn = lambda_norm(gradient(u, params)[0], params)
     if gn > 1e-3 * (1.0 + norm):
         raise ValueError(f"not near a critical point: |grad| = {gn:.3e}")
-    refined, gn, _, _ = minimize._newton_polish(u, params, tol, unprojected(params))
+    refined, gn, _, _ = polish(u, params, tol, unprojected(params))
     if gn > tol:
         log.warning("newton_refine returned the best iterate without reaching %.1e", tol)
     return refined.field

@@ -4,13 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference import field_from_polar, newton_refine, unprojected
+from reference import field_from_polar, newton_refine, polish, unprojected
 from scipy.sparse.linalg import LinearOperator
 
 from spiralnls import minimize, radial
 from spiralnls.energy import energy, gradient, lambda_inner, lambda_norm
 from spiralnls.errors import GridMismatchError, OnePhaseMissing, SeedCollapsed, ZeroFieldError
-from spiralnls.grid import Field, ModelParams, SectorKind, build_grid
+from spiralnls.grid import Field, ModelParams, PolarGrid, SectorKind, build_grid
 from spiralnls.minimize import (
     SEED_DIPOLE,
     SEED_RADIAL,
@@ -172,6 +172,23 @@ def test_radial_nodal_seed_never_shoots_the_oracle(monkeypatch, p):
     assert abs(rep.energy.total - reference.energy.total) <= 1e-12 * reference.energy.total
 
 
+@pytest.mark.parametrize("p, level", [
+    (2.5, 58.97103692774951),
+    (3.0, 50.03927448551292),
+    (4.0, 38.51708509922492),
+    (6.0, 26.074070505533882),
+])
+def test_radial_class_nodal_solve_hands_over_early(p, level):
+    # the radial class holds one nodal branch, so the descent has none to
+    # pick and hands over at the ground tolerance: the level reached after
+    # 59-106 iterations at the nodal hand-over, in at most 40
+    grid = build_grid(24.0, 320, 64, SectorKind.full_disk())
+    rep = solve_nodal(grid, ModelParams(p=p, q=1, lam=5.0), SolveConfig(seed=SEED_RADIAL_NODAL))
+    assert rep.converged and rep.iterations <= 40
+    assert rep.field.is_radial()
+    assert abs(rep.energy.total - level) <= 1e-12 * level
+
+
 def test_nodal_requires_full_disk():
     with pytest.raises(ValueError):
         solve_nodal(HALF, ModelParams(p=4.0, q=1, lam=1.0))
@@ -196,7 +213,7 @@ def test_a_field_seed_on_another_grid_is_refused(solve):
 
 def test_descent_turns_a_vanished_trial_into_seed_collapsed(small_disk, params_q1):
     # the projection, which integrates |u|^p anyway, reports the vanished field
-    def vanished(v):
+    def vanished(v, modes):
         raise ZeroFieldError("trial vanished")
 
     cur = project_ray(make_seed(small_disk, params_q1, SEED_RADIAL), params_q1)
@@ -210,11 +227,11 @@ def test_descent_gives_up_once_its_step_reaches_the_floor(small_disk, params_q1)
     cur = project_ray(make_seed(small_disk, params_q1, SEED_RADIAL), params_q1)
     trials = []
 
-    def rising(v):
+    def rising(v, modes):
         trials.append(v)
         return Projected(v, None, cur.energy + 1.0)
 
-    state, gn, iterations = minimize._descend(cur, params_q1, rising, 0.0, None)
+    state, _, gn, iterations = minimize._descend(cur, params_q1, rising, 0.0, None)
     assert state is cur and gn > 0.0 and iterations == 1
     assert len(trials) == 15
     g = minimize._gradient_of(cur, params_q1)[0].values
@@ -330,7 +347,7 @@ def test_newton_polish_stops_on_gmres_breakdown(monkeypatch):
     u = _near_critical(params)
     monkeypatch.setattr(minimize, "gmres",
                         lambda op, rhs, **kw: (np.zeros_like(rhs), -1))
-    state, gn, solves, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
+    state, gn, solves, _ = polish(u, params, 1e-12, unprojected(params))
     assert solves == 1
     assert np.array_equal(state.field.values, u.values)
     assert gn > 1e-12
@@ -347,7 +364,7 @@ def test_newton_polish_logs_gmres_iteration_cap(monkeypatch, caplog):
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(logging.DEBUG, logger="spiralnls.minimize"):
-        _, gn, _, _ = minimize._newton_polish(u, params, 1e-12, unprojected(params))
+        _, gn, _, _ = polish(u, params, 1e-12, unprojected(params))
     assert gn <= 1e-12
     assert any("short of its tolerance" in rec.getMessage() and rec.levelno == logging.DEBUG
                for rec in caplog.records)
@@ -373,7 +390,7 @@ def _failed_polish_solve(monkeypatch, caplog, gmres):
     monkeypatch.setattr(minimize, "gmres", gmres)
     with caplog.at_level(logging.WARNING, logger="spiralnls.minimize"):
         rep = solve_ground(grid, ModelParams(p=4.0, q=1, lam=2.0), SolveConfig(keep_trace=True))
-    handover, _, steps = calls["_descend"]
+    handover, _, _, steps = calls["_descend"]
     state, gn, solves, _ = calls["_newton_polish"]
     # unconverged at once: the polish's last iterate is the report's field
     assert not rep.converged and gn > 1e-8
@@ -443,10 +460,10 @@ def test_newton_forcing_term_does_not_over_solve(monkeypatch):
 
     monkeypatch.setattr(minimize, "gmres", recording)
     tol, trace = 1e-12, []
-    _, gn, solves, _ = minimize._newton_polish(u, params, tol, project, trace=trace)
+    _, gn, solves, _ = polish(u, params, tol, project, trace=trace)
     assert gn <= tol and len(rtols) == solves >= 1
     # the residual norm at each solve: the polish's start, then each solve's row
-    gns = [minimize._gradient_of(project(u), params)[1]] + [row[2] for row in trace]
+    gns = [minimize._gradient_of(project(u), params)[2]] + [row[2] for row in trace]
     for rtol, g in zip(rtols, gns):
         assert rtol >= min(0.1, 0.1 * tol / g)
 
@@ -465,7 +482,7 @@ def test_newton_line_search_skips_candidates_whose_projection_fails(monkeypatch)
         tried.append([])
         return real_walk(lambda t: steps.append(t) or score(t))
 
-    def project(v):
+    def project(v, modes):
         if not tried:
             return carry(v)        # the polish's start
         t = steps[-1]
@@ -477,12 +494,52 @@ def test_newton_line_search_skips_candidates_whose_projection_fails(monkeypatch)
         return carry(v)
 
     monkeypatch.setattr(minimize, "_line_walk", walk)
-    _, gn, solves, _ = minimize._newton_polish(u, params, 1e-12, project)
+    _, gn, solves, _ = polish(u, params, 1e-12, project)
     assert gn <= 1e-12 and solves >= 1
     energy_walks = [t for t in tried if t[:1] == [1.0]]   # each solve's first walk
     assert len(energy_walks) == solves
     for t in energy_walks:
         assert t[:3] == [1.0, 1.5, 0.75] and 2.0 not in t
+
+
+def test_a_polish_line_search_transforms_its_step_once(monkeypatch):
+    # half the Newton step makes t = 1, 1.5 and 2 each lower the energy; the
+    # candidates carry the modes U + t Delta, so the walk's one forward
+    # transform is Delta's, made after GMRES returns
+    grid = build_grid(8.0, 48, 16, SectorKind.full_disk())
+    params = ModelParams(p=4.0, q=1, lam=2.0)
+
+    def project(v, modes):
+        return project_ray(v, params, modes)
+
+    cur = project(make_seed(grid, params, SEED_RADIAL), None)
+    cur, g, gn, _ = minimize._descend(cur, params, project, 1e-2, None)
+    events, steps = [], []
+    to_modes, real_gmres, real_walk = PolarGrid.to_modes, minimize.gmres, minimize._line_walk
+
+    def counting(self, values):
+        events.append("transform")
+        return to_modes(self, values)
+
+    def halved(op, rhs, **kw):
+        delta, info = real_gmres(op, rhs, **kw)
+        events.append("gmres")
+        return 0.5 * delta, info
+
+    def walk(score):
+        best = real_walk(lambda t: steps.append(t) or score(t))
+        events.append("walk")
+        return best
+
+    monkeypatch.setattr(PolarGrid, "to_modes", counting)
+    monkeypatch.setattr(minimize, "gmres", halved)
+    monkeypatch.setattr(minimize, "_line_walk", walk)
+    monkeypatch.setattr(minimize, "_NEWTON_SOLVES", 1)
+    _, gn_out, solves, _ = minimize._newton_polish(cur, g, gn, params, 1e-12, project)
+    assert solves == 1 and gn_out < gn
+    assert steps == [1.0, 1.5, 2.0]
+    line_search = events[events.index("gmres") + 1:events.index("walk")]
+    assert line_search == ["transform"]
 
 
 _STEPS = (2.0, 1.5, 1.0, 0.75, 0.5, 0.25, 0.1)
@@ -526,7 +583,7 @@ def test_newton_line_search_walks_outward_from_the_full_step(monkeypatch, energi
     def step_of(v):
         return round(float(np.sum((v.values - u.values) * d) / np.sum(d * d)), 9)
 
-    def project(v):
+    def project(v, modes):
         if v.values is u.values:
             return Projected(v, GRID.to_modes(v.values), 1.0)
         t = step_of(v)
@@ -537,12 +594,12 @@ def test_newton_line_search_walks_outward_from_the_full_step(monkeypatch, energi
 
     def gradient_of(state, params):
         t = None if state.field.values is u.values else step_of(state.field)
-        return state.field, 1.0 if t is None else residual_at[t]
+        return state.field, None, 1.0 if t is None else residual_at[t]
 
     monkeypatch.setattr(minimize, "gmres", lambda op, rhs, **kw: (d.ravel().copy(), 0))
     monkeypatch.setattr(minimize, "_gradient_of", gradient_of)
     monkeypatch.setattr(minimize, "_NEWTON_SOLVES", 1)
-    state, _, solves, _ = minimize._newton_polish(u, params, 1e-300, project)
+    state, _, solves, _ = polish(u, params, 1e-300, project)
     assert solves == 1
     assert projected == tried
     if pick is None:
@@ -585,7 +642,7 @@ def test_gmres_cap_residual_is_computed_only_for_debug(monkeypatch, caplog, leve
 
     monkeypatch.setattr(minimize, "gmres", capped)
     with caplog.at_level(level, logger="spiralnls.minimize"):
-        minimize._newton_polish(u, params, 1e-12, unprojected(params))
+        polish(u, params, 1e-12, unprojected(params))
     assert bool(outside) == (level == logging.DEBUG)
 
 

@@ -184,19 +184,26 @@ def _off_center_seed(grid):
         -((r * np.cos(t) - 1.0) ** 2 + (r * np.sin(t) - 0.5) ** 2) / 2.0))
 
 
-@pytest.mark.parametrize("sector,seed", [
-    (SectorKind.full_disk(), SEED_RADIAL),
-    (SectorKind.full_disk(), SEED_DIPOLE),
-    (SectorKind.half_disk(), SEED_RADIAL),
-    (SectorKind.cone(np.pi / 4), SEED_RADIAL),
-    (SectorKind.full_disk(), None),
-], ids=["disk-radial", "disk-dipole", "half-even", "cone-even", "disk-none"])
-def test_a_solve_reports_its_field_without_a_transform(mode_widths, sector, seed):
+_SMALL = (8.0, 48, 16, 2.0)   # R, nr, ntheta and the pitch
+
+
+@pytest.mark.parametrize("sector,seed,size", [
+    (SectorKind.full_disk(), SEED_RADIAL, _SMALL),
+    (SectorKind.full_disk(), SEED_DIPOLE, _SMALL),
+    (SectorKind.half_disk(), SEED_RADIAL, _SMALL),
+    (SectorKind.cone(np.pi / 4), SEED_RADIAL, _SMALL),
+    (SectorKind.full_disk(), None, _SMALL),
+    # the sweep's lambda = 50 half-disk row: its 8 descent steps and 8 Newton
+    # solves make the longest chain of carried modes
+    (SectorKind.half_disk(), SEED_RADIAL, (24.0, 320, 64, 50.0)),
+], ids=["disk-radial", "disk-dipole", "half-even", "cone-even", "disk-none", "half-even-lambda50"])
+def test_a_solve_reports_its_field_without_a_transform(mode_widths, sector, seed, size):
     # the report's five energy pieces and nonradiality index are those of its
     # field, evaluated afresh at full width, though the solve made no forward
     # transform after its last step
-    grid = build_grid(8.0, 48, 16, sector)
-    params = ModelParams(p=4.0, q=1, lam=2.0)
+    R, nr, ntheta, lam = size
+    grid = build_grid(R, nr, ntheta, sector)
+    params = ModelParams(p=4.0, q=1, lam=lam)
     solve = solve_nodal if seed == SEED_DIPOLE else solve_ground
     report = solve(grid, params, SolveConfig(seed=_off_center_seed(grid) if seed is None else seed))
     assert report.converged and report.field.grid is grid
